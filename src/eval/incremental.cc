@@ -157,6 +157,8 @@ void IncrementalView::AddTo(DeltaMap* m, PredId p, const Tuple& t) const {
 Status IncrementalView::ApplyBatch(const std::vector<FactUpdate>& updates) {
   OBS_SPAN("incremental.batch",
            {{"updates", static_cast<int64_t>(updates.size())}});
+  added_.clear();
+  removed_.clear();
   for (const FactUpdate& u : updates) {
     if (u.pred < 0 || u.pred >= static_cast<PredId>(catalog_->size())) {
       return Status::SchemaError("fact update names an unknown predicate");
@@ -205,17 +207,12 @@ Status IncrementalView::ApplyBatch(const std::vector<FactUpdate>& updates) {
   const DbView new_view{&model_, &model_};
   const DbView old_view{&shadow_, &shadow_};
 
-  // Net per-predicate gains/losses of *present* facts, accumulated from
-  // the base edits and every maintained stratum in stratum order.
-  DeltaMap added;
-  DeltaMap removed;
-
   // Predicates no rule defines change exactly as their base relations do.
   for (const auto& [p, rel] : base_added) {
     if (program_->IsIdb(p)) continue;
     for (const Tuple& t : rel) {
       if (model_.Insert(p, t)) {
-        AddTo(&added, p, t);
+        AddTo(&added_, p, t);
         ++stats_.facts_added;
       }
     }
@@ -224,7 +221,7 @@ Status IncrementalView::ApplyBatch(const std::vector<FactUpdate>& updates) {
     if (program_->IsIdb(p)) continue;
     for (const Tuple& t : rel) {
       if (model_.Erase(p, t)) {
-        AddTo(&removed, p, t);
+        AddTo(&removed_, p, t);
         ++stats_.facts_removed;
       }
     }
@@ -234,20 +231,20 @@ Status IncrementalView::ApplyBatch(const std::vector<FactUpdate>& updates) {
     if (strat_.rules_by_stratum[static_cast<size_t>(s)].empty()) continue;
     if (flat_[static_cast<size_t>(s)]) {
       MaintainCounting(s, new_view, old_view, have_old, &shadow_index_,
-                       base_added, base_removed, &added, &removed);
+                       base_added, base_removed, &added_, &removed_);
     } else {
       MaintainDred(s, new_view, old_view, have_old, &shadow_index_,
-                   base_added, base_removed, &added, &removed);
+                   base_added, base_removed, &added_, &removed_);
     }
   }
 
-  // Re-sync the shadow by the batch's net model delta: `added`/`removed`
-  // are exactly diff(model after, model before), so after this replay the
-  // shadow is the old state the *next* batch needs.
-  for (const auto& [p, rel] : added) {
+  // Re-sync the shadow by the batch's net model delta: `added_`/
+  // `removed_` are exactly diff(model after, model before), so after this
+  // replay the shadow is the old state the *next* batch needs.
+  for (const auto& [p, rel] : added_) {
     for (const Tuple& t : rel) shadow_.Insert(p, t);
   }
-  for (const auto& [p, rel] : removed) {
+  for (const auto& [p, rel] : removed_) {
     for (const Tuple& t : rel) shadow_.Erase(p, t);
   }
   return Status::OK();

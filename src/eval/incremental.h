@@ -117,6 +117,15 @@ class IncrementalView {
   const EvalStats& initial_stats() const { return initial_stats_; }
   const Stats& stats() const { return stats_; }
 
+  /// Per-predicate delta sets (net added / net removed facts).
+  using DeltaMap = std::unordered_map<PredId, Relation>;
+
+  /// The net model delta of the last ApplyBatch: exactly diff(model
+  /// after, model before), so the two are disjoint. Empty after a batch
+  /// that changed nothing or was rejected.
+  const DeltaMap& last_added() const { return added_; }
+  const DeltaMap& last_removed() const { return removed_; }
+
  private:
   struct FactKey {
     PredId pred;
@@ -156,9 +165,6 @@ class IncrementalView {
     std::vector<std::unique_ptr<Rule>> flipped;
     std::vector<std::unique_ptr<RuleMatcher>> flipped_matchers;
   };
-
-  /// Per-predicate delta sets (net added / net removed facts).
-  using DeltaMap = std::unordered_map<PredId, Relation>;
 
   IncrementalView(const Program& program, const Catalog& catalog,
                   const Instance& base);
@@ -212,6 +218,11 @@ class IncrementalView {
   /// trade: resident memory is twice the model.
   Instance shadow_;
   IndexManager shadow_index_;
+  /// Net per-predicate gains/losses of *present* facts in the current (or
+  /// last) batch, accumulated from the base edits and every maintained
+  /// stratum in stratum order.
+  DeltaMap added_;
+  DeltaMap removed_;
   EvalStats initial_stats_;
   Stats stats_;
 };

@@ -6,6 +6,8 @@
 // bugs that the differential oracles must catch and the shrinker must
 // minimize. Production code never sets these; the defaults are no-ops.
 
+#include <cstddef>
+
 namespace datalog {
 namespace internal {
 
@@ -24,9 +26,9 @@ extern int g_seminaive_skip_delta_rule;
 /// oracle and the update-sequence shrinker.
 extern bool g_dred_skip_rederive;
 
-/// When true, the concurrent server serializes its snapshot *before*
-/// applying the writer batch and publishes those stale bytes under the
-/// new epoch — a snapshot-publish-before-resync bug: every reader at
+/// When true, the concurrent server publishes its chunk manifest from
+/// *before* merging the writer batch's delta under the new epoch — a
+/// snapshot-publish-before-resync bug: every reader at
 /// epoch e >= 1 sees epoch e-1's data, i.e. a torn read between the
 /// epoch counter and the model it is supposed to version. Caught by
 /// oracle pair #10's per-epoch byte diff against the sequential library
@@ -51,6 +53,11 @@ extern bool g_store_skip_truncate;
 /// the server's crashed() gate quarantines the dirtied view. Defined in
 /// store/io.cc.
 extern int g_store_fail_pwrites;
+
+/// When > 0, replaces the WAL's 64 MiB record payload cap
+/// (store::WalRecordFits, Wal::Append) so tests reach the over-cap
+/// refusal with a small batch. Defined in store/wal.cc.
+extern size_t g_wal_record_cap;
 
 }  // namespace internal
 }  // namespace datalog

@@ -1,6 +1,8 @@
 #include "ra/instance.h"
 
 #include <algorithm>
+#include <cassert>
+#include <cstring>
 #include <map>
 #include <mutex>
 
@@ -146,52 +148,230 @@ Instance Instance::Restrict(const std::vector<PredId>& preds) const {
 
 namespace {
 
-void AppendU32(std::string* out, uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out->push_back(static_cast<char>((v >> shift) & 0xff));
+constexpr size_t kWordBytes = 4;
+/// `u32 pred | u32 arity | u32 count` in front of every chunk's rows.
+constexpr size_t kChunkHeaderBytes = 3 * kWordBytes;
+/// Snapshot format tag; bump when the layout changes.
+constexpr uint32_t kSnapshotMagic = 0x31534455;  // "UDS1"
+
+void PutU32(char* out, uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    out[i] = static_cast<char>((v >> (8 * i)) & 0xff);
   }
+}
+
+uint32_t GetU32(const char* in) {
+  uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) {
+    v |= static_cast<uint32_t>(static_cast<unsigned char>(in[i])) << (8 * i);
+  }
+  return v;
 }
 
 bool ReadU32(const std::string& in, size_t* pos, uint32_t* v) {
-  if (*pos + 4 > in.size()) return false;
-  uint32_t out = 0;
-  for (int shift = 0; shift < 32; shift += 8) {
-    out |= static_cast<uint32_t>(static_cast<unsigned char>(in[*pos])) << shift;
-    ++*pos;
-  }
-  *v = out;
+  if (in.size() - *pos < kWordBytes) return false;
+  *v = GetU32(in.data() + *pos);
+  *pos += kWordBytes;
   return true;
 }
 
-/// Snapshot format tag; bump when the layout changes.
-constexpr uint32_t kSnapshotMagic = 0x31534455;  // "UDS1"
+/// The `u32 magic | u32 #relations` snapshot header.
+void AppendSnapshotHeader(uint32_t relations, std::string* out) {
+  char header[2 * kWordBytes];
+  PutU32(header, kSnapshotMagic);
+  PutU32(header + kWordBytes, relations);
+  out->append(header, sizeof(header));
+}
+
+size_t ChunkBytes(int arity, size_t count) {
+  return kChunkHeaderBytes + count * static_cast<size_t>(arity) * kWordBytes;
+}
+
+/// Writes a chunk header at `out`; returns where its rows start.
+char* PutChunkHeader(char* out, PredId p, int arity, size_t count) {
+  PutU32(out, static_cast<uint32_t>(p));
+  PutU32(out + kWordBytes, static_cast<uint32_t>(arity));
+  PutU32(out + 2 * kWordBytes, static_cast<uint32_t>(count));
+  return out + kChunkHeaderBytes;
+}
+
+/// Writes one row at `out`; returns the end of the row.
+char* PutRow(const Tuple& t, char* out) {
+  for (Value v : t) {
+    PutU32(out, static_cast<uint32_t>(v));
+    out += kWordBytes;
+  }
+  return out;
+}
+
+/// True when the encoded row at `row` sorts before `t` in
+/// std::vector<Value> order (signed, lexicographic).
+bool RowLess(const char* row, const Tuple& t) {
+  for (Value v : t) {
+    const Value r = static_cast<Value>(GetU32(row));
+    if (r != v) return r < v;
+    row += kWordBytes;
+  }
+  return false;
+}
+
+/// The rows of `rel` in std::vector<Value> order, by pointer.
+std::vector<const Tuple*> SortedRows(const Relation& rel) {
+  std::vector<const Tuple*> rows;
+  rows.reserve(rel.size());
+  for (const Tuple& t : rel) rows.push_back(&t);
+  std::sort(rows.begin(), rows.end(),
+            [](const Tuple* a, const Tuple* b) { return *a < *b; });
+  return rows;
+}
+
+/// Appends the chunk of relation `p` to `out`.
+void AppendChunk(PredId p, const Relation& rel, std::string* out) {
+  const std::vector<const Tuple*> rows = SortedRows(rel);
+  const size_t start = out->size();
+  out->resize(start + ChunkBytes(rel.arity(), rows.size()));
+  char* w = PutChunkHeader(out->data() + start, p, rel.arity(), rows.size());
+  for (const Tuple* t : rows) w = PutRow(*t, w);
+}
+
+/// `old` (null: the relation was empty) with the rows of `removed` cut out
+/// and those of `added` spliced in, copying the untouched runs between
+/// splice points whole; null when no row remains.
+SnapshotChunk MergeChunk(PredId p, int arity, const std::string* old,
+                         const Relation* added, const Relation* removed) {
+  const std::vector<const Tuple*> ins =
+      added != nullptr ? SortedRows(*added) : std::vector<const Tuple*>();
+  const std::vector<const Tuple*> del =
+      removed != nullptr ? SortedRows(*removed) : std::vector<const Tuple*>();
+  const size_t old_count =
+      old != nullptr ? GetU32(old->data() + 2 * kWordBytes) : 0;
+  assert(del.size() <= old_count);
+  const size_t count = old_count + ins.size() - del.size();
+  if (count == 0) return nullptr;
+
+  const size_t row_bytes = static_cast<size_t>(arity) * kWordBytes;
+  const char* rows = old != nullptr ? old->data() + kChunkHeaderBytes : nullptr;
+  std::string out(ChunkBytes(arity, count), '\0');
+  char* w = PutChunkHeader(out.data(), p, arity, count);
+  size_t pos = 0;  // next old row not yet copied or cut
+  auto copy_to = [&](size_t end) {
+    if (end > pos) {
+      std::memcpy(w, rows + pos * row_bytes, (end - pos) * row_bytes);
+      w += (end - pos) * row_bytes;
+    }
+    pos = end;
+  };
+  auto splice_point = [&](const Tuple& t) {  // first old row >= t
+    size_t lo = pos;
+    size_t hi = old_count;
+    while (lo < hi) {
+      const size_t mid = lo + (hi - lo) / 2;
+      if (RowLess(rows + mid * row_bytes, t)) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo;
+  };
+  size_t i = 0;
+  size_t j = 0;
+  while (i < ins.size() || j < del.size()) {
+    const bool insert =
+        j == del.size() || (i < ins.size() && *ins[i] < *del[j]);
+    const Tuple& t = insert ? *ins[i++] : *del[j++];
+    copy_to(splice_point(t));
+    if (insert) {
+      w = PutRow(t, w);
+    } else {
+      assert(pos < old_count);
+      ++pos;  // cut the removed row
+    }
+  }
+  copy_to(old_count);
+  assert(w == out.data() + out.size());
+  return std::make_shared<const std::string>(std::move(out));
+}
 
 }  // namespace
 
 std::string Instance::SerializeSnapshot() const {
   std::vector<PredId> preds;
   preds.reserve(relations_.size());
+  size_t bytes = 2 * kWordBytes;
   for (const auto& [p, rel] : relations_) {
-    if (!rel.empty()) preds.push_back(p);
+    if (rel.empty()) continue;
+    preds.push_back(p);
+    bytes += ChunkBytes(rel.arity(), rel.size());
   }
   std::sort(preds.begin(), preds.end());
   std::string out;
-  AppendU32(&out, kSnapshotMagic);
-  AppendU32(&out, static_cast<uint32_t>(preds.size()));
-  for (PredId p : preds) {
-    const Relation& rel = Rel(p);
-    AppendU32(&out, static_cast<uint32_t>(p));
-    AppendU32(&out, static_cast<uint32_t>(rel.arity()));
-    AppendU32(&out, static_cast<uint32_t>(rel.size()));
-    for (const Tuple& t : rel.Sorted()) {
-      for (Value v : t) AppendU32(&out, static_cast<uint32_t>(v));
-    }
+  out.reserve(bytes);
+  AppendSnapshotHeader(static_cast<uint32_t>(preds.size()), &out);
+  for (PredId p : preds) AppendChunk(p, Rel(p), &out);
+  return out;
+}
+
+SnapshotChunks Instance::EncodeSnapshotChunks() const {
+  SnapshotChunks chunks(static_cast<size_t>(catalog_->size()));
+  for (const auto& [p, rel] : relations_) {
+    if (rel.empty()) continue;
+    std::string chunk;
+    AppendChunk(p, rel, &chunk);
+    chunks[static_cast<size_t>(p)] =
+        std::make_shared<const std::string>(std::move(chunk));
+  }
+  return chunks;
+}
+
+int MergeSnapshotDelta(const std::unordered_map<PredId, Relation>& added,
+                       const std::unordered_map<PredId, Relation>& removed,
+                       SnapshotChunks* chunks) {
+  auto find = [](const std::unordered_map<PredId, Relation>& delta,
+                 PredId p) -> const Relation* {
+    auto it = delta.find(p);
+    return it == delta.end() || it->second.empty() ? nullptr : &it->second;
+  };
+  int merged = 0;
+  auto merge = [&](PredId p, int arity) {
+    const size_t i = static_cast<size_t>(p);
+    if (i >= chunks->size()) chunks->resize(i + 1);
+    SnapshotChunk& chunk = (*chunks)[i];
+    chunk = MergeChunk(p, arity, chunk.get(), find(added, p),
+                       find(removed, p));
+    ++merged;
+  };
+  for (const auto& [p, rel] : added) {
+    if (!rel.empty()) merge(p, rel.arity());
+  }
+  for (const auto& [p, rel] : removed) {
+    if (!rel.empty() && find(added, p) == nullptr) merge(p, rel.arity());
+  }
+  return merged;
+}
+
+std::string AssembleSnapshot(std::span<const SnapshotChunk> chunks) {
+  size_t bytes = 2 * kWordBytes;
+  uint32_t relations = 0;
+  for (const SnapshotChunk& chunk : chunks) {
+    if (chunk == nullptr) continue;
+    bytes += chunk->size();
+    ++relations;
+  }
+  std::string out;
+  out.reserve(bytes);
+  AppendSnapshotHeader(relations, &out);
+  for (const SnapshotChunk& chunk : chunks) {
+    if (chunk != nullptr) out += *chunk;
   }
   return out;
 }
 
 Status Instance::RestoreSnapshot(const std::string& snapshot) {
+  // Decoded aside and swapped in only on success: every error return
+  // leaves the instance empty, never half-restored.
   relations_.clear();
+  std::unordered_map<PredId, Relation> restored;
   size_t pos = 0;
   uint32_t magic = 0;
   uint32_t num_preds = 0;
@@ -213,7 +393,8 @@ Status Instance::RestoreSnapshot(const std::string& snapshot) {
       return Status::Internal(
           "instance snapshot: predicate/arity mismatch with catalog");
     }
-    Relation* rel = MutableRel(p);
+    Relation& rel =
+        restored.try_emplace(p, static_cast<int>(arity)).first->second;
     for (uint32_t k = 0; k < count; ++k) {
       Tuple t(arity);
       for (uint32_t c = 0; c < arity; ++c) {
@@ -223,12 +404,13 @@ Status Instance::RestoreSnapshot(const std::string& snapshot) {
         }
         t[c] = static_cast<Value>(v);
       }
-      rel->Insert(std::move(t));
+      rel.Insert(std::move(t));
     }
   }
   if (pos != snapshot.size()) {
     return Status::Internal("instance snapshot: trailing bytes");
   }
+  relations_ = std::move(restored);
   return Status::OK();
 }
 

@@ -2,7 +2,9 @@
 #define UNCHAINED_RA_INSTANCE_H_
 
 #include <cstdint>
+#include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -13,6 +15,17 @@
 #include "ra/relation.h"
 
 namespace datalog {
+
+/// One relation's slice of the snapshot format (Instance::
+/// SerializeSnapshot): `u32 pred | u32 arity | u32 count | rows`, rows in
+/// std::vector<Value> order, values as little-endian 32-bit words.
+/// Immutable once built, so published server snapshots share the chunk of
+/// every relation a commit did not touch (docs/server.md).
+using SnapshotChunk = std::shared_ptr<const std::string>;
+
+/// A snapshot manifest: chunks indexed by PredId, null for an empty
+/// relation.
+using SnapshotChunks = std::vector<SnapshotChunk>;
 
 /// A database instance over a `Catalog` (Section 2): a mapping from each
 /// relation symbol to a finite relation of the declared arity. Relations
@@ -95,13 +108,18 @@ class Instance {
 
   // -- Checkpointing -----------------------------------------------------
 
-  /// Serializes the full contents into a compact byte snapshot:
-  /// predicates ascending, tuples in lexicographic order, values as
-  /// little-endian 32-bit words. Deterministic — equal instances produce
-  /// identical bytes — so snapshot sizes (dist.checkpoint_bytes) and
-  /// golden tests are reproducible. This is the checkpoint half of the
-  /// crash/recovery story in docs/distribution.md.
+  /// Serializes the full contents into a compact byte snapshot: a
+  /// `u32 magic | u32 #relations` header, then one SnapshotChunk per
+  /// non-empty relation, predicates ascending. Deterministic — equal
+  /// instances produce identical bytes — so snapshot sizes
+  /// (dist.checkpoint_bytes) and golden tests are reproducible. This is
+  /// the checkpoint half of the crash/recovery story in
+  /// docs/distribution.md.
   std::string SerializeSnapshot() const;
+
+  /// The chunk of every non-empty relation, sized to the catalog;
+  /// AssembleSnapshot of the result equals SerializeSnapshot().
+  SnapshotChunks EncodeSnapshotChunks() const;
 
   /// Replaces the contents with the snapshot's, dropping everything the
   /// instance currently holds (rebuilt relations take fresh epochs, so
@@ -115,6 +133,21 @@ class Instance {
   const Catalog* catalog_;
   std::unordered_map<PredId, Relation> relations_;
 };
+
+/// Applies a per-predicate net delta to `chunks`: every fact of `removed`
+/// is in the encoded relation, no fact of `added` is, and the two are
+/// disjoint — exactly IncrementalView's batch delta. Only the touched
+/// relations are re-encoded, each in one linear copy-and-splice pass over
+/// its old chunk; a relation left empty drops its chunk. Returns how many
+/// chunks were re-encoded.
+int MergeSnapshotDelta(const std::unordered_map<PredId, Relation>& added,
+                       const std::unordered_map<PredId, Relation>& removed,
+                       SnapshotChunks* chunks);
+
+/// A snapshot in the SerializeSnapshot format built from `chunks` in
+/// order, skipping nulls: the header plus the chunks' concatenation. A
+/// one-element span gives a single predicate's body.
+std::string AssembleSnapshot(std::span<const SnapshotChunk> chunks);
 
 }  // namespace datalog
 

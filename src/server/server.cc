@@ -8,6 +8,7 @@
 #include "obs/trace.h"
 #include "server/session.h"
 #include "store/recover.h"
+#include "store/wal.h"
 
 namespace datalog {
 
@@ -77,6 +78,10 @@ obs::GaugeHandle& WalBytesGauge() {
   static obs::GaugeHandle g("server.wal_bytes");
   return g;
 }
+obs::CounterHandle& PublishChunksEncodedCounter() {
+  static obs::CounterHandle c("server.publish_chunks_encoded");
+  return c;
+}
 
 Response Refuse(StatusCode code, std::string error) {
   Response r;
@@ -98,7 +103,8 @@ Result<std::unique_ptr<Server>> Server::Create(const Program& program,
     if (!view.ok()) return view.status();
     std::unique_ptr<Server> server(
         new Server(std::move(view).value(), catalog, symbols, options));
-    server->PublishCurrentModel(0);
+    server->chunks_ = server->view_->model().EncodeSnapshotChunks();
+    server->Publish(0, server->chunks_);
     return server;
   }
 
@@ -123,7 +129,8 @@ Result<std::unique_ptr<Server>> Server::Create(const Program& program,
   WalBytesGauge().Set(server->store_->wal().size());
   // The first publish carries the recovered epoch: clients resume at the
   // exact version the directory proves durable.
-  server->PublishCurrentModel(recovered->epoch);
+  server->chunks_ = server->view_->model().EncodeSnapshotChunks();
+  server->Publish(recovered->epoch, server->chunks_);
   return server;
 }
 
@@ -151,16 +158,12 @@ Server::~Server() {
   }
 }
 
-void Server::PublishCurrentModel(int64_t epoch) {
-  OBS_SPAN("server.publish", {{"epoch", static_cast<int>(epoch)}});
-  Instance model = view_->model();
-  std::string bytes = model.SerializeSnapshot();
-  auto snapshot =
-      std::make_unique<Snapshot>(epoch, std::move(model), std::move(bytes));
+void Server::Publish(int64_t epoch, SnapshotChunks chunks) {
+  auto snapshot = std::make_unique<Snapshot>(epoch, std::move(chunks));
   const Snapshot* published = snapshot.get();
   registry_.Publish(std::move(snapshot));
   EpochGauge().Set(epoch);
-  if (on_publish_) on_publish_(epoch, published->model_bytes());
+  if (on_publish_) on_publish_(epoch, published->ModelBytes());
 }
 
 Result<int64_t> Server::SubmitUpdate(const std::string& tokens) {
@@ -170,7 +173,7 @@ Result<int64_t> Server::SubmitUpdate(const std::string& tokens) {
   // ParseUpdateTokens interns values into the shared SymbolTable, which
   // is not thread-safe, and concurrent clients reach here from their own
   // threads. Nothing else server-side mutates the table (readers serve
-  // frozen bytes; ApplyBatch consumes already-interned values), so mu_
+  // frozen chunks; ApplyBatch consumes already-interned values), so mu_
   // is the table's sole writer gate.
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<FactUpdate> batch;
@@ -204,106 +207,7 @@ bool Server::ApplyOneQueued() {
   OBS_SPAN("server.apply_batch",
            {{"updates", static_cast<int>(pending.batch.size())}});
   obs::ScopedLatency latency(&ApplyLatency());
-
-  // A crashed store refuses all further writes without touching the
-  // view: the view may already hold a batch whose WAL append failed, and
-  // that dirty state must never be published or extended.
-  if (store_ != nullptr && store_->crashed()) {
-    WalRefusedCounter().Add(1);
-    Response refused = Refuse(StatusCode::kInternal,
-                              "store crashed (commit refused)");
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      TicketState& ticket = tickets_[pending.ticket];
-      ticket.done = true;
-      ticket.response = std::move(refused);
-    }
-    tickets_cv_.notify_all();
-    return true;
-  }
-
-  // Planted torn-read bug (test_hooks.h): snapshot the model *before*
-  // the batch lands, then publish those stale bytes under the new epoch.
-  std::unique_ptr<Snapshot> stale;
-  if (internal::g_server_publish_stale) {
-    Instance model = view_->model();
-    std::string bytes = model.SerializeSnapshot();
-    stale = std::make_unique<Snapshot>(registry_.current_epoch() + 1,
-                                       std::move(model), std::move(bytes));
-  }
-
-  const int64_t syncs_before =
-      store_ != nullptr ? store_->wal().syncs() : 0;
-  const Status st = view_->ApplyBatch(pending.batch);
-  Response response;
-  bool logged = true;
-  if (!st.ok()) {
-    response.status = st.code();
-    response.error = st.message();
-  } else {
-    const int64_t epoch = registry_.current_epoch() + 1;
-    // WAL append sits between apply and publish: an acknowledged commit
-    // is always in the log (modulo the group-commit window), and a
-    // rejected batch never is. On append failure the epoch is neither
-    // published nor acked — the view is dirty now, but both failure
-    // kinds (the crash schedule AND a real I/O error, e.g. ENOSPC) latch
-    // the store's crashed flag, so the crashed() gate above keeps the
-    // dirty state private forever.
-    if (store_ != nullptr) {
-      OBS_SPAN("server.wal_append", {{"epoch", static_cast<int>(epoch)}});
-      const std::string tokens =
-          FormatUpdateTokens(pending.batch, *catalog_, *symbols_);
-      const Status append = store_->AppendCommit(epoch, tokens);
-      if (!append.ok()) {
-        logged = false;
-        WalRefusedCounter().Add(1);
-        response.status = append.code();
-        response.error = append.message();
-      } else {
-        WalAppendsCounter().Add(1);
-        WalBytesGauge().Set(store_->wal().size());
-      }
-    }
-    if (logged) {
-      BatchesAppliedCounter().Add(1);
-      if (stale != nullptr) {
-        const Snapshot* published = stale.get();
-        registry_.Publish(std::move(stale));
-        EpochGauge().Set(epoch);
-        if (on_publish_) on_publish_(epoch, published->model_bytes());
-      } else {
-        PublishCurrentModel(epoch);
-      }
-      response.epoch = epoch;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        commit_log_.push_back(CommitRecord{epoch, std::move(pending.batch)});
-      }
-      // Compaction after publish: the ack does not wait on the snapshot
-      // write, and a compaction crash cannot retract an acked commit —
-      // it only kills the store for *future* writes.
-      if (store_ != nullptr && store_->CompactionDue()) {
-        OBS_SPAN("server.compact", {{"epoch", static_cast<int>(epoch)}});
-        // The snapshot's raw value words are only decodable with this
-        // writer's interning order, so the full spelling table rides
-        // along (snapshotter.h).
-        std::vector<std::string> spellings;
-        spellings.reserve(static_cast<size_t>(symbols_->size()));
-        for (int v = 0; v < symbols_->size(); ++v) {
-          spellings.push_back(symbols_->NameOf(static_cast<Value>(v)));
-        }
-        const int64_t before = store_->snapshots();
-        (void)store_->MaybeCompact(epoch, view_->base().SerializeSnapshot(),
-                                   std::move(spellings));
-        if (store_->snapshots() > before) WalSnapshotsCounter().Add(1);
-        WalBytesGauge().Set(store_->wal().size());
-      }
-      if (store_ != nullptr) {
-        WalSyncsCounter().Add(store_->wal().syncs() - syncs_before);
-      }
-    }
-  }
-
+  Response response = Commit(std::move(pending.batch));
   {
     std::lock_guard<std::mutex> lock(mu_);
     TicketState& ticket = tickets_[pending.ticket];
@@ -312,6 +216,93 @@ bool Server::ApplyOneQueued() {
   }
   tickets_cv_.notify_all();
   return true;
+}
+
+Response Server::Commit(std::vector<FactUpdate> batch) {
+  // A crashed store refuses all further writes without touching the
+  // view: the view may already hold a batch whose WAL append failed, and
+  // that dirty state must never be published or extended.
+  if (store_ != nullptr && store_->crashed()) {
+    WalRefusedCounter().Add(1);
+    return Refuse(StatusCode::kInternal, "store crashed (commit refused)");
+  }
+  // The WAL record is formatted before the view sees the batch, so a
+  // batch too big to log is refused with the view untouched.
+  std::string tokens;
+  if (store_ != nullptr) {
+    tokens = FormatUpdateTokens(batch, *catalog_, *symbols_);
+    if (!store::WalRecordFits(tokens)) {
+      WalRefusedCounter().Add(1);
+      return Refuse(StatusCode::kBudgetExhausted,
+                    "update batch over the wal record size cap");
+    }
+  }
+
+  const int64_t syncs_before =
+      store_ != nullptr ? store_->wal().syncs() : 0;
+  const Status st = view_->ApplyBatch(batch);
+  if (!st.ok()) return Refuse(st.code(), st.message());
+  const int64_t epoch = registry_.current_epoch() + 1;
+  // chunks_ is merged before the WAL append can fail, so it never lags
+  // the view. The planted torn-read bug (test_hooks.h) keeps the
+  // pre-batch manifest to publish under the new epoch.
+  SnapshotChunks pre_batch =
+      internal::g_server_publish_stale ? chunks_ : SnapshotChunks();
+  {
+    OBS_SPAN("server.publish", {{"epoch", static_cast<int>(epoch)}});
+    PublishChunksEncodedCounter().Add(MergeSnapshotDelta(
+        view_->last_added(), view_->last_removed(), &chunks_));
+  }
+
+  // WAL append sits between apply and publish: an acknowledged commit
+  // is always in the log (modulo the group-commit window), and a
+  // rejected batch never is. On append failure the epoch is neither
+  // published nor acked — the view is dirty now, but every append
+  // failure (the crash schedule AND a real I/O error, e.g. ENOSPC)
+  // latches the store's crashed flag, so the crashed() gate above keeps
+  // the dirty state private forever.
+  if (store_ != nullptr) {
+    OBS_SPAN("server.wal_append", {{"epoch", static_cast<int>(epoch)}});
+    const Status append = store_->AppendCommit(epoch, tokens);
+    if (!append.ok()) {
+      WalRefusedCounter().Add(1);
+      return Refuse(append.code(), append.message());
+    }
+    WalAppendsCounter().Add(1);
+    WalBytesGauge().Set(store_->wal().size());
+  }
+  BatchesAppliedCounter().Add(1);
+  Publish(epoch,
+          internal::g_server_publish_stale ? std::move(pre_batch) : chunks_);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    commit_log_.push_back(CommitRecord{epoch, std::move(batch)});
+  }
+  // Compaction after publish: the ack does not wait on the snapshot
+  // write, and a compaction crash cannot retract an acked commit — it
+  // only kills the store for *future* writes.
+  if (store_ != nullptr && store_->CompactionDue()) {
+    OBS_SPAN("server.compact", {{"epoch", static_cast<int>(epoch)}});
+    // The snapshot's raw value words are only decodable with this
+    // writer's interning order, so the full spelling table rides along
+    // (snapshotter.h).
+    std::vector<std::string> spellings;
+    spellings.reserve(static_cast<size_t>(symbols_->size()));
+    for (int v = 0; v < symbols_->size(); ++v) {
+      spellings.push_back(symbols_->NameOf(static_cast<Value>(v)));
+    }
+    const int64_t before = store_->snapshots();
+    (void)store_->MaybeCompact(epoch, view_->base().SerializeSnapshot(),
+                               std::move(spellings));
+    if (store_->snapshots() > before) WalSnapshotsCounter().Add(1);
+    WalBytesGauge().Set(store_->wal().size());
+  }
+  if (store_ != nullptr) {
+    WalSyncsCounter().Add(store_->wal().syncs() - syncs_before);
+  }
+  Response response;
+  response.epoch = epoch;
+  return response;
 }
 
 bool Server::UpdateOutcome(int64_t ticket, Response* response) const {
@@ -378,7 +369,7 @@ Response Server::ServeQuery(const Request& request,
     case Request::Kind::kPing:
       break;
     case Request::Kind::kSnapshotQuery:
-      response.body = pin->model_bytes();
+      response.body = pin->ModelBytes();
       break;
     case Request::Kind::kQuery: {
       const PredId pred = catalog_->Find(request.text);

@@ -3,12 +3,13 @@
 
 // A long-lived concurrent Datalog service (docs/server.md): one writer
 // drains a mutation op-queue through IncrementalView::ApplyBatch and
-// publishes an immutable epoch-versioned snapshot after every batch; N
-// readers answer queries by pinning the current snapshot and serving its
-// frozen bytes — MVCC snapshot reads with epoch-based reclamation
-// (snapshot.h). Per-request budgets reuse EvalOptions::deadline_ms /
-// CancelToken semantics; `server.*` metrics and spans plug into the
-// observability layer (docs/observability.md).
+// publishes an immutable epoch-versioned snapshot after every batch,
+// re-encoding only the relations the batch changed; N readers answer
+// queries by pinning the current snapshot and serving its frozen chunks
+// — MVCC snapshot reads with epoch-based reclamation (snapshot.h).
+// Per-request budgets reuse EvalOptions::deadline_ms / CancelToken
+// semantics; `server.*` metrics and spans plug into the observability
+// layer (docs/observability.md).
 //
 // The class has two driving modes sharing one engine room:
 //
@@ -184,8 +185,10 @@ class Server {
 
   /// Writer-side hook, invoked after each publish with the new epoch and
   /// its canonical model bytes — the virtual scheduler and tests capture
-  /// the per-epoch byte stream here. Runs on the writer('s thread);
-  /// must not call back into the server. Set before any writer step.
+  /// the per-epoch byte stream here. The bytes are assembled for the
+  /// hook, an O(model) copy per publish that runs only while one is set.
+  /// Runs on the writer('s thread); must not call back into the server.
+  /// Set before any writer step.
   using PublishHook =
       std::function<void(int64_t epoch, const std::string& bytes)>;
   void set_on_publish(PublishHook hook) { on_publish_ = std::move(hook); }
@@ -210,9 +213,11 @@ class Server {
   Server(std::unique_ptr<IncrementalView> view, const Catalog* catalog,
          SymbolTable* symbols, const ServerOptions& options);
 
-  /// Serializes the current model and publishes it as `epoch`. Writer
-  /// only.
-  void PublishCurrentModel(int64_t epoch);
+  /// Publishes `chunks` as `epoch`. Writer only.
+  void Publish(int64_t epoch, SnapshotChunks chunks);
+  /// Applies, logs and publishes one batch; the response to settle its
+  /// ticket with. Writer only.
+  Response Commit(std::vector<FactUpdate> batch);
 
   void WriterLoop();
   void ReaderLoop();
@@ -227,6 +232,9 @@ class Server {
   /// shutdown.
   std::unique_ptr<store::DurableStore> store_;
   RecoveryInfo recovery_;
+  /// The view's model as a chunk manifest, merged after every applied
+  /// batch. Writer only; published snapshots share its chunks.
+  SnapshotChunks chunks_;
   SnapshotRegistry registry_;
   PublishHook on_publish_;
 

@@ -31,12 +31,10 @@ obs::CounterHandle& ReclaimedCounter() {
 
 }  // namespace
 
-const std::string& Snapshot::PredBytes(PredId pred) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = pred_bytes_.find(pred);
-  if (it != pred_bytes_.end()) return it->second;
-  std::string bytes = model_.Restrict({pred}).SerializeSnapshot();
-  return pred_bytes_.emplace(pred, std::move(bytes)).first->second;
+std::string Snapshot::PredBytes(PredId pred) const {
+  const size_t i = static_cast<size_t>(pred);
+  if (i >= chunks_.size()) return AssembleSnapshot({});
+  return AssembleSnapshot(std::span(chunks_).subspan(i, 1));
 }
 
 SnapshotPin& SnapshotPin::operator=(SnapshotPin&& other) noexcept {

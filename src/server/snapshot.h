@@ -6,7 +6,7 @@
 //
 // The single writer publishes a fresh `Snapshot` after every applied
 // mutation batch; readers pin the current snapshot, serve their query
-// from its frozen bytes, and unpin. Publishing retires the predecessor;
+// from its frozen chunks, and unpin. Publishing retires the predecessor;
 // a retired snapshot is reclaimed (freed) the moment its last pin drops,
 // so a reader pinned across any number of writer batches keeps observing
 // the exact bytes of the epoch it pinned — never a torn intermediate
@@ -21,7 +21,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -31,15 +30,14 @@
 namespace datalog {
 namespace server {
 
-/// One published version of the served model. Immutable after Publish
-/// apart from the lazily filled per-predicate byte cache (guarded by a
-/// snapshot-local mutex; the underlying Instance is never mutated).
+/// One published version of the served model: an immutable manifest of
+/// per-relation chunks (ra/instance.h). Consecutive epochs share the
+/// chunk of every relation the commit between them did not touch, and
+/// read bodies are assembled from the pinned chunks on request.
 class Snapshot {
  public:
-  Snapshot(int64_t epoch, Instance model, std::string model_bytes)
-      : epoch_(epoch),
-        model_(std::move(model)),
-        model_bytes_(std::move(model_bytes)) {}
+  Snapshot(int64_t epoch, SnapshotChunks chunks)
+      : epoch_(epoch), chunks_(std::move(chunks)) {}
 
   Snapshot(const Snapshot&) = delete;
   Snapshot& operator=(const Snapshot&) = delete;
@@ -48,19 +46,14 @@ class Snapshot {
   /// Canonical Instance::SerializeSnapshot bytes of the whole model at
   /// this epoch — the payload of a full-snapshot query and the unit the
   /// server-vs-library oracle diffs per epoch.
-  const std::string& model_bytes() const { return model_bytes_; }
-  const Instance& model() const { return model_; }
+  std::string ModelBytes() const { return AssembleSnapshot(chunks_); }
 
-  /// Bytes of the model restricted to `pred` (same canonical format),
-  /// computed on first request and cached for the snapshot's lifetime.
-  const std::string& PredBytes(PredId pred) const;
+  /// Bytes of the model restricted to `pred` (same canonical format).
+  std::string PredBytes(PredId pred) const;
 
  private:
   const int64_t epoch_;
-  const Instance model_;
-  const std::string model_bytes_;
-  mutable std::mutex mu_;
-  mutable std::unordered_map<PredId, std::string> pred_bytes_;
+  const SnapshotChunks chunks_;
 };
 
 class SnapshotRegistry;

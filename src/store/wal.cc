@@ -10,9 +10,15 @@
 #include <array>
 #include <cstring>
 
+#include "eval/test_hooks.h"
 #include "store/io.h"
 
 namespace datalog {
+
+namespace internal {
+size_t g_wal_record_cap = 0;
+}  // namespace internal
+
 namespace store {
 
 namespace {
@@ -36,6 +42,13 @@ constexpr size_t kEpochBytes = 8;    // i64 epoch inside the payload
 constexpr uint32_t kMaxRecordPayload = 64u << 20;
 
 }  // namespace
+
+bool WalRecordFits(const std::string& update_tokens) {
+  const size_t cap = internal::g_wal_record_cap > 0
+                         ? internal::g_wal_record_cap
+                         : kMaxRecordPayload;
+  return kEpochBytes + update_tokens.size() <= cap;
+}
 
 uint32_t Crc32(const void* data, size_t n) {
   static const std::array<uint32_t, 256> kTable = BuildCrcTable();
@@ -105,13 +118,13 @@ Status Wal::Append(int64_t epoch, const std::string& update_tokens) {
   if (crashed_) {
     return Status::Internal("store crashed (wal append refused)");
   }
+  if (!WalRecordFits(update_tokens)) {
+    return Poison(Status::Internal("wal record over size cap"));
+  }
   std::string payload;
   payload.reserve(kEpochBytes + update_tokens.size());
   PutI64(&payload, epoch);
   payload += update_tokens;
-  if (payload.size() > kMaxRecordPayload) {
-    return Status::Internal("wal record over size cap");
-  }
   std::string record;
   record.reserve(kHeaderBytes + payload.size());
   PutU32(&record, static_cast<uint32_t>(payload.size()));

@@ -23,7 +23,9 @@
 // every later operation returns kInternal("store crashed ..."). A real
 // I/O failure (pwrite/fdatasync/ftruncate returning an error, e.g.
 // ENOSPC) latches the same dead state — the file no longer matches the
-// in-memory offsets, so continuing would publish unlogged state.
+// in-memory offsets, so continuing would publish unlogged state — and so
+// does an append refused for size: every failed append leaves the log
+// dead.
 
 #include <cstdint>
 #include <memory>
@@ -39,6 +41,12 @@ namespace store {
 
 /// CRC-32 (IEEE 802.3, poly 0xEDB88320, the zlib `crc32`), table-based.
 uint32_t Crc32(const void* data, size_t n);
+
+/// True when the record for `update_tokens` fits the 64 MiB payload cap
+/// Append enforces. A caller that applies a batch before logging it
+/// checks this first, so a batch the log could never hold is refused
+/// before it changes anything.
+bool WalRecordFits(const std::string& update_tokens);
 
 struct WalOptions {
   /// fdatasync every N appends; 1 = per commit, 0 = never.
@@ -66,7 +74,8 @@ class Wal {
 
   /// Appends the record for `epoch` and runs the group-commit window.
   /// On a schedule crash the configured tail damage is applied and
-  /// kInternal is returned — the commit must NOT be acknowledged.
+  /// kInternal is returned — the commit must NOT be acknowledged. Any
+  /// failure, a record over the size cap included, latches crashed().
   Status Append(int64_t epoch, const std::string& update_tokens);
 
   /// Forces the group-commit window closed (fsync now).
@@ -94,10 +103,11 @@ class Wal {
   /// Marks the WAL dead and applies the schedule's bit flip to the
   /// unsynced tail [synced_size_, size_).
   Status Crash(CrashPoint point);
-  /// Latches crashed_ when `st` is a real I/O failure, then returns it:
-  /// after a failed pwrite/fdatasync/ftruncate the on-disk log no longer
-  /// matches the in-memory offsets, so the log must refuse all further
-  /// writes exactly like a scheduled crash.
+  /// Latches crashed_ when `st` is an error, then returns it: after a
+  /// failed pwrite/fdatasync/ftruncate the on-disk log no longer matches
+  /// the in-memory offsets, and after any failed append the caller holds
+  /// a batch the log lacks, so the log must refuse all further writes
+  /// exactly like a scheduled crash.
   Status Poison(Status st);
   Status DoSync();
 

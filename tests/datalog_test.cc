@@ -156,6 +156,13 @@ struct GraphCase {
   uint64_t seed;
 };
 
+// gtest's default printer dumps the struct's bytes, and those start with the
+// address of `name`, which ASLR moves on every run. The printed value is part
+// of each test's registered name, so print the graph shape instead.
+void PrintTo(const GraphCase& gc, std::ostream* os) {
+  *os << "n=" << gc.n << " m=" << gc.m << " seed=" << gc.seed;
+}
+
 class NaiveSemiNaiveEquivalence : public ::testing::TestWithParam<GraphCase> {};
 
 TEST_P(NaiveSemiNaiveEquivalence, SameMinimumModel) {

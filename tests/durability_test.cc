@@ -266,6 +266,25 @@ TEST(WalTest, RealIoErrorPoisonsTheLog) {
   EXPECT_EQ((*wal)->Truncate(0).code(), StatusCode::kInternal);
 }
 
+TEST(WalTest, OverCapRecordIsRefusedAndPoisonsTheLog) {
+  ScratchDir dir;
+  auto wal = Wal::Open(store::WalPath(dir.path()), WalOptions{});
+  ASSERT_TRUE(wal.ok());
+  ASSERT_TRUE((*wal)->Append(1, "+e1(2,3)").ok());
+
+  // 8 epoch bytes + 8 token bytes fit a 16-byte cap; 9 token bytes do
+  // not, and the refused append latches the log like any other failure.
+  internal::g_wal_record_cap = 16;
+  EXPECT_TRUE(store::WalRecordFits("+e1(3,4)"));
+  EXPECT_FALSE(store::WalRecordFits("+e1(3,45)"));
+  const Status append = (*wal)->Append(2, "+e1(3,45)");
+  internal::g_wal_record_cap = 0;
+  EXPECT_EQ(append.code(), StatusCode::kInternal);
+  EXPECT_TRUE((*wal)->crashed());
+  EXPECT_EQ((*wal)->last_appended_epoch(), 1);
+  EXPECT_EQ((*wal)->Append(3, "+e1(4,5)").code(), StatusCode::kInternal);
+}
+
 TEST(StoreTest, RealIoErrorCrashesTheStoreAndRefusesCommits) {
   ScratchDir dir;
   StoreOptions options;
@@ -367,7 +386,7 @@ SnapshotData MakeSnapshotData() {
   SnapshotData snap;
   snap.epoch = 2;
   snap.wal_offset = 48;
-  snap.base_bytes = std::string("\x01\x00base-bytes", 12);
+  snap.base_bytes = std::string("\x01\x00" "base-bytes", 12);
   snap.symbols = {"0", "1", "alpha"};
   return snap;
 }
@@ -822,6 +841,50 @@ TEST(ServerDurabilityTest, RestartRecoversAndContinuesTheEpochSequence) {
     ASSERT_TRUE((*view)->ApplyBatch(batch).ok());
   }
   EXPECT_EQ(snapshot.body, (*view)->model().SerializeSnapshot());
+}
+
+TEST(ServerDurabilityTest, OversizedBatchIsRefusedBeforeItReachesTheView) {
+  ScratchDir dir;
+  server::ServerOptions options;
+  options.durability.dir = dir.path();
+  Engine engine;
+  Result<Program> program = engine.Parse(kTcProgram);
+  ASSERT_TRUE(program.ok());
+  Instance base(&engine.catalog());
+  ASSERT_TRUE(engine.AddFacts("e1(0, 1).", &base).ok());
+  auto server = server::Server::Create(*program, &engine.catalog(),
+                                       &engine.symbols(), base, options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+
+  // A batch whose WAL record is over the cap is refused before the view
+  // applies it: no epoch, and the store stays alive for the next batch.
+  internal::g_wal_record_cap = 24;
+  Result<int64_t> big = (*server)->SubmitUpdate("+e1(1,2) +e1(2,3)");
+  ASSERT_TRUE(big.ok());
+  ASSERT_TRUE((*server)->ApplyOneQueued());
+  internal::g_wal_record_cap = 0;
+  server::Response refused;
+  ASSERT_TRUE((*server)->UpdateOutcome(*big, &refused));
+  EXPECT_EQ(refused.status, StatusCode::kBudgetExhausted);
+  EXPECT_EQ((*server)->epoch(), 0);
+  EXPECT_FALSE((*server)->store()->crashed());
+
+  // Retracting the refused facts is a no-op on the view, so the next
+  // commit publishes exactly the model without them: the published
+  // chunks never hold a batch the view does not (or the other way round).
+  Result<int64_t> next = (*server)->SubmitUpdate("-e1(1,2) -e1(2,3) +e1(5,6)");
+  ASSERT_TRUE(next.ok());
+  ASSERT_TRUE((*server)->ApplyOneQueued());
+  EXPECT_EQ((*server)->epoch(), 1);
+  server::Response snapshot = (*server)->ServeQuery(server::Request{
+      server::Request::Kind::kSnapshotQuery, "", 0, nullptr});
+  ASSERT_EQ(snapshot.status, StatusCode::kOk);
+  Instance expected_base(&engine.catalog());
+  ASSERT_TRUE(engine.AddFacts("e1(0, 1). e1(5, 6).", &expected_base).ok());
+  auto expected =
+      IncrementalView::Create(*program, engine.catalog(), expected_base);
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ(snapshot.body, (*expected)->model().SerializeSnapshot());
 }
 
 }  // namespace

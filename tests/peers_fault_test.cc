@@ -72,11 +72,20 @@ TEST(SnapshotTest, RoundTripsAndValidates) {
   ASSERT_TRUE(restored.RestoreSnapshot(bytes).ok());
   EXPECT_EQ(restored, db);
 
-  // Corruption is detected, not silently half-applied.
+  // Corruption is detected, not silently half-applied: a failed restore
+  // leaves the instance empty, even when the error comes after whole
+  // relations were decoded.
   std::string truncated = bytes.substr(0, bytes.size() - 2);
   Instance victim = engine.NewInstance();
+  ASSERT_TRUE(engine.AddFacts("e2(4).", &victim).ok());
   EXPECT_FALSE(victim.RestoreSnapshot(truncated).ok());
+  EXPECT_EQ(victim.TotalFacts(), 0u);
+  ASSERT_TRUE(victim.RestoreSnapshot(bytes).ok());
   EXPECT_FALSE(victim.RestoreSnapshot("garbage").ok());
+  EXPECT_EQ(victim.TotalFacts(), 0u);
+  ASSERT_TRUE(victim.RestoreSnapshot(bytes).ok());
+  EXPECT_FALSE(victim.RestoreSnapshot(bytes + "x").ok());  // trailing bytes
+  EXPECT_EQ(victim.TotalFacts(), 0u);
 }
 
 // -- Peer-name regression --------------------------------------------------

@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <string>
+#include <unordered_map>
+#include <vector>
+
+#include "base/rng.h"
 #include "base/symbols.h"
 #include "ra/catalog.h"
 #include "ra/expr.h"
@@ -177,6 +183,99 @@ TEST_F(InstanceTest, RestrictKeepsOnlyListedPreds) {
   Instance only_p = db.Restrict({p_});
   EXPECT_TRUE(only_p.Rel(g_).empty());
   EXPECT_EQ(only_p.Rel(p_).size(), 1u);
+}
+
+// -- Snapshot chunks: the per-relation encoding server publishes merge ---
+
+/// Little-endian 32-bit words, the snapshot format's unit.
+std::string Words(const std::vector<uint32_t>& words) {
+  std::string out;
+  for (uint32_t w : words) {
+    for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(w >> (8 * i)));
+  }
+  return out;
+}
+
+TEST(SnapshotChunkTest, RowsFollowValueOrder) {
+  Catalog catalog;
+  const PredId p = *catalog.Declare("p", 1);
+  Instance db(&catalog);
+  db.Insert(p, {2});
+  db.Insert(p, {-1});
+  // Signed std::vector<Value> order puts -1 (0xffffffff) first.
+  const std::string chunk = Words({static_cast<uint32_t>(p), 1, 2,
+                                   0xffffffffu, 2});
+  EXPECT_EQ(db.SerializeSnapshot(), Words({0x31534455, 1}) + chunk);
+  const SnapshotChunks chunks = db.EncodeSnapshotChunks();
+  ASSERT_NE(chunks[static_cast<size_t>(p)], nullptr);
+  EXPECT_EQ(*chunks[static_cast<size_t>(p)], chunk);
+}
+
+// Seeded random insert/erase batches over relations of arity 0-3 with
+// values from -2 to 3. After every batch, the manifest merged from the
+// batch's net delta must equal a fresh encode, assemble to
+// SerializeSnapshot(), and give each predicate's restricted snapshot.
+TEST(SnapshotChunkTest, MergedChunksMatchAFreshEncodeUnderRandomBatches) {
+  Catalog catalog;
+  std::vector<PredId> preds;
+  for (int arity = 0; arity <= 3; ++arity) {
+    preds.push_back(*catalog.Declare("r" + std::to_string(arity), arity));
+  }
+  const PredId refilled = preds[2];
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    Instance db(&catalog);
+    SnapshotChunks chunks = db.EncodeSnapshotChunks();
+    for (int batch = 0; batch < 60; ++batch) {
+      const Instance before = db;
+      if (batch % 15 == 14) {
+        // Empty one relation outright; the following batches refill it.
+        for (const Tuple& t : before.Rel(refilled)) db.Erase(refilled, t);
+      } else {
+        const int updates = 1 + rng.UniformInt(12);
+        for (int u = 0; u < updates; ++u) {
+          const PredId p = preds[rng.Uniform(preds.size())];
+          Tuple t(static_cast<size_t>(catalog.ArityOf(p)));
+          for (Value& v : t) v = rng.UniformInt(6) - 2;
+          if (rng.Chance(0.6)) {
+            db.Insert(p, t);
+          } else {
+            db.Erase(p, t);
+          }
+        }
+      }
+      // The net delta: facts of `to` missing from `from`, per predicate.
+      auto diff = [&](const Instance& to, const Instance& from) {
+        std::unordered_map<PredId, Relation> delta;
+        for (PredId p : preds) {
+          for (const Tuple& t : to.Rel(p)) {
+            if (from.Contains(p, t)) continue;
+            delta.try_emplace(p, catalog.ArityOf(p)).first->second.Insert(t);
+          }
+        }
+        return delta;
+      };
+      const auto added = diff(db, before);
+      const auto removed = diff(before, db);
+      size_t touched = added.size();
+      for (const auto& [p, rel] : removed) touched += added.count(p) == 0;
+      EXPECT_EQ(MergeSnapshotDelta(added, removed, &chunks),
+                static_cast<int>(touched));
+
+      const SnapshotChunks fresh = db.EncodeSnapshotChunks();
+      ASSERT_EQ(chunks.size(), fresh.size());
+      for (PredId p : preds) {
+        const size_t i = static_cast<size_t>(p);
+        SCOPED_TRACE("seed " + std::to_string(seed) + " batch " +
+                     std::to_string(batch) + " pred " + std::to_string(p));
+        ASSERT_EQ(chunks[i] == nullptr, db.Rel(p).empty());
+        if (chunks[i] != nullptr) EXPECT_EQ(*chunks[i], *fresh[i]);
+        EXPECT_EQ(AssembleSnapshot(std::span(chunks).subspan(i, 1)),
+                  db.Restrict({p}).SerializeSnapshot());
+      }
+      EXPECT_EQ(AssembleSnapshot(chunks), db.SerializeSnapshot());
+    }
+  }
 }
 
 class RaExprTest : public InstanceTest {

@@ -20,6 +20,7 @@
 #include "dist/transport.h"
 #include "eval/incremental.h"
 #include "eval/test_hooks.h"
+#include "obs/metrics.h"
 #include "server/scheduler.h"
 #include "server/server.h"
 #include "server/session.h"
@@ -197,9 +198,7 @@ std::unique_ptr<Snapshot> MakeSnapshot(const Catalog* catalog, int64_t epoch,
                                        const std::string& facts) {
   Instance model(catalog);
   EXPECT_TRUE(engine->AddFacts(facts, &model).ok());
-  std::string bytes = model.SerializeSnapshot();
-  return std::make_unique<Snapshot>(epoch, std::move(model),
-                                    std::move(bytes));
+  return std::make_unique<Snapshot>(epoch, model.EncodeSnapshotChunks());
 }
 
 TEST(ReclaimTest, PinBeforeFirstPublishIsInvalid) {
@@ -220,7 +219,7 @@ TEST(ReclaimTest, PinnedReaderSeesUnchangedBytesAcrossPublishes) {
   registry.Publish(MakeSnapshot(&engine.catalog(), 0, &engine, "e1(0, 0)."));
   SnapshotPin pin = registry.Pin();
   ASSERT_TRUE(pin.valid());
-  const std::string bytes_at_0 = pin->model_bytes();
+  const std::string bytes_at_0 = pin->ModelBytes();
 
   registry.Publish(MakeSnapshot(&engine.catalog(), 1, &engine,
                                 "e1(0, 0). e1(1, 1)."));
@@ -228,7 +227,7 @@ TEST(ReclaimTest, PinnedReaderSeesUnchangedBytesAcrossPublishes) {
 
   // The pinned epoch-0 snapshot survives both publishes, byte-identical.
   EXPECT_EQ(pin->epoch(), 0);
-  EXPECT_EQ(pin->model_bytes(), bytes_at_0);
+  EXPECT_EQ(pin->ModelBytes(), bytes_at_0);
   EXPECT_EQ(registry.live(), 2);  // epoch 0 (pinned) + epoch 2 (current)
   EXPECT_EQ(registry.counters().reclaimed, 1);  // epoch 1: retired unpinned
 
@@ -353,6 +352,40 @@ TEST_F(ServerTest, MalformedUpdateIsRefusedWithoutEnqueueing) {
   EXPECT_EQ(server->pending_updates(), 0);
   EXPECT_FALSE(server->ApplyOneQueued());
   EXPECT_EQ(server->epoch(), 0);
+}
+
+// O(delta) publish: a commit re-encodes the chunks of exactly the
+// relations its net model delta touched; every other chunk is shared with
+// the previous epoch.
+TEST_F(ServerTest, PublishReencodesOnlyTouchedChunks) {
+  constexpr const char* kFacts = "e(0, 1). e(1, 2). f(1).";
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Get();
+  metrics.Reset();
+  metrics.SetEnabled(true);
+  auto server = MustCreate(
+      "t(X, Y) :- e(X, Y).\nt(X, Z) :- t(X, Y), e(Y, Z).\n", kFacts);
+  auto chunks_encoded = [&](const std::string& tokens) {
+    const int64_t before = metrics.Value("server.publish_chunks_encoded");
+    Result<int64_t> ticket = server->SubmitUpdate(tokens);
+    EXPECT_TRUE(ticket.ok());
+    EXPECT_TRUE(server->ApplyOneQueued());
+    Response done;
+    EXPECT_TRUE(server->UpdateOutcome(*ticket, &done));
+    EXPECT_EQ(done.status, StatusCode::kOk);
+    return metrics.Value("server.publish_chunks_encoded") - before;
+  };
+  EXPECT_EQ(chunks_encoded("+f(7)"), 1);         // f; e and t shared
+  EXPECT_EQ(chunks_encoded("+e(2,3)"), 2);       // e and t; f shared
+  EXPECT_EQ(chunks_encoded("+f(7)"), 0);         // no-op: all shared
+  EXPECT_EQ(chunks_encoded("-f(1) -f(7)"), 1);   // f emptied, dropped
+  EXPECT_EQ(chunks_encoded("-e(0,1) +f(1)"), 3);
+  metrics.SetEnabled(false);
+  EXPECT_EQ(server->epoch(), 5);
+
+  Request snapshot;
+  snapshot.kind = Request::Kind::kSnapshotQuery;
+  EXPECT_EQ(server->ServeQuery(snapshot).body,
+            ReplayAll(kFacts, server->CommitLog()));
 }
 
 TEST_F(ServerTest, CancelledAndExpiredRequestsLeaveNoPins) {

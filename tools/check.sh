@@ -160,6 +160,18 @@ kill_recover_smoke() {
     --wal=kill-smoke-store --snap-every=3 --kill-smoke >/dev/null)
 }
 
+# Benchmark self-test (perfbench/README.md): tiny runs of every workload,
+# clean and with a planted bug each must catch. The only check that
+# drives the threaded server over real sockets with server-publish-stale
+# planted and requires the torn publish to be caught. perfbench builds
+# src/ through its own CMake project, here into the plain build tree.
+perfbench_selftest() {
+  local build_dir="$1"
+  echo "==> perfbench-selftest ${build_dir}"
+  (cd "${repo}" && CARGO_TARGET_DIR="${build_dir}/perfbench-selftest" \
+    python3 perfbench/run.py --selftest)
+}
+
 # Traced end-to-end run (docs/observability.md): --trace must produce a
 # Chrome trace file that the schema/monotonic-timestamp checker accepts.
 trace_check() {
@@ -194,6 +206,7 @@ bench_incremental "${repo}/build"
 bench_server "${repo}/build"
 bench_wal "${repo}/build"
 kill_recover_smoke "${repo}/build"
+perfbench_selftest "${repo}/build"
 if [[ "${sanitize}" -eq 1 ]]; then
   # The dist suite (PeersFault/Snapshot/FaultSpec + Deadline) runs in the
   # full ctest sweep, so ASan covers the transport/crash-recovery paths.
