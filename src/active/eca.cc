@@ -2,31 +2,26 @@
 
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "eval/context.h"
 #include "eval/grounder.h"
+#include "eval/noninflationary.h"
+#include "eval/stage.h"
 #include "obs/trace.h"
 
 namespace datalog {
 namespace {
 
-/// True if `pred`'s name carries a delta prefix; sets `*base_name`.
+/// True if `pred`'s name carries a delta prefix; sets `*base_name` and
+/// whether the prefix is `ins_`.
 bool IsDeltaPred(const Catalog& catalog, PredId pred, std::string* base_name,
                  bool* is_insertion) {
   const std::string& name = catalog.NameOf(pred);
-  if (name.rfind("ins_", 0) == 0) {
-    *base_name = name.substr(4);
-    *is_insertion = true;
-    return true;
-  }
-  if (name.rfind("del_", 0) == 0) {
-    *base_name = name.substr(4);
-    *is_insertion = false;
-    return true;
-  }
-  return false;
+  *is_insertion = name.starts_with("ins_");
+  if (!*is_insertion && !name.starts_with("del_")) return false;
+  *base_name = name.substr(4);
+  return true;
 }
 
 }  // namespace
@@ -36,9 +31,9 @@ Result<ActiveResult> RunActiveRules(const Program& program, Catalog* catalog,
                                     const Instance& insertions,
                                     const Instance& deletions,
                                     const ActiveOptions& options) {
-  // Map delta predicates to their base predicates, declaring bases that
-  // only occur under a delta prefix.
-  std::map<PredId, std::pair<PredId, bool>> delta_to_base;  // -> (base, ins?)
+  // The delta predicate of each (base predicate, insertion?) pair the
+  // rules read, declaring bases that only occur under a delta prefix.
+  std::map<std::pair<PredId, bool>, PredId> delta_of;
   std::vector<RuleMatcher> matchers;
   for (const Rule& rule : program.rules) {
     for (const Literal& head : rule.heads) {
@@ -68,8 +63,7 @@ Result<ActiveResult> RunActiveRules(const Program& program, Catalog* catalog,
       Result<PredId> base_pred =
           catalog->Declare(base, catalog->ArityOf(lit.atom.pred));
       if (!base_pred.ok()) return base_pred.status();
-      delta_to_base.emplace(lit.atom.pred,
-                            std::make_pair(*base_pred, is_ins));
+      delta_of.emplace(std::make_pair(*base_pred, is_ins), lit.atom.pred);
     }
   }
 
@@ -78,18 +72,12 @@ Result<ActiveResult> RunActiveRules(const Program& program, Catalog* catalog,
 
   // Apply the external update; its effective changes seed the deltas.
   auto clear_deltas = [&](Instance* s) {
-    for (const auto& [delta, base] : delta_to_base) {
-      (void)base;
-      s->MutableRel(delta)->Clear();
-    }
+    for (const auto& entry : delta_of) s->MutableRel(entry.second)->Clear();
   };
   auto set_delta = [&](Instance* s, PredId base_pred, bool is_ins,
                        const Tuple& t) {
-    for (const auto& [delta, base] : delta_to_base) {
-      if (base.first == base_pred && base.second == is_ins) {
-        s->Insert(delta, t);
-      }
-    }
+    auto it = delta_of.find({base_pred, is_ins});
+    if (it != delta_of.end()) s->Insert(it->second, t);
   };
 
   clear_deltas(&state);
@@ -105,105 +93,65 @@ Result<ActiveResult> RunActiveRules(const Program& program, Catalog* catalog,
   }
 
   // Cycle detection over full states (user + delta relations).
-  std::unordered_map<uint64_t, std::vector<int>> seen_by_hash;
-  std::vector<Instance> history;
-  auto record_state = [&](const Instance& s) -> int {
-    uint64_t h = s.Fingerprint();
-    auto& bucket = seen_by_hash[h];
-    for (int idx : bucket) {
-      if (history[idx] == s) return idx;
-    }
-    bucket.push_back(static_cast<int>(history.size()));
-    history.push_back(s);
-    return -1;
-  };
-  if (options.base.detect_cycles) record_state(state);
+  StateSet seen;
+  if (options.detect_cycles) seen.Insert(state);
 
-  EvalContext ctx(options.base.eval);
+  EvalContext ctx(options.eval);
   OBS_SPAN("eca.eval");
   ctx.stats.EnsureRuleSlots(program.rules.size());
-  while (true) {
-    if (Status interrupted = ctx.CheckInterrupt(); !interrupted.ok()) {
-      ctx.Finalize();
-      result.stats = ctx.stats;
-      return interrupted;
-    }
-    if (result.stages + 1 > options.base.eval.max_rounds) {
-      ctx.Finalize();
-      result.stats = ctx.stats;
-      return Status::BudgetExhausted("active rules exceeded stage budget");
-    }
-    ctx.StartRound();
-    OBS_SPAN("eca.stage", {{"stage", result.stages + 1}});
-    // Parallel firing (positive-wins) against the frozen state. The state
-    // is replaced each round by deletion/reassignment, so the context's
-    // caches fall back to full rebuilds via the epoch check.
+  const std::vector<MatchUnit> units = WholeRuleUnits(matchers.size());
+  const StageLoop loop{"eca.stage", "stage",
+                       "active rules exceeded stage budget",
+                       "active rules exceeded fact budget"};
+  Status status = RunStages(&ctx, loop, state, [&]() -> Result<bool> {
+    // Parallel firing against the frozen state, inline. The state is
+    // replaced each round, so the caches rebuild via the epoch check.
     Instance inserts(catalog);
     Instance deletes(catalog);
-    DbView view{&state, &state};
-    const std::vector<Value>& adom = ctx.Adom(program, state);
-    for (size_t ri = 0; ri < matchers.size(); ++ri) {
-      const RuleMatcher& matcher = matchers[ri];
-      const Rule& rule = matcher.rule();
-      matcher.ForEachMatch(view, adom, &ctx.index,
-                           [&](const Valuation& val) -> bool {
-                             ctx.stats.CountMatch(ri, /*produced=*/false);
-                             for (const Literal& head : rule.heads) {
-                               Tuple t = InstantiateAtom(head.atom, val);
-                               if (head.negative) {
-                                 deletes.Insert(head.atom.pred, std::move(t));
-                               } else {
-                                 inserts.Insert(head.atom.pred, std::move(t));
-                               }
-                             }
-                             return true;
-                           });
-    }
+    DATALOG_RETURN_IF_ERROR(FireStage(
+        program, matchers, units, DbView{&state, &state}, &ctx,
+        /*pool=*/nullptr,
+        [&](const MatchUnit& unit, const Valuation& val, Firing* out) {
+          for (const Literal& head : matchers[unit.matcher].rule().heads) {
+            out->Fire(head.atom.pred, InstantiateAtom(head.atom, val),
+                      head.negative);
+          }
+          return false;
+        },
+        &inserts, &deletes));
 
-    // Apply with positive priority, recording effective changes.
+    // Apply with positive priority; the effective changes are the next
+    // stage's deltas.
     Instance next = state;
     clear_deltas(&next);
     bool changed = false;
-    for (PredId p = 0; p < catalog->size(); ++p) {
-      for (const Tuple& t : deletes.Rel(p)) {
-        if (inserts.Contains(p, t)) continue;
-        if (next.Erase(p, t)) {
-          set_delta(&next, p, /*is_ins=*/false, t);
+    DATALOG_RETURN_IF_ERROR(ApplySigned(
+        inserts, deletes, ConflictPolicy::kPositiveWins, &next,
+        [&](PredId p, const Tuple& t, bool inserted) {
+          set_delta(&next, p, inserted, t);
           changed = true;
-        }
-      }
-    }
-    for (PredId p = 0; p < catalog->size(); ++p) {
-      for (const Tuple& t : inserts.Rel(p)) {
-        if (next.Insert(p, t)) {
-          set_delta(&next, p, /*is_ins=*/true, t);
-          changed = true;
-        }
-      }
-    }
-
+        }));
     if (!changed) {
       // Quiescent: no user-predicate changes. Clear any leftover deltas in
       // the result.
       clear_deltas(&state);
-      ctx.FinishRound();
-      break;
+      return false;
     }
     ++result.stages;
     ++ctx.stats.rounds;
     state = std::move(next);
-    ctx.FinishRound();
-    if (options.base.detect_cycles) {
-      int prev = record_state(state);
-      if (prev >= 0) {
+    if (options.detect_cycles) {
+      auto [prev, added] = seen.Insert(state);
+      if (!added) {
         return Status::NonTerminating(
             "active rules revisit the state of stage " +
             std::to_string(prev) + " (cycle length " +
-            std::to_string(history.size() - prev) + ")");
+            std::to_string(seen.size() - prev) + ")");
       }
     }
-  }
-  ctx.Finalize();
+    return true;
+  });
+  if (!status.ok()) return status;
   result.stats = ctx.stats;
   return result;
 }

@@ -3,7 +3,7 @@
 
 #include "ast/ast.h"
 #include "base/result.h"
-#include "eval/noninflationary.h"
+#include "eval/common.h"
 #include "ra/instance.h"
 
 namespace datalog {
@@ -37,7 +37,10 @@ struct ActiveResult {
 };
 
 struct ActiveOptions {
-  NonInflationaryOptions base;
+  /// Detect revisited states and report kNonTerminating with the cycle
+  /// length. When disabled, divergence is caught by `eval.max_rounds`.
+  bool detect_cycles = true;
+  EvalOptions eval;
 };
 
 /// Runs `program` on `db` after applying the external update

@@ -21,86 +21,77 @@ Status Engine::Validate(const Program& program, Dialect dialect) const {
   return ValidateProgram(program, catalog_, dialect);
 }
 
-Result<Instance> Engine::MinimumModel(const Program& program,
-                                      const Instance& input,
-                                      EvalStats* stats) const {
-  DATALOG_RETURN_IF_ERROR(Validate(program, Dialect::kDatalog));
-  EvalContext ctx(options_);
-  Result<Instance> out = SemiNaiveDatalog(program, input, &ctx);
+template <typename Eval>
+auto Engine::Run(const EvalOptions& options, EvalStats* stats,
+                 Eval eval) const {
+  EvalContext ctx(options);
+  auto out = eval(&ctx);
   ctx.Finalize();
   last_run_stats_ = ctx.stats;
   if (stats != nullptr) *stats = ctx.stats;
   return out;
+}
+
+Result<Instance> Engine::MinimumModel(const Program& program,
+                                      const Instance& input,
+                                      EvalStats* stats) const {
+  DATALOG_RETURN_IF_ERROR(Validate(program, Dialect::kDatalog));
+  return Run(options_, stats, [&](EvalContext* ctx) {
+    return SemiNaiveDatalog(program, input, ctx);
+  });
 }
 
 Result<Instance> Engine::MinimumModelNaive(const Program& program,
                                            const Instance& input,
                                            EvalStats* stats) const {
   DATALOG_RETURN_IF_ERROR(Validate(program, Dialect::kDatalog));
-  EvalContext ctx(options_);
-  Result<Instance> out =
-      NaiveLeastFixpoint(program, input, /*fixed_negation=*/nullptr, &ctx);
-  ctx.Finalize();
-  last_run_stats_ = ctx.stats;
-  if (stats != nullptr) *stats = ctx.stats;
-  return out;
+  return Run(options_, stats, [&](EvalContext* ctx) {
+    return NaiveLeastFixpoint(program, input, /*fixed_negation=*/nullptr,
+                              ctx);
+  });
 }
 
 Result<Instance> Engine::Stratified(const Program& program,
                                     const Instance& input,
                                     EvalStats* stats) const {
   DATALOG_RETURN_IF_ERROR(Validate(program, Dialect::kStratified));
-  EvalContext ctx(options_);
-  Result<Instance> out = StratifiedSemantics(program, catalog_, input, &ctx);
-  ctx.Finalize();
-  last_run_stats_ = ctx.stats;
-  if (stats != nullptr) *stats = ctx.stats;
-  return out;
+  return Run(options_, stats, [&](EvalContext* ctx) {
+    return StratifiedSemantics(program, catalog_, input, ctx);
+  });
 }
 
 Result<WellFoundedModel> Engine::WellFounded(const Program& program,
                                              const Instance& input) const {
   DATALOG_RETURN_IF_ERROR(Validate(program, Dialect::kDatalogNeg));
-  EvalContext ctx(options_);
-  Result<WellFoundedModel> out = WellFoundedSemantics(program, input, &ctx);
-  ctx.Finalize();
-  last_run_stats_ = ctx.stats;
-  return out;
+  return Run(options_, nullptr, [&](EvalContext* ctx) {
+    return WellFoundedSemantics(program, input, ctx);
+  });
 }
 
 Result<InflationaryResult> Engine::Inflationary(
     const Program& program, const Instance& input,
     const StageObserver& observer) const {
   DATALOG_RETURN_IF_ERROR(Validate(program, Dialect::kDatalogNeg));
-  EvalContext ctx(options_);
-  Result<InflationaryResult> out =
-      InflationaryFixpoint(program, input, &ctx, observer);
-  ctx.Finalize();
-  last_run_stats_ = ctx.stats;
-  return out;
+  return Run(options_, nullptr, [&](EvalContext* ctx) {
+    return InflationaryFixpoint(program, input, ctx, observer);
+  });
 }
 
 Result<NonInflationaryResult> Engine::NonInflationary(
     const Program& program, const Instance& input,
     const NonInflationaryOptions& options) const {
   DATALOG_RETURN_IF_ERROR(Validate(program, Dialect::kDatalogNegNeg));
-  EvalContext ctx(options.eval);
-  Result<NonInflationaryResult> out =
-      NonInflationaryFixpoint(program, input, options, &ctx);
-  ctx.Finalize();
-  last_run_stats_ = ctx.stats;
-  return out;
+  return Run(options.eval, nullptr, [&](EvalContext* ctx) {
+    return NonInflationaryFixpoint(program, input, options, ctx);
+  });
 }
 
 Result<InventionResult> Engine::Invention(const Program& program,
                                           const Instance& input) {
   DATALOG_RETURN_IF_ERROR(Validate(program, Dialect::kDatalogNew));
-  EvalContext ctx(options_);
-  Result<InventionResult> out =
-      InventionFixpoint(program, input, &symbols_, &ctx);
-  ctx.Finalize();
-  last_run_stats_ = ctx.stats;
-  return out;
+  return Run(options_, nullptr, [&](EvalContext* ctx) {
+    return InventionFixpoint(program, input, &symbols_, ctx);
+  });
 }
 
 Result<Instance> Engine::NondetRun(const Program& program, Dialect dialect,

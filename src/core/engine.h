@@ -120,6 +120,11 @@ class Engine {
                                   const NondetOptions& options = {}) const;
 
  private:
+  /// Runs `eval(EvalContext*)` in a fresh context built from `options`,
+  /// finalizes it and records its stats in last_run_stats_ (and `*stats`).
+  template <typename Eval>
+  auto Run(const EvalOptions& options, EvalStats* stats, Eval eval) const;
+
   Catalog catalog_;
   SymbolTable symbols_;
   EvalOptions options_;

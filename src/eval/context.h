@@ -107,11 +107,11 @@ class EvalContext {
   ThreadPool* pool();
 
   /// Cooperative interruption gate, polled by every engine at its round
-  /// boundary (the same sites as the max_rounds budget): kCancelled when
-  /// options.cancel is set, kBudgetExhausted when options.deadline_ms has
-  /// elapsed since construction, OK otherwise. Callers follow the budget
-  /// contract: flush engine-local counters, Finalize(), return the
-  /// status.
+  /// boundary (the same sites as the max_rounds budget; see RunStages in
+  /// eval/stage.h): kCancelled when options.cancel is set,
+  /// kBudgetExhausted when options.deadline_ms has elapsed since
+  /// construction, OK otherwise. Callers follow the budget contract:
+  /// Finalize(), then return the status.
   Status CheckInterrupt() const {
     if (options.cancel != nullptr && options.cancel->cancelled()) {
       return Status::Cancelled("evaluation cancelled via CancelToken");
@@ -124,22 +124,13 @@ class EvalContext {
     return Status::OK();
   }
 
-  /// Cheap boolean probe of the same condition, for ThreadPool chunk
-  /// boundaries (one relaxed atomic load and, with a deadline, one clock
-  /// read).
-  bool InterruptRequested() const {
-    if (options.cancel != nullptr && options.cancel->cancelled()) {
-      return true;
-    }
-    return has_deadline_ && Clock::now() >= deadline_;
-  }
-
   /// The stop probe handed to ThreadPool::ParallelFor so in-flight chunks
-  /// are skipped once the run is interrupted. Empty (zero per-chunk cost)
-  /// when the run has neither a deadline nor a cancel token.
+  /// are skipped once the run is interrupted (one relaxed atomic load and,
+  /// with a deadline, one clock read per chunk). Empty (zero per-chunk
+  /// cost) when the run has neither a deadline nor a cancel token.
   std::function<bool()> StopProbe() const {
     if (options.cancel == nullptr && !has_deadline_) return {};
-    return [this] { return InterruptRequested(); };
+    return [this] { return !CheckInterrupt().ok(); };
   }
 
   /// Adopts `parent`'s absolute deadline and cancel token, so a

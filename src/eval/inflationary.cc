@@ -3,8 +3,8 @@
 #include <cassert>
 
 #include "eval/grounder.h"
-#include "eval/parallel.h"
 #include "eval/provenance.h"
+#include "eval/stage.h"
 #include "obs/trace.h"
 
 namespace datalog {
@@ -35,88 +35,47 @@ Result<InflationaryResult> InflationaryFixpoint(const Program& program,
     matchers.emplace_back(&rule);
   }
 
-  // Provenance recording is sequential by nature; such runs take the
-  // exact sequential path below.
+  const std::vector<MatchUnit> units = WholeRuleUnits(matchers.size());
+  // Provenance recording is sequential by nature; such runs fire inline.
   ThreadPool* pool = ctx->provenance == nullptr ? ctx->pool() : nullptr;
-  const std::function<bool()> stop = ctx->StopProbe();
-  std::vector<MatchUnit> units(matchers.size());
-  for (size_t i = 0; i < matchers.size(); ++i) {
-    units[i].matcher = static_cast<int>(i);
-    units[i].rule_index = static_cast<int>(i);
-  }
 
   InflationaryResult result(input);
   Instance& db = result.instance;
-  while (true) {
-    // Same exit contract as the stage budget below: the caller (facade
-    // or wrapping engine) finalizes the context.
-    if (Status interrupted = ctx->CheckInterrupt(); !interrupted.ok()) {
-      return interrupted;
-    }
-    if (result.stages + 1 > ctx->options.max_rounds) {
-      return Status::BudgetExhausted("inflationary evaluation exceeded " +
-                                     std::to_string(ctx->options.max_rounds) +
-                                     " stages");
-    }
-    ctx->StartRound();
-    OBS_SPAN("inflationary.stage", {{"stage", result.stages + 1}});
+  // Only stages that derive something count; the fixpoint stage does not.
+  const StageLoop loop{
+      "inflationary.stage", "stage",
+      "inflationary evaluation exceeded " +
+          std::to_string(ctx->options.max_rounds) + " stages",
+      "inflationary evaluation exceeded fact budget"};
+  Status status = RunStages(ctx, loop, db, [&]() -> Result<bool> {
     // One stage: fire every rule with every applicable instantiation
     // against the frozen current instance (parallel firing), then add all
-    // inferred facts at once. Rule heads cannot invent values, so the
-    // cached active domain only refreshes with the database's journal.
-    const std::vector<Value>& adom = ctx->Adom(program, db);
+    // inferred facts at once.
     Instance fresh(&input.catalog());
-    DbView view{&db, &db};
-    const int stage = result.stages + 1;
-    if (pool != nullptr) {
-      std::vector<UnitOutput> outputs;
-      RunProductionUnits(pool, matchers, units, view, adom, &ctx->index,
-                         &outputs, stop);
-      // An interrupt drains the remaining pool chunks without running
-      // them, so the outputs may be missing whole units — an empty stage
-      // would misread as the fixpoint. Report the interruption instead
-      // (caller finalizes, as for the loop-top check above).
-      if (Status interrupted = ctx->CheckInterrupt(); !interrupted.ok()) {
-        return interrupted;
-      }
-      MergeProductionUnits(matchers, units, &outputs, &st, &fresh);
-    } else {
-      for (size_t ri = 0; ri < matchers.size(); ++ri) {
-        const RuleMatcher& matcher = matchers[ri];
-        const Atom& head = matcher.rule().heads[0].atom;
-        const Relation& head_rel = db.Rel(head.pred);
-        matcher.ForEachMatch(
-            view, adom, &ctx->index, [&](const Valuation& val) -> bool {
-              Tuple t = InstantiateAtom(head, val);
-              bool produced = !head_rel.Contains(t);
-              st.CountMatch(ri, produced);
-              if (produced) {
-                if (ctx->provenance != nullptr) {
-                  ctx->provenance->Record(
-                      head.pred, t, static_cast<int>(ri), stage,
-                      InstantiateBodyPremises(matcher.rule(), val));
-                }
-                fresh.Insert(head.pred, std::move(t));
-              }
-              return true;
-            });
-      }
-    }
-    if (fresh.TotalFacts() == 0) {
-      ctx->FinishRound();
-      break;
-    }
+    DATALOG_RETURN_IF_ERROR(FireStage(
+        program, matchers, units, DbView{&db, &db}, ctx, pool,
+        [&](const MatchUnit& unit, const Valuation& val, Firing* out) {
+          const Rule& rule = matchers[unit.matcher].rule();
+          const Atom& head = rule.heads[0].atom;
+          Tuple t = InstantiateAtom(head, val);
+          if (db.Contains(head.pred, t)) return false;
+          if (ctx->provenance != nullptr) {
+            ctx->provenance->Record(head.pred, t, unit.rule_index,
+                                    result.stages + 1,
+                                    InstantiateBodyPremises(rule, val));
+          }
+          out->Fire(head.pred, std::move(t));
+          return true;
+        },
+        &fresh));
+    if (fresh.TotalFacts() == 0) return false;
     ++result.stages;
     ++st.rounds;
     if (observer) observer(result.stages, fresh);
     st.facts_derived += static_cast<int64_t>(db.UnionWith(fresh));
-    ctx->FinishRound();
-    if (static_cast<int64_t>(db.TotalFacts()) > ctx->options.max_facts) {
-      return Status::BudgetExhausted(
-          "inflationary evaluation exceeded fact budget");
-    }
-  }
-  ctx->Finalize();
+    return true;
+  });
+  if (!status.ok()) return status;
   result.stats = st;
   return result;
 }

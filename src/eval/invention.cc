@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "eval/grounder.h"
+#include "eval/stage.h"
 #include "obs/trace.h"
 
 namespace datalog {
@@ -60,88 +61,62 @@ Result<InventionResult> InventionFixpoint(const Program& program,
 
   // Skolem memo: (rule index, body valuation) -> invented values for the
   // rule's invention variables.
-  std::map<std::pair<int, Tuple>, std::vector<Value>> memo;
-
-  while (true) {
-    if (Status interrupted = ctx->CheckInterrupt(); !interrupted.ok()) {
-      ctx->Finalize();
-      return interrupted;
-    }
-    if (result.stages + 1 > ctx->options.max_rounds) {
-      // Budget-exhausted runs still get finalized stats (wall-clock,
-      // index counters) — callers read them to see how far the run got.
-      ctx->Finalize();
-      return Status::BudgetExhausted("Datalog¬new evaluation exceeded " +
-                                     std::to_string(ctx->options.max_rounds) +
-                                     " stages");
-    }
-    ctx->StartRound();
-    OBS_SPAN("invention.stage", {{"stage", result.stages + 1}});
-    Instance fresh(&input.catalog());
-    DbView view{&db, &db};
-    const std::vector<Value>& adom = ctx->Adom(program, db);
-    Status budget = Status::OK();
-    for (size_t ri = 0; ri < matchers.size(); ++ri) {
-      const Atom& head = matchers[ri].rule().heads[0].atom;
-      const std::vector<int>& inv = invention_vars[ri];
-      const std::vector<int>& bvars = body_vars[ri];
-      matchers[ri].ForEachMatch(
-          view, adom, &ctx->index, [&](const Valuation& val) -> bool {
-            Valuation full = val;
-            if (!inv.empty()) {
-              Tuple key;
-              key.reserve(bvars.size());
-              for (int v : bvars) key.push_back(val[v]);
-              auto [it, inserted] =
-                  memo.try_emplace({static_cast<int>(ri), std::move(key)});
-              if (inserted) {
-                if (result.invented_values +
-                        static_cast<int64_t>(inv.size()) >
-                    ctx->options.max_invented) {
-                  budget = Status::BudgetExhausted(
-                      "Datalog¬new exceeded invented-value budget (" +
-                      std::to_string(ctx->options.max_invented) + ")");
-                  return false;
-                }
-                for (size_t k = 0; k < inv.size(); ++k) {
-                  it->second.push_back(symbols->Invent());
-                }
-                result.invented_values += static_cast<int64_t>(inv.size());
-              }
-              for (size_t k = 0; k < inv.size(); ++k) {
-                full[inv[k]] = it->second[k];
-              }
-            }
-            Tuple t = InstantiateAtom(head, full);
-            bool produced = !db.Contains(head.pred, t);
-            st.CountMatch(ri, produced);
-            if (produced) {
-              fresh.Insert(head.pred, std::move(t));
-            }
-            return true;
-          });
-      if (!budget.ok()) {
-        // The invented-value budget trips mid-round: close the round's
-        // timing and finalize so the truncated run reports full stats.
-        ctx->FinishRound();
-        ctx->Finalize();
-        return budget;
+  std::map<std::pair<size_t, Tuple>, std::vector<Value>> memo;
+  // Values are minted in match order, so stages always fire inline.
+  const std::vector<MatchUnit> units = WholeRuleUnits(matchers.size());
+  Status budget = Status::OK();
+  const StageSink sink = [&](const MatchUnit& unit, const Valuation& val,
+                             Firing* out) {
+    const size_t ri = unit.matcher;
+    const std::vector<int>& inv = invention_vars[ri];
+    Valuation full = val;
+    if (!inv.empty()) {
+      Tuple key;
+      key.reserve(body_vars[ri].size());
+      for (int v : body_vars[ri]) key.push_back(val[static_cast<size_t>(v)]);
+      auto [it, inserted] = memo.try_emplace({ri, std::move(key)});
+      if (inserted) {
+        const int64_t minted = static_cast<int64_t>(inv.size());
+        if (result.invented_values + minted > ctx->options.max_invented) {
+          budget = Status::BudgetExhausted(
+              "Datalog¬new exceeded invented-value budget (" +
+              std::to_string(ctx->options.max_invented) + ")");
+          out->Stop();
+          return false;
+        }
+        for (size_t k = 0; k < inv.size(); ++k) {
+          it->second.push_back(symbols->Invent());
+        }
+        result.invented_values += minted;
+      }
+      for (size_t k = 0; k < inv.size(); ++k) {
+        full[static_cast<size_t>(inv[k])] = it->second[k];
       }
     }
-    if (fresh.TotalFacts() == 0) {
-      ctx->FinishRound();
-      break;
-    }
+    const Atom& head = matchers[ri].rule().heads[0].atom;
+    Tuple t = InstantiateAtom(head, full);
+    if (db.Contains(head.pred, t)) return false;
+    out->Fire(head.pred, std::move(t));
+    return true;
+  };
+
+  const StageLoop loop{"invention.stage", "stage",
+                       "Datalog¬new evaluation exceeded " +
+                           std::to_string(ctx->options.max_rounds) + " stages",
+                       "Datalog¬new exceeded fact budget"};
+  Status status = RunStages(ctx, loop, db, [&]() -> Result<bool> {
+    Instance fresh(&input.catalog());
+    DATALOG_RETURN_IF_ERROR(FireStage(program, matchers, units,
+                                      DbView{&db, &db}, ctx,
+                                      /*pool=*/nullptr, sink, &fresh));
+    DATALOG_RETURN_IF_ERROR(budget);
+    if (fresh.TotalFacts() == 0) return false;
     ++result.stages;
     ++st.rounds;
     st.facts_derived += static_cast<int64_t>(db.UnionWith(fresh));
-    ctx->FinishRound();
-    if (static_cast<int64_t>(db.TotalFacts()) > ctx->options.max_facts) {
-      ctx->Finalize();
-      return Status::BudgetExhausted("Datalog¬new exceeded fact budget");
-    }
-  }
-  ctx->Finalize();
+    return true;
+  });
+  if (!status.ok()) return status;
   result.stats = st;
   return result;
 }

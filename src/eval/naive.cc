@@ -3,7 +3,7 @@
 #include <cassert>
 
 #include "eval/grounder.h"
-#include "eval/parallel.h"
+#include "eval/stage.h"
 #include "obs/trace.h"
 
 namespace datalog {
@@ -37,74 +37,34 @@ Result<Instance> NaiveLeastFixpoint(const Program& program,
     }
     matchers.emplace_back(&rule);
   }
-
-  // The naive engine never records provenance, so any configured pool
-  // applies; units are whole rules (no delta to chunk).
-  ThreadPool* pool = ctx->pool();
-  const std::function<bool()> stop = ctx->StopProbe();
-  std::vector<MatchUnit> units(matchers.size());
-  for (size_t i = 0; i < matchers.size(); ++i) {
-    units[i].matcher = static_cast<int>(i);
-    units[i].rule_index = static_cast<int>(i);
-  }
+  const std::vector<MatchUnit> units = WholeRuleUnits(matchers.size());
 
   Instance db = input;
-  while (true) {
-    // Deadline/cancellation is checked at the same site as the round
-    // budget; the caller (facade or outer engine) finalizes the context.
-    if (Status interrupted = ctx->CheckInterrupt(); !interrupted.ok()) {
-      return interrupted;
-    }
-    if (++st.rounds > ctx->options.max_rounds) {
-      return Status::BudgetExhausted("naive evaluation exceeded " +
-                                     std::to_string(ctx->options.max_rounds) +
-                                     " rounds");
-    }
-    ctx->StartRound();
-    OBS_SPAN("naive.round", {{"round", st.rounds}});
-    // Freeze `db` for this round: buffer new facts separately so that the
-    // persistent indexes' tuple pointers stay valid while matching. Rule
-    // heads cannot invent values, so the cached active domain only changes
-    // when `db` does — the journal-driven refresh handles both.
-    const std::vector<Value>& adom = ctx->Adom(program, db);
+  // Every round counts, the final one that adds nothing included.
+  const StageLoop loop{"naive.round", "round",
+                       "naive evaluation exceeded " +
+                           std::to_string(ctx->options.max_rounds) + " rounds",
+                       "naive evaluation exceeded fact budget"};
+  Status status = RunStages(ctx, loop, db, [&]() -> Result<bool> {
+    ++st.rounds;
     Instance fresh(&input.catalog());
     DbView view{&db, fixed_negation != nullptr ? fixed_negation : &db};
-    if (pool != nullptr) {
-      std::vector<UnitOutput> outputs;
-      RunProductionUnits(pool, matchers, units, view, adom, &ctx->index,
-                         &outputs, stop);
-      // An interrupt drains the remaining pool chunks without running
-      // them, so the outputs may be missing whole units — an empty round
-      // would misread as the fixpoint. Report the interruption instead
-      // (caller finalizes, as for the loop-top check above).
-      if (Status interrupted = ctx->CheckInterrupt(); !interrupted.ok()) {
-        return interrupted;
-      }
-      MergeProductionUnits(matchers, units, &outputs, &st, &fresh);
-    } else {
-      for (size_t i = 0; i < matchers.size(); ++i) {
-        const Atom& head = matchers[i].rule().heads[0].atom;
-        const Relation& head_rel = db.Rel(head.pred);
-        matchers[i].ForEachMatch(view, adom, &ctx->index,
-                                 [&](const Valuation& val) -> bool {
-                                   Tuple t = InstantiateAtom(head, val);
-                                   bool produced = !head_rel.Contains(t);
-                                   st.CountMatch(i, produced);
-                                   if (produced) {
-                                     fresh.Insert(head.pred, std::move(t));
-                                   }
-                                   return true;
-                                 });
-      }
-    }
-    size_t added = db.UnionWith(fresh);
+    // The naive engine never records provenance, so any pool applies.
+    DATALOG_RETURN_IF_ERROR(FireStage(
+        program, matchers, units, view, ctx, ctx->pool(),
+        [&](const MatchUnit& unit, const Valuation& val, Firing* out) {
+          const Atom& head = matchers[unit.matcher].rule().heads[0].atom;
+          Tuple t = InstantiateAtom(head, val);
+          if (db.Contains(head.pred, t)) return false;
+          out->Fire(head.pred, std::move(t));
+          return true;
+        },
+        &fresh));
+    const size_t added = db.UnionWith(fresh);
     st.facts_derived += static_cast<int64_t>(added);
-    ctx->FinishRound();
-    if (added == 0) break;
-    if (static_cast<int64_t>(db.TotalFacts()) > ctx->options.max_facts) {
-      return Status::BudgetExhausted("naive evaluation exceeded fact budget");
-    }
-  }
+    return added > 0;
+  });
+  if (!status.ok()) return status;
   return db;
 }
 

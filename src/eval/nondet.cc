@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "eval/grounder.h"
+#include "eval/stage.h"
 #include "obs/trace.h"
 
 namespace datalog {
@@ -201,24 +202,11 @@ Result<EffectSet> NondetEvaluator::Enumerate(
   }
   EffectSet out;
 
-  // Visited-state memo (fingerprint buckets with exact confirmation).
-  std::vector<Instance> states;
-  std::unordered_map<uint64_t, std::vector<size_t>> seen;
-  auto lookup_or_add = [&](const Instance& s) -> std::pair<size_t, bool> {
-    uint64_t h = s.Fingerprint();
-    auto& bucket = seen[h];
-    for (size_t idx : bucket) {
-      if (states[idx] == s) return {idx, false};
-    }
-    bucket.push_back(states.size());
-    states.push_back(s);
-    return {states.size() - 1, true};
-  };
-
+  StateSet states;
   EvalContext ctx(options.eval);
   OBS_SPAN("nondet.enumerate");
   std::vector<size_t> stack;
-  lookup_or_add(input);
+  states.Insert(input);
   stack.push_back(0);
   while (!stack.empty()) {
     if (Status interrupted = ctx.CheckInterrupt(); !interrupted.ok()) {
@@ -246,7 +234,7 @@ Result<EffectSet> NondetEvaluator::Enumerate(
     }
     for (const Move& move : moves) {
       Instance next = move.ApplyTo(state);
-      auto [next_idx, fresh] = lookup_or_add(next);
+      auto [next_idx, fresh] = states.Insert(next);
       if (fresh) {
         if (static_cast<int64_t>(states.size()) > options.max_states) {
           ctx.Finalize();

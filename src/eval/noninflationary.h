@@ -1,6 +1,8 @@
 #ifndef UNCHAINED_EVAL_NONINFLATIONARY_H_
 #define UNCHAINED_EVAL_NONINFLATIONARY_H_
 
+#include <functional>
+
 #include "ast/ast.h"
 #include "base/result.h"
 #include "eval/context.h"
@@ -47,12 +49,21 @@ struct NonInflationaryResult {
 /// a fixpoint need not exist — the engine reports kNonTerminating when the
 /// state sequence provably cycles.
 ///
-/// When `ctx` is null the engine runs in an internal EvalContext built
-/// from `options.eval`; either way deletions change relation epochs, so
-/// the persistent indexes fall back to full rebuilds as needed.
+/// `ctx` must be non-null. Deletions change relation epochs, so the
+/// persistent indexes fall back to full rebuilds as needed.
 Result<NonInflationaryResult> NonInflationaryFixpoint(
     const Program& program, const Instance& input,
-    const NonInflationaryOptions& options, EvalContext* ctx = nullptr);
+    const NonInflationaryOptions& options, EvalContext* ctx);
+
+/// Applies one firing's signed facts to `state`: erases `retractions` and
+/// inserts `additions`, resolving a fact found in both per `policy` (under
+/// kUndefined, kConflict with `state` partly applied). `changed`, when set,
+/// sees every effective change (true = inserted). Shared by Datalog¬¬ and
+/// the active rules, which apply with kPositiveWins.
+Status ApplySigned(const Instance& additions, const Instance& retractions,
+                   ConflictPolicy policy, Instance* state,
+                   const std::function<void(PredId, const Tuple&, bool)>&
+                       changed = {});
 
 }  // namespace datalog
 

@@ -1,15 +1,15 @@
 #include "eval/seminaive.h"
 
+#include <algorithm>
 #include <cassert>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "base/thread_pool.h"
 #include "eval/columnar.h"
 #include "eval/grounder.h"
-#include "eval/parallel.h"
 #include "eval/provenance.h"
+#include "eval/stage.h"
 #include "eval/test_hooks.h"
 #include "obs/trace.h"
 
@@ -18,6 +18,30 @@ namespace datalog {
 namespace internal {
 int g_seminaive_skip_delta_rule = -1;
 }  // namespace internal
+
+namespace {
+
+/// Appends `unit` over `list` in order: whole inline, chunked with a pool
+/// so each worker sees several steal-able pieces. `list` must outlive the
+/// units (they point into it).
+void AppendDeltaUnits(MatchUnit unit, const std::vector<const Tuple*>& list,
+                      ThreadPool* pool, std::vector<MatchUnit>* units) {
+  size_t chunk = list.size();
+  if (pool != nullptr) {
+    // Several chunks per worker so stealing can balance skewed join costs,
+    // with a floor that keeps per-chunk staging overhead negligible.
+    const size_t target =
+        static_cast<size_t>(std::max(1, pool->num_workers())) * 8;
+    chunk = std::max<size_t>(16, (list.size() + target - 1) / target);
+  }
+  for (size_t off = 0; off < list.size(); off += chunk) {
+    unit.delta_begin = list.data() + off;
+    unit.delta_count = std::min(chunk, list.size() - off);
+    units->push_back(unit);
+  }
+}
+
+}  // namespace
 
 Result<int64_t> SemiNaiveStep(const Program& program,
                               const std::vector<int>& rule_indexes,
@@ -37,7 +61,7 @@ Result<int64_t> SemiNaiveStep(const Program& program,
   std::vector<RuleMatcher> matchers;
   std::vector<const Rule*> rules;
   for (int idx : rule_indexes) {
-    const Rule& rule = program.rules[idx];
+    const Rule& rule = program.rules[static_cast<size_t>(idx)];
     if (rule.heads.size() != 1 ||
         rule.heads[0].kind != Literal::Kind::kRelational ||
         rule.heads[0].negative) {
@@ -48,13 +72,9 @@ Result<int64_t> SemiNaiveStep(const Program& program,
     matchers.emplace_back(&rule);
   }
 
-  const std::unordered_set<PredId> recursive(recursive_preds.begin(),
-                                             recursive_preds.end());
-
   // Provenance recording is inherently sequential (first-derivation order
-  // is the record); those runs take the exact sequential path below.
+  // is the record); those runs fire inline.
   ThreadPool* pool = ctx->provenance == nullptr ? ctx->pool() : nullptr;
-  const std::function<bool()> stop = ctx->StopProbe();
 
   // Columnar backend (docs/storage.md): round 0 runs the generic full
   // evaluation either way, but the delta rounds below are replaced by
@@ -67,216 +87,115 @@ Result<int64_t> SemiNaiveStep(const Program& program,
         rule_indexes, rules, &matchers, recursive_preds);
   }
 
-  int64_t total_added = 0;
-
-  // Round 0: full evaluation of every rule against the current database.
+  const StageSink sink = [&](const MatchUnit& unit, const Valuation& val,
+                             Firing* out) {
+    const Atom& head = rules[unit.matcher]->heads[0].atom;
+    Tuple t = InstantiateAtom(head, val);
+    if (db->Contains(head.pred, t)) return false;
+    if (ctx->provenance != nullptr) {
+      ctx->provenance->Record(head.pred, t, unit.rule_index, st.rounds + 1,
+                              InstantiateBodyPremises(*rules[unit.matcher],
+                                                      val));
+    }
+    if (pool == nullptr && ctx->on_derivation) {  // an inline-only hook
+      ctx->on_derivation(static_cast<size_t>(unit.rule_index), head.pred, t);
+    }
+    out->Fire(head.pred, std::move(t));
+    return true;
+  };
+  // One generic round: fires `units` (inline rounds trace each rule), then
+  // merges the new facts; the recursive ones are the next round's delta.
   std::unordered_map<PredId, Relation> delta;
-  {
-    ctx->StartRound();
-    OBS_SPAN("seminaive.round", {{"round", st.rounds + 1}});
-    const std::vector<Value>& adom = ctx->Adom(program, *db);
+  auto round = [&](std::span<const MatchUnit> units) -> Status {
+    const DbView view{db, db};
     Instance fresh(&db->catalog());
-    DbView view{db, db};
-    const int stage = st.rounds + 1;
     if (pool != nullptr) {
-      std::vector<MatchUnit> units(matchers.size());
-      for (size_t i = 0; i < matchers.size(); ++i) {
-        units[i].matcher = static_cast<int>(i);
-        units[i].rule_index = rule_indexes[i];
-      }
-      std::vector<UnitOutput> outputs;
-      RunProductionUnits(pool, matchers, units, view, adom, &ctx->index,
-                         &outputs, stop);
-      // An interrupt drains the remaining pool chunks without running
-      // them, so the outputs may be missing whole units — an empty round
-      // would misread as the fixpoint. Report the interruption instead.
-      if (Status interrupted = ctx->CheckInterrupt(); !interrupted.ok()) {
-        st.facts_derived += total_added;
-        ctx->Finalize();
-        return interrupted;
-      }
-      MergeProductionUnits(matchers, units, &outputs, &st, &fresh);
+      DATALOG_RETURN_IF_ERROR(
+          FireStage(program, matchers, units, view, ctx, pool, sink, &fresh));
     } else {
       for (size_t i = 0; i < matchers.size(); ++i) {
         OBS_SPAN("seminaive.rule", {{"rule", rule_indexes[i]}});
-        const Atom& head = rules[i]->heads[0].atom;
-        const Relation& head_rel = db->Rel(head.pred);
-        matchers[i].ForEachMatch(
-            view, adom, &ctx->index, [&](const Valuation& val) -> bool {
-              Tuple t = InstantiateAtom(head, val);
-              bool produced = !head_rel.Contains(t);
-              st.CountMatch(rule_indexes[i], produced);
-              if (produced) {
-                if (ctx->provenance != nullptr) {
-                  ctx->provenance->Record(
-                      head.pred, t, rule_indexes[i], stage,
-                      InstantiateBodyPremises(*rules[i], val));
-                }
-                if (ctx->on_derivation) {
-                  ctx->on_derivation(static_cast<size_t>(rule_indexes[i]),
-                                     head.pred, t);
-                }
-                fresh.Insert(head.pred, std::move(t));
-              }
-              return true;
-            });
+        size_t n = 0;
+        while (n < units.size() && units[n].matcher == i) ++n;
+        DATALOG_RETURN_IF_ERROR(FireStage(program, matchers, units.first(n),
+                                          view, ctx, nullptr, sink, &fresh));
+        units = units.subspan(n);
       }
     }
     ++st.rounds;
     if (columnar_engine != nullptr) {
       columnar_engine->SeedDelta(fresh);
     } else {
+      delta.clear();
       for (PredId p : recursive_preds) {
         const Relation& rel = fresh.Rel(p);
         if (!rel.empty()) delta.emplace(p, rel);
       }
     }
-    total_added += static_cast<int64_t>(db->UnionWith(fresh));
-    ctx->FinishRound();
-  }
+    st.facts_derived += static_cast<int64_t>(db->UnionWith(fresh));
+    return Status::OK();
+  };
+  const int64_t derived_before = st.facts_derived;
 
-  // Columnar delta rounds: same budget/interrupt contract as the hash
-  // loop below, but each round is one DeltaEngine::Round — merge joins
-  // and bitmap semijoins over sorted runs, candidates staged flat, new
-  // facts inserted at end of round. Runs on the evaluating thread: deltas
-  // are small, and determinism across thread counts is then structural.
-  if (columnar_engine != nullptr) {
-    while (columnar_engine->HasDelta()) {
-      if (Status interrupted = ctx->CheckInterrupt(); !interrupted.ok()) {
-        st.facts_derived += total_added;
-        ctx->Finalize();
-        return interrupted;
-      }
-      if (++st.rounds > ctx->options.max_rounds) {
-        st.facts_derived += total_added;
-        ctx->Finalize();
-        return Status::BudgetExhausted(
-            "semi-naive evaluation exceeded " +
-            std::to_string(ctx->options.max_rounds) + " rounds");
-      }
-      ctx->StartRound();
-      OBS_SPAN("seminaive.round", {{"round", st.rounds}});
-      total_added += columnar_engine->Round(
-          program, db, ctx, internal::g_seminaive_skip_delta_rule);
-      ctx->FinishRound();
-      if (static_cast<int64_t>(db->TotalFacts()) > ctx->options.max_facts) {
-        st.facts_derived += total_added;
-        ctx->Finalize();
-        return Status::BudgetExhausted(
-            "semi-naive evaluation exceeded fact budget");
-      }
-    }
-    st.facts_derived += total_added;
-    return total_added;
-  }
-
-  // Delta rounds. The persistent indexes over `db` are refreshed by
-  // appending each round's journal tail — no per-round rebuild.
-  while (!delta.empty()) {
-    if (Status interrupted = ctx->CheckInterrupt(); !interrupted.ok()) {
-      // Deadline/cancellation follows the budget contract: report the
-      // facts derived so far through finalized stats.
-      st.facts_derived += total_added;
-      ctx->Finalize();
-      return interrupted;
-    }
-    if (++st.rounds > ctx->options.max_rounds) {
-      // Budget-exhausted runs still report the facts derived so far:
-      // callers read LastRunStats to see how far the run got.
-      st.facts_derived += total_added;
-      ctx->Finalize();
-      return Status::BudgetExhausted("semi-naive evaluation exceeded " +
-                                     std::to_string(ctx->options.max_rounds) +
-                                     " rounds");
-    }
+  // Round 0: full evaluation of every rule against the current database.
+  // It runs unconditionally; the budget applies to the delta rounds.
+  {
     ctx->StartRound();
-    OBS_SPAN("seminaive.round", {{"round", st.rounds}});
-    const std::vector<Value>& adom = ctx->Adom(program, *db);
-    Instance fresh(&db->catalog());
-    DbView view{db, db};
-    const int stage = st.rounds;
-    if (pool != nullptr) {
-      // Flatten each delta relation once; units chunk these lists in the
-      // sequential (rule, literal, chunk) order so the staged merge
-      // replays the sequential insertion order.
-      std::unordered_map<PredId, std::vector<const Tuple*>> delta_lists;
-      for (const auto& [p, rel] : delta) delta_lists.emplace(p, TupleList(rel));
-      std::vector<MatchUnit> units;
-      for (size_t i = 0; i < matchers.size(); ++i) {
-        if (rule_indexes[i] == internal::g_seminaive_skip_delta_rule) continue;
-        const Rule& rule = *rules[i];
-        for (size_t li = 0; li < rule.body.size(); ++li) {
-          const Literal& lit = rule.body[li];
-          if (lit.kind != Literal::Kind::kRelational || lit.negative) continue;
-          if (!recursive.count(lit.atom.pred)) continue;
-          auto dit = delta_lists.find(lit.atom.pred);
-          if (dit == delta_lists.end()) continue;
-          AppendDeltaUnits(static_cast<int>(i), rule_indexes[i],
-                           static_cast<int>(li), dit->second,
-                           pool->num_workers(), &units);
-        }
-      }
-      std::vector<UnitOutput> outputs;
-      RunProductionUnits(pool, matchers, units, view, adom, &ctx->index,
-                         &outputs, stop);
-      // See round 0: drained units must not be mistaken for quiescence.
-      if (Status interrupted = ctx->CheckInterrupt(); !interrupted.ok()) {
-        st.facts_derived += total_added;
-        ctx->Finalize();
-        return interrupted;
-      }
-      MergeProductionUnits(matchers, units, &outputs, &st, &fresh);
-    } else {
-      for (size_t i = 0; i < matchers.size(); ++i) {
-        if (rule_indexes[i] == internal::g_seminaive_skip_delta_rule) continue;
-        OBS_SPAN("seminaive.rule", {{"rule", rule_indexes[i]}});
-        const Rule& rule = *rules[i];
-        const Atom& head = rule.heads[0].atom;
-        const Relation& head_rel = db->Rel(head.pred);
-        auto sink = [&](const Valuation& val) -> bool {
-          Tuple t = InstantiateAtom(head, val);
-          bool produced = !head_rel.Contains(t);
-          st.CountMatch(rule_indexes[i], produced);
-          if (produced) {
-            if (ctx->provenance != nullptr) {
-              ctx->provenance->Record(head.pred, t, rule_indexes[i], stage,
-                                      InstantiateBodyPremises(rule, val));
-            }
-            if (ctx->on_derivation) {
-              ctx->on_derivation(static_cast<size_t>(rule_indexes[i]),
-                                 head.pred, t);
-            }
-            fresh.Insert(head.pred, std::move(t));
-          }
-          return true;
-        };
-        for (size_t li = 0; li < rule.body.size(); ++li) {
-          const Literal& lit = rule.body[li];
-          if (lit.kind != Literal::Kind::kRelational || lit.negative) continue;
-          if (!recursive.count(lit.atom.pred)) continue;
-          auto dit = delta.find(lit.atom.pred);
-          if (dit == delta.end()) continue;
-          matchers[i].ForEachMatch(view, adom, &ctx->index,
-                                   static_cast<int>(li), &dit->second, sink);
-        }
-      }
-    }
-    delta.clear();
-    for (PredId p : recursive_preds) {
-      const Relation& rel = fresh.Rel(p);
-      if (!rel.empty()) delta.emplace(p, rel);
-    }
-    total_added += static_cast<int64_t>(db->UnionWith(fresh));
-    ctx->FinishRound();
-    if (static_cast<int64_t>(db->TotalFacts()) > ctx->options.max_facts) {
-      st.facts_derived += total_added;
+    OBS_SPAN("seminaive.round", {{"round", st.rounds + 1}});
+    std::vector<MatchUnit> units = WholeRuleUnits(matchers.size());
+    for (MatchUnit& unit : units) unit.rule_index = rule_indexes[unit.matcher];
+    if (Status fired = round(units); !fired.ok()) {
       ctx->Finalize();
-      return Status::BudgetExhausted(
-          "semi-naive evaluation exceeded fact budget");
+      return fired;
     }
+    ctx->FinishRound();
   }
-  st.facts_derived += total_added;
-  return total_added;
+
+  // Every round counts, round 0 included, cumulatively across strata.
+  const StageLoop loop{"seminaive.round", "round",
+                       "semi-naive evaluation exceeded " +
+                           std::to_string(ctx->options.max_rounds) + " rounds",
+                       "semi-naive evaluation exceeded fact budget"};
+  // Columnar delta rounds are merge joins and bitmap semijoins over sorted
+  // runs, on the evaluating thread: deltas are small, and determinism
+  // across thread counts is then structural. Hash delta rounds refresh the
+  // persistent indexes over `db` by appending each round's journal tail.
+  if (columnar_engine != nullptr ? !columnar_engine->HasDelta()
+                                 : delta.empty()) {
+    return st.facts_derived - derived_before;
+  }
+  Status status = RunStages(ctx, loop, *db, [&]() -> Result<bool> {
+    if (columnar_engine != nullptr) {
+      st.facts_derived += columnar_engine->Round(
+          program, db, ctx, internal::g_seminaive_skip_delta_rule);
+      ++st.rounds;
+      return columnar_engine->HasDelta();
+    }
+    // Flatten each delta relation once, as stable tuple pointers; units
+    // chunk these lists in the sequential (rule, literal, chunk) order.
+    std::unordered_map<PredId, std::vector<const Tuple*>> lists;
+    for (const auto& [p, rel] : delta) {
+      for (const Tuple& t : rel) lists[p].push_back(&t);
+    }
+    std::vector<MatchUnit> units;
+    for (size_t i = 0; i < matchers.size(); ++i) {
+      if (rule_indexes[i] == internal::g_seminaive_skip_delta_rule) continue;
+      const Rule& rule = *rules[i];
+      for (size_t li = 0; li < rule.body.size(); ++li) {
+        const Literal& lit = rule.body[li];
+        if (lit.kind != Literal::Kind::kRelational || lit.negative) continue;
+        // Only recursive predicates have deltas.
+        auto it = lists.find(lit.atom.pred);
+        if (it == lists.end()) continue;
+        AppendDeltaUnits(MatchUnit{i, rule_indexes[i], static_cast<int>(li)},
+                         it->second, pool, &units);
+      }
+    }
+    DATALOG_RETURN_IF_ERROR(round(units));
+    return !delta.empty();
+  });
+  if (!status.ok()) return status;
+  return st.facts_derived - derived_before;
 }
 
 Result<Instance> SemiNaiveDatalog(const Program& program,

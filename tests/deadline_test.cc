@@ -7,12 +7,23 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "active/eca.h"
 #include "core/engine.h"
 #include "dist/peers.h"
+#include "eval/context.h"
+#include "eval/inflationary.h"
+#include "eval/invention.h"
+#include "eval/naive.h"
+#include "eval/noninflationary.h"
+#include "eval/seminaive.h"
 #include "eval/stable.h"
+#include "eval/stratified.h"
+#include "eval/wellfounded.h"
 #include "workload/graphs.h"
 
 namespace datalog {
@@ -156,7 +167,7 @@ TEST_F(DeadlineTest, CancellationCoversStableEcaAndPeers) {
   Instance ins = engine_.NewInstance();
   ASSERT_TRUE(engine_.AddFacts("e2(0).", &ins).ok());
   ActiveOptions active;
-  active.base.eval = cancelled;
+  active.eval = cancelled;
   Result<ActiveResult> fired = RunActiveRules(
       eca, &engine_.catalog(), db, ins, engine_.NewInstance(), active);
   EXPECT_EQ(fired.status().code(), StatusCode::kCancelled);
@@ -193,6 +204,83 @@ TEST_F(DeadlineTest, DeadlineStatsMatchBudgetExhaustionShape) {
   EXPECT_GT(budget_stats.total_ms, 0.0);
   EXPECT_GT(deadline_stats.total_ms, 0.0);
   EXPECT_EQ(budget_stats.per_rule.size(), deadline_stats.per_rule.size());
+}
+
+// The single exit contract of RunStages (docs/execution.md): every
+// engine, called directly with a caller-owned EvalContext, leaves it
+// finalized — wall-clock set, index counters folded into its stats — when
+// a max_rounds budget or a pre-cancelled token ends the run.
+TEST_F(DeadlineTest, DirectCallsLeaveTheCallersContextFinalized) {
+  Program tc = Tc();
+  GraphBuilder graphs(&engine_.catalog(), &engine_.symbols());
+  const Instance chain = graphs.Chain(5);  // 4 edges: TC needs 4 rounds
+  CancelToken cancelled;
+  cancelled.Cancel();
+  using Run = std::function<Status(EvalContext*)>;
+  const std::vector<std::pair<std::string, Run>> engines = {
+      {"naive",
+       [&](EvalContext* ctx) {
+         return NaiveLeastFixpoint(tc, chain, nullptr, ctx).status();
+       }},
+      {"seminaive",
+       [&](EvalContext* ctx) {
+         return SemiNaiveDatalog(tc, chain, ctx).status();
+       }},
+      {"stratified",
+       [&](EvalContext* ctx) {
+         return StratifiedSemantics(tc, engine_.catalog(), chain, ctx)
+             .status();
+       }},
+      {"wellfounded",
+       [&](EvalContext* ctx) {
+         return WellFoundedSemantics(tc, chain, ctx).status();
+       }},
+      {"stable",
+       [&](EvalContext* ctx) {
+         return StableModels(tc, chain, ctx->options, 1 << 20, ctx).status();
+       }},
+      {"inflationary",
+       [&](EvalContext* ctx) {
+         return InflationaryFixpoint(tc, chain, ctx).status();
+       }},
+      {"noninflationary",
+       [&](EvalContext* ctx) {
+         return NonInflationaryFixpoint(tc, chain, NonInflationaryOptions{},
+                                        ctx)
+             .status();
+       }},
+      {"invention",
+       [&](EvalContext* ctx) {
+         return InventionFixpoint(tc, chain, &engine_.symbols(), ctx)
+             .status();
+       }},
+  };
+  auto expect_finalized = [](const EvalContext& ctx) {
+    EXPECT_GT(ctx.stats.total_ms, 0.0);
+    const IndexManager::Counters& c = ctx.index.counters();
+    EXPECT_EQ(ctx.stats.index_hits, c.hits);
+    EXPECT_EQ(ctx.stats.index_builds, c.builds);
+    EXPECT_EQ(ctx.stats.index_rebuilds, c.rebuilds);
+    EXPECT_EQ(ctx.stats.index_appended, c.appended);
+  };
+  for (const auto& [name, run] : engines) {
+    SCOPED_TRACE(name);
+    EvalOptions budget;
+    budget.num_threads = 1;
+    budget.max_rounds = 1;
+    EvalContext budget_ctx(budget);
+    EXPECT_EQ(run(&budget_ctx).code(), StatusCode::kBudgetExhausted);
+    expect_finalized(budget_ctx);
+    // The one round that ran built the join indexes.
+    EXPECT_GT(budget_ctx.stats.index_builds, 0);
+    EXPECT_EQ(budget_ctx.stats.rounds, 1);
+
+    EvalOptions cancel;
+    cancel.cancel = &cancelled;
+    EvalContext cancel_ctx(cancel);
+    EXPECT_EQ(run(&cancel_ctx).code(), StatusCode::kCancelled);
+    expect_finalized(cancel_ctx);
+  }
 }
 
 }  // namespace

@@ -46,6 +46,22 @@ TEST_F(EcaTest, InsertionTriggerFiresOnce) {
   EXPECT_EQ(r->stages, 1);
 }
 
+// Active rules resolve a fact and its retraction fired in the same stage
+// with positive priority, the one policy eca.h defines for them.
+TEST_F(EcaTest, SameStageConflictKeepsThePositiveFact) {
+  Program p = MustParse(
+      "a(X) :- ins_g(X).\n"
+      "!a(X) :- ins_g(X).\n");
+  Instance db = engine_.NewInstance();
+  Instance ins = engine_.NewInstance();
+  ASSERT_TRUE(engine_.AddFacts("g(1).", &ins).ok());
+  Result<ActiveResult> r = Run(p, db, ins, engine_.NewInstance());
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_TRUE(r->instance.Contains(engine_.catalog().Find("a"),
+                                   {engine_.symbols().Find("1")}));
+  EXPECT_EQ(r->stages, 1);
+}
+
 TEST_F(EcaTest, NoEventMeansNoWork) {
   Program p = MustParse("log(X, Y) :- ins_g(X, Y).\n");
   GraphBuilder graphs(&engine_.catalog(), &engine_.symbols());

@@ -1,7 +1,7 @@
 // Determinism of the parallel evaluation rounds: every engine must produce
 // byte-identical results and identical deterministic EvalStats counters at
 // every thread count. The parallel rounds stage per-unit outputs and merge
-// them in the sequential order (src/eval/parallel.h), so num_threads is
+// them in the sequential order (src/eval/stage.h), so num_threads is
 // required to be unobservable everywhere except the per-worker telemetry
 // and wall-clock timings — this suite is the enforcement.
 
