@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <set>
 
 namespace datalog {
 
@@ -21,28 +22,28 @@ RuleMatcher::RuleMatcher(const Rule* rule) : rule_(rule) {
 
 namespace {
 
-/// Bindings made while matching one literal / applying checks; unwound on
-/// backtrack.
-struct Trail {
-  std::vector<int> vars;
-
-  void Bind(Valuation* val, int var, Value value) {
-    (*val)[var] = value;
-    vars.push_back(var);
-  }
-  void Undo(Valuation* val) {
-    for (int v : vars) (*val)[v] = kUnboundValue;
-    vars.clear();
-  }
-};
+size_t Slot(int index) { return static_cast<size_t>(index); }
 
 /// Value of a term under a partial valuation, or kUnboundValue.
 Value TermValue(const Term& t, const Valuation& val) {
-  return t.is_var() ? val[t.var] : t.constant;
+  return t.is_var() ? val[Slot(t.var)] : t.constant;
+}
+
+/// Writes `atom` instantiated under `val` into `out`, reusing its storage.
+void InstantiateInto(const Atom& atom, const Valuation& val, Tuple* out) {
+  out->clear();
+  for (const Term& term : atom.terms) {
+    Value v = TermValue(term, val);
+    assert(v != kUnboundValue && "atom instantiated under partial valuation");
+    out->push_back(v);
+  }
 }
 
 }  // namespace
 
+/// Everything one ForEachMatch call mutates. The scratch stacks are
+/// shared by the whole backtracking search and unwound to a mark, so
+/// nothing is allocated per tried tuple or per check pass.
 struct RuleMatcher::MatchState {
   const DbView* view;
   const std::vector<Value>* adom;
@@ -58,10 +59,40 @@ struct RuleMatcher::MatchState {
   std::vector<bool> literal_done;  // indexed like rule_->body
   int positives_remaining;
   bool aborted = false;
+  /// Variables bound by unifying positive literals with tuples.
+  std::vector<int> trail;
+  /// What ApplyPendingChecks did: check literals marked done (>= 0) and
+  /// variables bound by equalities (~var).
+  std::vector<int> applied;
+  /// An index key, membership probe or negated-literal probe. Dead once
+  /// its lookup returns, so the recursion below may reuse it.
+  Tuple probe;
+
+  void Bind(int var, Value value) {
+    val[Slot(var)] = value;
+    trail.push_back(var);
+  }
+  void UnwindTrail(size_t mark) {
+    while (trail.size() > mark) {
+      val[Slot(trail.back())] = kUnboundValue;
+      trail.pop_back();
+    }
+  }
+  void UnwindApplied(size_t mark) {
+    while (applied.size() > mark) {
+      const int entry = applied.back();
+      applied.pop_back();
+      if (entry >= 0) {
+        literal_done[Slot(entry)] = false;
+      } else {
+        val[Slot(~entry)] = kUnboundValue;
+      }
+    }
+  }
 };
 
 bool RuleMatcher::CheckLiteral(const Literal& lit, const Valuation& val,
-                               const DbView& view) const {
+                               const DbView& view, Tuple* probe) const {
   switch (lit.kind) {
     case Literal::Kind::kEquality: {
       Value l = TermValue(lit.lhs, val);
@@ -70,9 +101,9 @@ bool RuleMatcher::CheckLiteral(const Literal& lit, const Valuation& val,
       return (l == r) != lit.negative;
     }
     case Literal::Kind::kRelational: {
-      Tuple t = InstantiateAtom(lit.atom, val);
-      if (lit.negative) return !view.negatives->Contains(lit.atom.pred, t);
-      return view.positives->Contains(lit.atom.pred, t);
+      InstantiateInto(lit.atom, val, probe);
+      const Instance* db = lit.negative ? view.negatives : view.positives;
+      return db->Contains(lit.atom.pred, *probe) != lit.negative;
     }
     case Literal::Kind::kBottom:
       assert(false && "bottom cannot appear in a body");
@@ -82,81 +113,62 @@ bool RuleMatcher::CheckLiteral(const Literal& lit, const Valuation& val,
 }
 
 /// Applies every pending check literal whose variables are bound; positive
-/// equalities with exactly one unbound side *bind* it. Records what was
-/// applied in `applied` (literal indexes) and binds through the valuation.
-/// Returns false if some check fails (branch dies).
-bool RuleMatcher::ApplyPendingChecks(MatchState* state,
-                                     std::vector<int>* applied) const {
+/// equalities with exactly one unbound side *bind* it. Pushes what it did
+/// onto `state->applied`, which the caller unwinds to its mark whatever
+/// the outcome. Returns false if some check fails (branch dies).
+bool RuleMatcher::ApplyPendingChecks(MatchState* state) const {
+  Valuation& val = state->val;
   bool progress = true;
   while (progress) {
     progress = false;
     for (int li : check_literals_) {
-      if (state->literal_done[li]) continue;
-      const Literal& lit = rule_->body[li];
+      if (state->literal_done[Slot(li)]) continue;
+      const Literal& lit = rule_->body[Slot(li)];
       if (lit.kind == Literal::Kind::kEquality) {
-        Value l = TermValue(lit.lhs, state->val);
-        Value r = TermValue(lit.rhs, state->val);
+        Value l = TermValue(lit.lhs, val);
+        Value r = TermValue(lit.rhs, val);
         if (l != kUnboundValue && r != kUnboundValue) {
           if ((l == r) == lit.negative) return false;
-          state->literal_done[li] = true;
-          applied->push_back(li);
-          progress = true;
         } else if (!lit.negative && l != kUnboundValue && lit.rhs.is_var()) {
-          state->val[lit.rhs.var] = l;
-          applied->push_back(~lit.rhs.var);  // negative marker: a binding
-          state->literal_done[li] = true;
-          applied->push_back(li);
-          progress = true;
+          val[Slot(lit.rhs.var)] = l;
+          state->applied.push_back(~lit.rhs.var);
         } else if (!lit.negative && r != kUnboundValue && lit.lhs.is_var()) {
-          state->val[lit.lhs.var] = r;
-          applied->push_back(~lit.lhs.var);
-          state->literal_done[li] = true;
-          applied->push_back(li);
-          progress = true;
+          val[Slot(lit.lhs.var)] = r;
+          state->applied.push_back(~lit.lhs.var);
+        } else {
+          continue;
         }
       } else {  // negative relational literal
         bool all_bound = true;
         for (const Term& t : lit.atom.terms) {
-          if (TermValue(t, state->val) == kUnboundValue) {
+          if (TermValue(t, val) == kUnboundValue) {
             all_bound = false;
             break;
           }
         }
         if (!all_bound) continue;
-        if (!CheckLiteral(lit, state->val, *state->view)) return false;
-        state->literal_done[li] = true;
-        applied->push_back(li);
-        progress = true;
+        if (!CheckLiteral(lit, val, *state->view, &state->probe)) {
+          return false;
+        }
       }
+      state->literal_done[Slot(li)] = true;
+      state->applied.push_back(li);
+      progress = true;
     }
   }
   return true;
 }
 
-namespace {
-/// Undoes the work recorded by ApplyPendingChecks.
-void UndoApplied(const std::vector<int>& applied,
-                 std::vector<bool>* literal_done, Valuation* val) {
-  for (int entry : applied) {
-    if (entry >= 0) {
-      (*literal_done)[entry] = false;
-    } else {
-      (*val)[~entry] = kUnboundValue;
-    }
-  }
-}
-}  // namespace
-
 bool RuleMatcher::MatchPositives(MatchState* state) const {
-  std::vector<int> applied;
-  if (!ApplyPendingChecks(state, &applied)) {
-    UndoApplied(applied, &state->literal_done, &state->val);
+  const size_t applied_mark = state->applied.size();
+  if (!ApplyPendingChecks(state)) {
+    state->UnwindApplied(applied_mark);
     return true;  // this branch fails; continue exploring others
   }
   bool keep_going = true;
   if (state->positives_remaining == 0) {
     keep_going = EnumerateFree(state, 0);
-    UndoApplied(applied, &state->literal_done, &state->val);
+    state->UnwindApplied(applied_mark);
     return keep_going;
   }
 
@@ -167,13 +179,13 @@ bool RuleMatcher::MatchPositives(MatchState* state) const {
   int best_bound = -1;
   size_t best_size = 0;
   for (int li : positive_literals_) {
-    if (state->literal_done[li]) continue;
+    if (state->literal_done[Slot(li)]) continue;
     if (li == state->delta_literal) {
       best = li;
-      best_mask = 0;  // recomputed below
+      best_mask = 0;  // unused: the delta literal scans its tuples
       break;
     }
-    const Literal& lit = rule_->body[li];
+    const Literal& lit = rule_->body[Slot(li)];
     uint32_t mask = 0;
     int bound = 0;
     for (size_t c = 0; c < lit.atom.terms.size(); ++c) {
@@ -191,22 +203,22 @@ bool RuleMatcher::MatchPositives(MatchState* state) const {
     }
   }
   assert(best >= 0);
-  const Literal& lit = rule_->body[best];
+  const Literal& lit = rule_->body[Slot(best)];
   const Atom& atom = lit.atom;
   const size_t arity = atom.terms.size();
-  state->literal_done[best] = true;
+  state->literal_done[Slot(best)] = true;
   --state->positives_remaining;
 
   // Unifies `tuple` with the atom under the current valuation; on success
   // recurses. Returns false to stop all matching (callback said stop).
   auto try_tuple = [&](const Tuple& tuple) -> bool {
-    Trail trail;
+    const size_t trail_mark = state->trail.size();
     bool match = true;
     for (size_t c = 0; c < arity; ++c) {
       const Term& term = atom.terms[c];
       Value bound_value = TermValue(term, state->val);
       if (bound_value == kUnboundValue) {
-        trail.Bind(&state->val, term.var, tuple[c]);
+        state->Bind(term.var, tuple[c]);
       } else if (bound_value != tuple[c]) {
         match = false;
         break;
@@ -214,7 +226,7 @@ bool RuleMatcher::MatchPositives(MatchState* state) const {
     }
     bool cont = true;
     if (match) cont = MatchPositives(state);
-    trail.Undo(&state->val);
+    state->UnwindTrail(trail_mark);
     return cont;
   };
 
@@ -235,17 +247,16 @@ bool RuleMatcher::MatchPositives(MatchState* state) const {
       }
     }
   } else {
-    // Recompute mask/key (cheap) — `best_mask` is valid here, but recompute
-    // the key values in column order.
-    Tuple key;
+    // The bound values in column order: the index key, or — when every
+    // column is bound — the instantiated atom itself.
+    Tuple& key = state->probe;
+    key.clear();
     for (size_t c = 0; c < arity; ++c) {
       Value v = TermValue(atom.terms[c], state->val);
       if (v != kUnboundValue) key.push_back(v);
     }
     if (key.size() == arity) {
-      // Fully bound: membership test.
-      Tuple t = InstantiateAtom(atom, state->val);
-      if (state->view->positives->Contains(atom.pred, t)) {
+      if (state->view->positives->Contains(atom.pred, key)) {
         keep_going = MatchPositives(state);
       }
     } else {
@@ -263,49 +274,48 @@ bool RuleMatcher::MatchPositives(MatchState* state) const {
   }
 
   ++state->positives_remaining;
-  state->literal_done[best] = false;
-  UndoApplied(applied, &state->literal_done, &state->val);
+  state->literal_done[Slot(best)] = false;
+  state->UnwindApplied(applied_mark);
   return keep_going;
 }
 
 bool RuleMatcher::EnumerateFree(MatchState* state, size_t next_var) const {
   while (next_var < enumerable_vars_.size() &&
-         state->val[enumerable_vars_[next_var]] != kUnboundValue) {
+         state->val[Slot(enumerable_vars_[next_var])] != kUnboundValue) {
     ++next_var;
   }
   if (next_var == enumerable_vars_.size()) {
     // Everything bound: apply remaining checks, then emit.
-    std::vector<int> applied;
-    bool pass = ApplyPendingChecks(state, &applied);
-    if (pass) {
+    const size_t mark = state->applied.size();
+    if (ApplyPendingChecks(state)) {
       // All checks must have been applicable now.
       for (int li : check_literals_) {
         (void)li;
-        assert(state->literal_done[li]);
+        assert(state->literal_done[Slot(li)]);
       }
       if (!(*state->cb)(state->val)) state->aborted = true;
     }
-    UndoApplied(applied, &state->literal_done, &state->val);
+    state->UnwindApplied(mark);
     return !state->aborted;
   }
-  int var = enumerable_vars_[next_var];
+  const size_t var = Slot(enumerable_vars_[next_var]);
   for (Value v : *state->adom) {
     state->val[var] = v;
     // Prune eagerly: checks that became decidable may already fail.
-    std::vector<int> applied;
-    bool pass = ApplyPendingChecks(state, &applied);
+    const size_t mark = state->applied.size();
     bool cont = true;
-    if (pass) cont = EnumerateFree(state, next_var + 1);
-    UndoApplied(applied, &state->literal_done, &state->val);
+    if (ApplyPendingChecks(state)) cont = EnumerateFree(state, next_var + 1);
+    state->UnwindApplied(mark);
     state->val[var] = kUnboundValue;
     if (!cont) return false;
   }
   return true;
 }
 
-bool RuleMatcher::BodyHolds(const Valuation& val, const DbView& view) const {
+bool RuleMatcher::BodyHolds(const Valuation& val, const DbView& view,
+                            Tuple* probe) const {
   for (const Literal& lit : rule_->body) {
-    if (!CheckLiteral(lit, val, view)) return false;
+    if (!CheckLiteral(lit, val, view, probe)) return false;
   }
   return true;
 }
@@ -320,13 +330,16 @@ bool RuleMatcher::MatchForall(
   for (int v : enumerable_vars_) {
     if (!universal.count(v)) free_vars.push_back(v);
   }
-  Valuation val(rule_->num_vars, kUnboundValue);
+  Valuation val(Slot(rule_->num_vars), kUnboundValue);
+  Tuple probe;
 
   // Checks whether the body holds for every extension of the universal
   // variables over adom (vacuously true when adom is empty).
   std::function<bool(size_t)> all_extensions = [&](size_t i) -> bool {
-    if (i == rule_->universal_vars.size()) return BodyHolds(val, view);
-    int var = rule_->universal_vars[i];
+    if (i == rule_->universal_vars.size()) {
+      return BodyHolds(val, view, &probe);
+    }
+    const size_t var = Slot(rule_->universal_vars[i]);
     for (Value v : adom) {
       val[var] = v;
       bool holds = all_extensions(i + 1);
@@ -343,15 +356,25 @@ bool RuleMatcher::MatchForall(
       }
       return true;
     }
+    const size_t var = Slot(free_vars[i]);
     for (Value v : adom) {
-      val[free_vars[i]] = v;
+      val[var] = v;
       bool cont = enum_free(i + 1);
-      val[free_vars[i]] = kUnboundValue;
+      val[var] = kUnboundValue;
       if (!cont) return false;
     }
     return true;
   };
   return enum_free(0);
+}
+
+void RuleMatcher::Match(MatchState* state) const {
+  state->val.assign(Slot(rule_->num_vars), kUnboundValue);
+  state->literal_done.assign(rule_->body.size(), false);
+  state->positives_remaining = static_cast<int>(positive_literals_.size());
+  state->trail.reserve(Slot(rule_->num_vars));
+  state->applied.reserve(2 * check_literals_.size());
+  MatchPositives(state);
 }
 
 void RuleMatcher::ForEachMatch(
@@ -370,10 +393,7 @@ void RuleMatcher::ForEachMatch(
   state.delta_literal = delta_literal;
   state.delta = delta;
   state.cb = &cb;
-  state.val.assign(rule_->num_vars, kUnboundValue);
-  state.literal_done.assign(rule_->body.size(), false);
-  state.positives_remaining = static_cast<int>(positive_literals_.size());
-  MatchPositives(&state);
+  Match(&state);
 }
 
 void RuleMatcher::ForEachMatch(
@@ -391,10 +411,7 @@ void RuleMatcher::ForEachMatch(
   state.delta_tuples = delta_tuples;
   state.delta_count = delta_count;
   state.cb = &cb;
-  state.val.assign(rule_->num_vars, kUnboundValue);
-  state.literal_done.assign(rule_->body.size(), false);
-  state.positives_remaining = static_cast<int>(positive_literals_.size());
-  MatchPositives(&state);
+  Match(&state);
 }
 
 void RuleMatcher::ForEachMatch(
@@ -406,11 +423,7 @@ void RuleMatcher::ForEachMatch(
 Tuple InstantiateAtom(const Atom& atom, const Valuation& val) {
   Tuple t;
   t.reserve(atom.terms.size());
-  for (const Term& term : atom.terms) {
-    Value v = TermValue(term, val);
-    assert(v != kUnboundValue && "atom instantiated under partial valuation");
-    t.push_back(v);
-  }
+  InstantiateInto(atom, val, &t);
   return t;
 }
 

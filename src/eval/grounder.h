@@ -57,7 +57,10 @@ class RuleMatcher {
   /// Invokes `cb` once per satisfying valuation. If `delta_literal` >= 0,
   /// that body literal (which must be positive relational) is matched
   /// against `*delta` instead of the view — the semi-naive rewriting.
-  /// Matching stops early if `cb` returns false.
+  /// Matching stops early if `cb` returns false. Every mutable piece of
+  /// a match lives in the call, so threads may share a matcher and `cb`
+  /// may call ForEachMatch again; a call allocates O(1) times, never per
+  /// tried tuple.
   void ForEachMatch(const DbView& view, const std::vector<Value>& adom,
                     IndexManager* index, int delta_literal,
                     const Relation* delta,
@@ -81,14 +84,16 @@ class RuleMatcher {
  private:
   struct MatchState;
 
+  void Match(MatchState* state) const;
   bool MatchPositives(MatchState* state) const;
   bool EnumerateFree(MatchState* state, size_t next_var) const;
-  bool ApplyPendingChecks(MatchState* state, std::vector<int>* applied) const;
+  bool ApplyPendingChecks(MatchState* state) const;
   bool CheckLiteral(const Literal& lit, const Valuation& val,
-                    const DbView& view) const;
+                    const DbView& view, Tuple* probe) const;
   bool MatchForall(const DbView& view, const std::vector<Value>& adom,
                    const std::function<bool(const Valuation&)>& cb) const;
-  bool BodyHolds(const Valuation& val, const DbView& view) const;
+  bool BodyHolds(const Valuation& val, const DbView& view,
+                 Tuple* probe) const;
 
   const Rule* rule_;
   /// Indexes into rule_->body of positive relational literals.

@@ -263,13 +263,13 @@ void IncrementalView::MaintainCounting(
   // atom; a lost one is valid in the old state and uses a changed atom —
   // so delta passes over the changed predicates (flipping negated
   // literals positive to range over their changes) cover every
-  // candidate. std::set: the recount below runs in sorted order.
-  std::set<std::pair<PredId, Tuple>> candidates;
+  // candidate. Sorted and deduplicated below: the recount runs in order.
+  std::vector<std::pair<PredId, Tuple>> candidates;
   for (int ri : rule_idxs) {
     PreparedRule& pr = prepared_[static_cast<size_t>(ri)];
     const Atom& head = pr.rule->heads[0].atom;
     auto collect = [&](const Valuation& val) -> bool {
-      candidates.emplace(head.pred, InstantiateAtom(head, val));
+      candidates.emplace_back(head.pred, InstantiateAtom(head, val));
       return true;
     };
     for (size_t li = 0; li < pr.rule->body.size(); ++li) {
@@ -311,9 +311,12 @@ void IncrementalView::MaintainCounting(
   for (const DeltaMap* base_delta : {&base_added, &base_removed}) {
     for (const auto& [p, rel] : *base_delta) {
       if (!SameStratum(p, s)) continue;
-      for (const Tuple& t : rel) candidates.emplace(p, t);
+      for (const Tuple& t : rel) candidates.emplace_back(p, t);
     }
   }
+  std::sort(candidates.begin(), candidates.end());
+  candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                   candidates.end());
 
   // Exact recount of every candidate: the head-append variant with the
   // head atom bound to the candidate enumerates precisely the body
@@ -322,12 +325,11 @@ void IncrementalView::MaintainCounting(
   for (const auto& [p, t] : candidates) {
     ++stats_.recounted;
     int64_t count = 0;
-    Relation one(catalog_->ArityOf(p));
-    one.Insert(t);
+    const Tuple* one = &t;
     for (int ri : rule_idxs) {
       PreparedRule& pr = prepared_[static_cast<size_t>(ri)];
       if (pr.rule->heads[0].atom.pred != p) continue;
-      pr.head_matcher->ForEachMatch(new_view, kNoAdom, &index_, 0, &one,
+      pr.head_matcher->ForEachMatch(new_view, kNoAdom, &index_, 0, &one, 1,
                                     [&](const Valuation&) -> bool {
                                       ++count;
                                       return true;
@@ -419,9 +421,9 @@ void IncrementalView::MaintainDred(int s, const DbView& new_view,
     // Same-stratum consumption: derivations through an overdeleted fact
     // are themselves overdeleted, to fixpoint.
     for (size_t qi = 0; qi < over_queue.size(); ++qi) {
+      // A copy: the callbacks below may grow the queue.
       const std::pair<PredId, Tuple> item = over_queue[qi];
-      Relation one(catalog_->ArityOf(item.first));
-      one.Insert(item.second);
+      const Tuple* one = &item.second;
       for (int ri : rule_idxs) {
         PreparedRule& pr = prepared_[static_cast<size_t>(ri)];
         const Atom& head = pr.rule->heads[0].atom;
@@ -432,7 +434,7 @@ void IncrementalView::MaintainDred(int s, const DbView& new_view,
           }
           if (lit.atom.pred != item.first) continue;
           pr.matcher->ForEachMatch(
-              old_view, kNoAdom, old_index, static_cast<int>(li), &one,
+              old_view, kNoAdom, old_index, static_cast<int>(li), &one, 1,
               [&](const Valuation& val) -> bool {
                 overdelete(head.pred, InstantiateAtom(head, val));
                 return true;
@@ -476,13 +478,12 @@ void IncrementalView::MaintainDred(int s, const DbView& new_view,
         }
       }
       if (!derivable) {
-        Relation one(catalog_->ArityOf(p));
-        one.Insert(t);
+        const Tuple* one = &t;
         for (int ri : rule_idxs) {
           PreparedRule& pr = prepared_[static_cast<size_t>(ri)];
           if (pr.rule->heads[0].atom.pred != p) continue;
           pr.head_matcher->ForEachMatch(new_view, kNoAdom, &index_, 0, &one,
-                                        [&](const Valuation&) -> bool {
+                                        1, [&](const Valuation&) -> bool {
                                           derivable = true;
                                           return false;
                                         });

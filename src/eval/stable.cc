@@ -13,6 +13,19 @@
 
 namespace datalog {
 
+namespace {
+
+/// Folds one candidate's finalized sub-context stats into the search's:
+/// every scalar counter adds up, but the search's rounds are those of its
+/// well-founded bracket, not of the Gelfond–Lifschitz checks.
+void MergeCandidate(const EvalStats& candidate, EvalStats* search) {
+  const int rounds = search->rounds;
+  search->MergeFrom(candidate);
+  search->rounds = rounds;
+}
+
+}  // namespace
+
 Result<StableModelsResult> StableModels(const Program& program,
                                         const Instance& input,
                                         const EvalOptions& options,
@@ -66,20 +79,12 @@ Result<StableModelsResult> StableModels(const Program& program,
     // Fan the Gelfond–Lifschitz checks over the pool: candidates are
     // independent, so each worker evaluates its masks with a private
     // sub-context (forced single-threaded — no nested pools) and stages
-    // the verdict plus the scalar counters the sequential loop would have
-    // merged. The merge below walks masks in ascending order, so models,
-    // stats, and the stop-at-first-error behaviour are byte-identical to
-    // the sequential loop.
-    struct CandTally {
-      int64_t facts_derived = 0;
-      int64_t instantiations = 0;
-      int64_t index_hits = 0;
-      int64_t index_builds = 0;
-      int64_t index_rebuilds = 0;
-      int64_t index_appended = 0;
-    };
+    // the verdict plus the finalized stats. The merge below walks masks
+    // in ascending order and folds each candidate's stats exactly as the
+    // sequential loop does, so models, every counter, and the
+    // stop-at-first-error behaviour are byte-identical to it.
     std::vector<uint8_t> stable(combinations, 0);
-    std::vector<CandTally> tallies(combinations);
+    std::vector<EvalStats> cand_stats(combinations);
     std::mutex failures_mu;
     std::map<uint64_t, Status> failures;
     EvalOptions cand_options = ctx->options;
@@ -102,7 +107,7 @@ Result<StableModelsResult> StableModels(const Program& program,
                      {{"mask", static_cast<int64_t>(mask)}});
             Instance candidate = build_candidate(mask);
             EvalContext cand_ctx(cand_options);
-            // The tally merge below folds this sub-context into `ctx` —
+            // The merge below folds this sub-context into `ctx` —
             // publishing it separately would double-count every event.
             cand_ctx.publish_metrics = false;
             // Sub-evaluations share the run's absolute deadline rather
@@ -116,10 +121,7 @@ Result<StableModelsResult> StableModels(const Program& program,
               continue;
             }
             cand_ctx.Finalize();
-            const EvalStats& cs = cand_ctx.stats;
-            tallies[m] = CandTally{cs.facts_derived,  cs.instantiations,
-                                   cs.index_hits,     cs.index_builds,
-                                   cs.index_rebuilds, cs.index_appended};
+            cand_stats[m] = std::move(cand_ctx.stats);
             if (*reduct_lfp == candidate) stable[m] = 1;
           }
         },
@@ -134,13 +136,7 @@ Result<StableModelsResult> StableModels(const Program& program,
       ++out.candidates_checked;
       auto fit = failures.find(mask);
       if (fit != failures.end()) return fit->second;
-      const CandTally& t = tallies[mask];
-      ctx->stats.facts_derived += t.facts_derived;
-      ctx->stats.instantiations += t.instantiations;
-      ctx->stats.index_hits += t.index_hits;
-      ctx->stats.index_builds += t.index_builds;
-      ctx->stats.index_rebuilds += t.index_rebuilds;
-      ctx->stats.index_appended += t.index_appended;
+      MergeCandidate(cand_stats[mask], &ctx->stats);
       if (stable[mask]) out.models.push_back(build_candidate(mask));
     }
     return out;
@@ -168,9 +164,7 @@ Result<StableModelsResult> StableModels(const Program& program,
         NaiveLeastFixpoint(program, input, &candidate, &cand_ctx);
     if (!reduct_lfp.ok()) return reduct_lfp.status();
     cand_ctx.Finalize();
-    int saved_rounds = ctx->stats.rounds;
-    ctx->stats.MergeFrom(cand_ctx.stats);
-    ctx->stats.rounds = saved_rounds;
+    MergeCandidate(cand_ctx.stats, &ctx->stats);
     if (*reduct_lfp == candidate) {
       out.models.push_back(std::move(candidate));
     }

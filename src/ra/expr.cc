@@ -100,7 +100,7 @@ class ProductExpr final : public RaExpr {
     for (const Tuple& lt : l) {
       for (const Tuple& rt : r) {
         Tuple t = lt;
-        t.insert(t.end(), rt.begin(), rt.end());
+        for (Value v : rt) t.push_back(v);
         out.Insert(std::move(t));
       }
     }
@@ -142,7 +142,7 @@ class JoinExpr final : public RaExpr {
       if (it == index.end()) continue;
       for (const Tuple* rt : it->second) {
         Tuple t = lt;
-        t.insert(t.end(), rt->begin(), rt->end());
+        for (Value v : *rt) t.push_back(v);
         out.Insert(std::move(t));
       }
     }

@@ -204,8 +204,8 @@ char* PutRow(const Tuple& t, char* out) {
   return out;
 }
 
-/// True when the encoded row at `row` sorts before `t` in
-/// std::vector<Value> order (signed, lexicographic).
+/// True when the encoded row at `row` sorts before `t` in Tuple order
+/// (signed, lexicographic).
 bool RowLess(const char* row, const Tuple& t) {
   for (Value v : t) {
     const Value r = static_cast<Value>(GetU32(row));
@@ -215,7 +215,7 @@ bool RowLess(const char* row, const Tuple& t) {
   return false;
 }
 
-/// The rows of `rel` in std::vector<Value> order, by pointer.
+/// The rows of `rel` in Tuple order, by pointer.
 std::vector<const Tuple*> SortedRows(const Relation& rel) {
   std::vector<const Tuple*> rows;
   rows.reserve(rel.size());

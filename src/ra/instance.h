@@ -18,7 +18,8 @@ namespace datalog {
 
 /// One relation's slice of the snapshot format (Instance::
 /// SerializeSnapshot): `u32 pred | u32 arity | u32 count | rows`, rows in
-/// std::vector<Value> order, values as little-endian 32-bit words.
+/// Tuple order (signed, lexicographic), values as little-endian 32-bit
+/// words.
 /// Immutable once built, so published server snapshots share the chunk of
 /// every relation a commit did not touch (docs/server.md).
 using SnapshotChunk = std::shared_ptr<const std::string>;

@@ -216,5 +216,40 @@ TEST_F(GrounderTest, InstantiateAtomSubstitutes) {
   EXPECT_EQ(t, (Tuple{7, 8}));
 }
 
+// A match's scratch (bound-variable trail, applied checks, probe tuple)
+// lives in the call, not the matcher: a callback that re-enters
+// ForEachMatch on the same matcher sees exactly the flat run's matches,
+// and the outer match resumes undisturbed.
+TEST_F(GrounderTest, ReentrantMatcherCallbackSeesTheFlatMatches) {
+  Rule rule =
+      MustParseRule("h(X, Y) :- e(X, Z), e(Z, Y), W = Z, !e(X, Y), X != W.");
+  PredId e = catalog_.Find("e");
+  for (auto [a, b] : {std::pair{1, 2}, {2, 3}, {3, 4}, {1, 3}, {2, 4},
+                      {4, 1}, {3, 1}, {4, 4}}) {
+    db_.Insert(e, {a, b});
+  }
+  const std::vector<Valuation> flat = AllMatches(rule);
+  ASSERT_GE(flat.size(), 3u);
+
+  RuleMatcher matcher(&rule);
+  IndexManager cache;
+  DbView view{&db_, &db_};
+  std::vector<Value> adom = ActiveDomain(program_, db_);
+  std::vector<Valuation> outer;
+  matcher.ForEachMatch(view, adom, &cache, [&](const Valuation& val) {
+    const Valuation before = val;
+    std::vector<Valuation> inner;
+    matcher.ForEachMatch(view, adom, &cache, [&](const Valuation& v) {
+      inner.push_back(v);
+      return true;
+    });
+    EXPECT_EQ(inner, flat);
+    EXPECT_EQ(val, before);
+    outer.push_back(val);
+    return true;
+  });
+  EXPECT_EQ(outer, flat);
+}
+
 }  // namespace
 }  // namespace datalog

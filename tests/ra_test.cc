@@ -1,8 +1,9 @@
-// Unit tests for src/ra: Relation, Instance, Catalog, and the relational
-// algebra expression evaluator.
+// Unit tests for src/ra: Tuple, Relation, Instance, Catalog, and the
+// relational algebra expression evaluator.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -14,6 +15,7 @@
 #include "ra/expr.h"
 #include "ra/instance.h"
 #include "ra/relation.h"
+#include "ra/tuple.h"
 
 namespace datalog {
 namespace {
@@ -202,7 +204,7 @@ TEST(SnapshotChunkTest, RowsFollowValueOrder) {
   Instance db(&catalog);
   db.Insert(p, {2});
   db.Insert(p, {-1});
-  // Signed std::vector<Value> order puts -1 (0xffffffff) first.
+  // Signed lexicographic tuple order puts -1 (0xffffffff) first.
   const std::string chunk = Words({static_cast<uint32_t>(p), 1, 2,
                                    0xffffffffu, 2});
   EXPECT_EQ(db.SerializeSnapshot(), Words({0x31534455, 1}) + chunk);
@@ -357,6 +359,129 @@ TEST_F(RaExprTest, ComplementOfEdgesViaAdomDiff) {
   EXPECT_EQ(ct.size(), 6u);
   EXPECT_TRUE(ct.Contains({1, 1}));
   EXPECT_FALSE(ct.Contains({1, 2}));
+}
+
+// -- Tuple: up to Tuple::kInline values inline, a heap array beyond ----
+
+std::vector<Value> ValuesOf(const Tuple& t) {
+  return std::vector<Value>(t.begin(), t.end());
+}
+
+TEST(TupleTest, ValuesSurviveCopyMoveAndGrowthAtEveryArity) {
+  for (size_t n = 0; n <= 9; ++n) {
+    SCOPED_TRACE(n);
+    std::vector<Value> expect;
+    for (size_t i = 0; i < n; ++i) {
+      expect.push_back(static_cast<Value>(7 * i) - 3);
+    }
+    // One push_back at a time, across the inline capacity.
+    Tuple t;
+    for (Value v : expect) t.push_back(v);
+    ASSERT_EQ(t.size(), n);
+    EXPECT_EQ(t.empty(), n == 0);
+    EXPECT_EQ(ValuesOf(t), expect);
+    EXPECT_EQ(t, Tuple(expect.begin(), expect.end()));
+
+    Tuple copy(t);
+    EXPECT_EQ(ValuesOf(copy), expect);
+    Tuple assigned{99};
+    assigned = t;
+    EXPECT_EQ(ValuesOf(assigned), expect);
+    Tuple wide_assigned(9, Value{5});  // a heap-backed target
+    wide_assigned = t;
+    EXPECT_EQ(ValuesOf(wide_assigned), expect);
+    const Tuple& alias = assigned;
+    assigned = alias;
+    EXPECT_EQ(ValuesOf(assigned), expect);
+
+    Tuple moved(std::move(copy));
+    EXPECT_EQ(ValuesOf(moved), expect);
+    copy.push_back(11);  // a moved-from tuple is reusable
+    EXPECT_EQ(copy, (Tuple{11}));
+    Tuple move_assigned(6, Value{-8});
+    move_assigned = std::move(moved);
+    EXPECT_EQ(ValuesOf(move_assigned), expect);
+    Tuple& self = move_assigned;
+    move_assigned = std::move(self);
+    EXPECT_EQ(ValuesOf(move_assigned), expect);
+    Tuple small{1, 2};
+    small = std::move(move_assigned);
+    EXPECT_EQ(ValuesOf(small), expect);
+
+    // Growth keeps the prefix; clear keeps the buffer for reuse.
+    Tuple grown = t;
+    for (Value v = 0; v < 6; ++v) grown.push_back(v);
+    ASSERT_EQ(grown.size(), n + 6);
+    EXPECT_TRUE(std::equal(expect.begin(), expect.end(), grown.begin()));
+    EXPECT_EQ(grown[n + 5], 5);
+    grown.clear();
+    EXPECT_TRUE(grown.empty());
+    for (Value v : expect) grown.push_back(v);
+    EXPECT_EQ(grown, t);
+    EXPECT_EQ(Tuple(n), Tuple(n, Value{0}));
+  }
+}
+
+TEST(TupleTest, OrderAndEqualityAreLexicographic) {
+  Rng rng(15);
+  for (int i = 0; i < 1000; ++i) {
+    std::vector<Value> a(rng.Uniform(8));
+    std::vector<Value> b(rng.Uniform(8));
+    for (Value& v : a) v = rng.UniformInt(5) - 2;
+    for (Value& v : b) v = rng.UniformInt(5) - 2;
+    // Every other pair shares a prefix, so comparisons run deep.
+    if (i % 2 == 0) {
+      std::copy_n(a.begin(), std::min(a.size(), b.size()), b.begin());
+    }
+    const Tuple ta(a.begin(), a.end());
+    const Tuple tb(b.begin(), b.end());
+    SCOPED_TRACE(i);
+    EXPECT_EQ(ta < tb, std::lexicographical_compare(a.begin(), a.end(),
+                                                    b.begin(), b.end()));
+    EXPECT_EQ(tb < ta, std::lexicographical_compare(b.begin(), b.end(),
+                                                    a.begin(), a.end()));
+    EXPECT_EQ(ta == tb,
+              std::equal(a.begin(), a.end(), b.begin(), b.end()));
+  }
+}
+
+// Hash-set iteration orders, and with them every golden, follow these
+// values: FNV-1a over the values' 32-bit patterns.
+TEST(TupleTest, HashIsPinnedFnv1a) {
+  const TupleHash hash;
+  EXPECT_EQ(hash(Tuple{}), static_cast<size_t>(0x14650fb0739d0383ull));
+  EXPECT_EQ(hash(Tuple{1, 2}), static_cast<size_t>(0x9a65ab00c545d26cull));
+  EXPECT_EQ(hash(Tuple{-1, 7, 3, 9, 11}),
+            static_cast<size_t>(0x6a9a418b6bb5173aull));
+}
+
+TEST(TupleTest, HeapTuplesThroughRelationAndSnapshot) {
+  Catalog catalog;
+  const PredId p = *catalog.Declare("wide", 6);
+  Instance db(&catalog);
+  EXPECT_TRUE(db.Insert(p, {3, 1, 4, 1, 5, 9}));
+  EXPECT_TRUE(db.Insert(p, {2, 7, 1, 8, 2, 8}));
+  EXPECT_TRUE(db.Insert(p, {-1, 0, 0, 0, 0, 1}));
+  EXPECT_FALSE(db.Insert(p, {3, 1, 4, 1, 5, 9}));
+  EXPECT_TRUE(db.Erase(p, {2, 7, 1, 8, 2, 8}));
+  EXPECT_FALSE(db.Erase(p, {2, 7, 1, 8, 2, 8}));
+  EXPECT_TRUE(db.Insert(p, {3, 1, 4, 1, 5, 2}));
+  EXPECT_TRUE(db.Contains(p, {3, 1, 4, 1, 5, 2}));
+
+  const std::vector<Tuple> sorted = db.Rel(p).Sorted();
+  ASSERT_EQ(sorted.size(), 3u);
+  EXPECT_EQ(sorted[0], (Tuple{-1, 0, 0, 0, 0, 1}));
+  EXPECT_EQ(sorted[1], (Tuple{3, 1, 4, 1, 5, 2}));
+  EXPECT_EQ(sorted[2], (Tuple{3, 1, 4, 1, 5, 9}));
+
+  const std::string bytes = db.SerializeSnapshot();
+  EXPECT_EQ(bytes, Words({0x31534455, 1, static_cast<uint32_t>(p), 6, 3,
+                          0xffffffffu, 0, 0, 0, 0, 1,  //
+                          3, 1, 4, 1, 5, 2,            //
+                          3, 1, 4, 1, 5, 9}));
+  Instance restored(&catalog);
+  ASSERT_TRUE(restored.RestoreSnapshot(bytes).ok());
+  EXPECT_EQ(restored, db);
 }
 
 }  // namespace

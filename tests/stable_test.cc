@@ -3,7 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <tuple>
+#include <vector>
+
 #include "core/engine.h"
+#include "eval/context.h"
 #include "eval/stable.h"
 #include "workload/graphs.h"
 
@@ -147,6 +152,61 @@ TEST_F(StableTest, DisjointTwoCyclesMultiplyModels) {
   PredId win = engine_.catalog().Find("win");
   for (const Instance& m : r->models) {
     EXPECT_EQ(m.Rel(win).size(), 3u) << "one winner per 2-cycle";
+  }
+}
+
+/// Every scalar counter of `s`, in declaration order.
+std::vector<int64_t> Scalars(const EvalStats& s) {
+  return {s.rounds,
+          s.facts_derived,
+          s.instantiations,
+          s.index_hits,
+          s.index_builds,
+          s.index_rebuilds,
+          s.index_appended,
+          s.index_removed,
+          s.index_bitmap_hits,
+          s.index_bitmap_builds,
+          s.index_bitmap_rebuilds,
+          s.index_bitmap_appended,
+          s.index_bitmap_removed,
+          s.storage_builds,
+          s.storage_rebuilds,
+          s.storage_run_appends,
+          s.storage_rows_appended,
+          s.storage_rows_removed,
+          s.storage_compactions,
+          s.storage_hits};
+}
+
+// The pooled candidate fan-out folds each candidate's stats with the same
+// merge as the sequential loop, so no counter can be left out.
+TEST_F(StableTest, PooledMergesEveryScalarCounter) {
+  Program win = MustParse(kWin);
+  Instance game = engine_.NewInstance();
+  ASSERT_TRUE(engine_.AddFacts("moves(a, b). moves(b, a).", &game).ok());
+  Program choice = MustParse(
+      "p(X) :- node(X), !q(X).\n"
+      "q(X) :- node(X), !p(X).\n");
+  Instance nodes = engine_.NewInstance();
+  ASSERT_TRUE(engine_.AddFacts("node(a). node(b). node(c).", &nodes).ok());
+
+  for (auto [program, db, models] :
+       {std::tuple{&win, &game, size_t{2}},
+        std::tuple{&choice, &nodes, size_t{8}}}) {
+    std::vector<std::vector<int64_t>> by_threads;
+    for (int threads : {1, 4}) {
+      EvalOptions options = engine_.options();
+      options.num_threads = threads;
+      EvalContext ctx(options);
+      Result<StableModelsResult> r =
+          StableModels(*program, *db, options, 1 << 20, &ctx);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_EQ(r->models.size(), models);
+      by_threads.push_back(Scalars(ctx.stats));
+    }
+    EXPECT_GT(by_threads[0][2], 0);  // instantiations
+    EXPECT_EQ(by_threads[0], by_threads[1]);
   }
 }
 

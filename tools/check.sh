@@ -241,9 +241,11 @@ if [[ "${tsan}" -eq 1 ]]; then
   # MVCC snapshot pin/unpin reclamation, and the wire/session parsers;
   # Wal/Snapshotter/Recover/Durab covers the durability layer
   # (docs/durability.md) — the writer-thread WAL appends and compaction
-  # against concurrent readers, and the restart/recovery paths.
+  # against concurrent readers, and the restart/recovery paths;
+  # Tuple|Matcher covers the inline-storage Tuple and the rule matcher's
+  # per-call scratch, which pooled stages share matchers through.
   run_suite "${repo}/build-tsan" \
-    "--tests-regex=Parallel|Datalog|Stratified|WellFounded|Inflationary|NonInflationary|Stable|Engine|SemiNaive|Naive|RandomProgram|Trace|Obs|Metrics|Tracer|Peer|Dist|Deadline|Cancel|Fault|Snapshot|Columnar|Storage|ColumnStore|Bitmap|RowSet|RelationStaging|Incremental|Retract|Dred|Counting|Server|Session|Epoch|Reclaim|Wal|Snapshotter|Recover|Durab" \
+    "--tests-regex=Tuple|Matcher|Parallel|Datalog|Stratified|WellFounded|Inflationary|NonInflationary|Stable|Engine|SemiNaive|Naive|RandomProgram|Trace|Obs|Metrics|Tracer|Peer|Dist|Deadline|Cancel|Fault|Snapshot|Columnar|Storage|ColumnStore|Bitmap|RowSet|RelationStaging|Incremental|Retract|Dred|Counting|Server|Session|Epoch|Reclaim|Wal|Snapshotter|Recover|Durab" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DUNCHAINED_TSAN=ON
 fi
 
