@@ -16,18 +16,21 @@
 // After every scenario the maintained model is checked byte-identical
 // (serialized snapshots) to the recomputed one; any divergence fails the
 // binary. The single-fact rows also enforce the acceptance bar of
-// docs/incremental.md: maintenance must be >= 10x faster than
-// from-scratch at n >= 256.
+// docs/incremental.md at n >= 256: a maintained batch may find at most
+// 1/10 of the rule-body matches (instantiations) the recomputation finds.
+// The bar counts work, not time, so the host cannot decide it; the
+// timings and their speedup are printed beside it, ungated.
 //
 // Usage: incremental_updates [--json=<path>] [--storage=hash,columnar]
 //                            [--chain=N]
 //
 // --chain overrides the chain length (default 512) so smoke lanes can run
-// a cheap configuration; the >= 10x acceptance bar only applies at
-// n >= 256 (the criterion's stated floor — shorter chains don't amortize
-// the per-batch overhead and the bar would be noise).
+// a cheap configuration; the acceptance bar only applies at n >= 256 (the
+// criterion's stated floor — on shorter chains the recomputation is too
+// small for the ratio to mean much).
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -50,7 +53,7 @@ using datalog::Instance;
 
 constexpr int kDefaultChain = 512;
 constexpr int kBarMinChain = 256;  // the acceptance criterion's floor
-constexpr double kSpeedupBar = 10.0;
+constexpr int64_t kWorkBar = 10;   // scratch / maintained instantiations
 
 /// Scans argv for `--chain=N`; returns the default when absent.
 int ChainFromArgs(int argc, char** argv) {
@@ -76,6 +79,10 @@ struct Scenario {
   std::string name;       // e.g. "insert/hash/batch=1"
   double maintain_ms = 0;
   double scratch_ms = 0;
+  /// Instantiations of one maintained batch (IncrementalView::Stats) and
+  /// of one recomputation (EvalStats); deterministic, so every rep agrees.
+  int64_t maintain_inst = 0;
+  int64_t scratch_inst = 0;
   bool agree = false;
   bool single_fact = false;
   datalog::EvalStats scratch_stats;
@@ -135,6 +142,7 @@ bool RunBatch(datalog::storage::StorageBackend backend, int chain,
   std::vector<double> ins_ms, ret_ms, ins_scratch_ms, ret_scratch_ms;
   for (int rep = -1; rep < kReps; ++rep) {
     for (bool insert : {true, false}) {
+      const int64_t inst_before = (*view)->stats().instantiations;
       datalog::bench::Timer t1;
       const datalog::Status st =
           (*view)->ApplyBatch(insert ? inserts : retracts);
@@ -153,6 +161,8 @@ bool RunBatch(datalog::storage::StorageBackend backend, int chain,
       if (!scratch.ok()) return false;
       Scenario& s = insert ? ins : ret;
       s.scratch_stats = engine.LastRunStats();
+      s.maintain_inst = (*view)->stats().instantiations - inst_before;
+      s.scratch_inst = s.scratch_stats.instantiations;
       s.agree = s.agree && (*view)->model().SerializeSnapshot() ==
                                scratch->SerializeSnapshot();
       (insert ? ins_ms : ret_ms).push_back(maintain);
@@ -191,22 +201,31 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("  %-26s %12s %12s %8s %6s\n", "scenario", "maintain(ms)",
+  std::printf("  %-26s %11s %13s %8s %12s %12s %8s %6s\n", "scenario",
+              "maint(inst)", "scratch(inst)", "work", "maintain(ms)",
               "scratch(ms)", "speedup", "agree");
   datalog::bench::Rule();
   bool all_agree = true;
   bool bar_met = true;
   for (const Scenario& s : scenarios) {
+    const double work = s.maintain_inst > 0
+                            ? static_cast<double>(s.scratch_inst) /
+                                  static_cast<double>(s.maintain_inst)
+                            : 0.0;
     const double speedup =
         s.maintain_ms > 0 ? s.scratch_ms / s.maintain_ms : 0.0;
-    std::printf("  %-26s %12.3f %12.2f %7.1fx %6s\n", s.name.c_str(),
-                s.maintain_ms, s.scratch_ms, speedup,
-                s.agree ? "yes" : "NO");
+    std::printf("  %-26s %11lld %13lld %7.1fx %12.3f %12.2f %7.1fx %6s\n",
+                s.name.c_str(), static_cast<long long>(s.maintain_inst),
+                static_cast<long long>(s.scratch_inst), work, s.maintain_ms,
+                s.scratch_ms, speedup, s.agree ? "yes" : "NO");
     all_agree = all_agree && s.agree;
-    if (s.single_fact && chain >= kBarMinChain && speedup < kSpeedupBar) {
+    if (s.single_fact && chain >= kBarMinChain &&
+        s.maintain_inst * kWorkBar > s.scratch_inst) {
       bar_met = false;
     }
-    json.Row("maintain/" + s.name, s.maintain_ms, datalog::EvalStats());
+    datalog::EvalStats maintained;
+    maintained.instantiations = s.maintain_inst;
+    json.Row("maintain/" + s.name, s.maintain_ms, maintained);
     json.Row("scratch/" + s.name, s.scratch_ms, s.scratch_stats);
   }
 
@@ -216,9 +235,9 @@ int main(int argc, char** argv) {
       all_agree ? "yes" : "NO");
   if (chain >= kBarMinChain) {
     std::printf(
-        "Acceptance (docs/incremental.md): single-fact maintenance >= "
-        "%.0fx faster than from-scratch at n=%d: %s\n",
-        kSpeedupBar, chain, bar_met ? "yes" : "NO");
+        "Acceptance (docs/incremental.md): single-fact maintenance finds "
+        "<= 1/%lld of from-scratch's instantiations at n=%d: %s\n",
+        static_cast<long long>(kWorkBar), chain, bar_met ? "yes" : "NO");
   } else {
     std::printf("Acceptance bar skipped: n=%d below the n>=%d floor\n",
                 chain, kBarMinChain);

@@ -10,11 +10,6 @@
 // — rounds, facts, instantiations, index-maintenance counters, and
 // per-rule match/production counts — as a JSON array.
 //
-// Pass `--threads=N[,N...]` to run on the evaluation worker pool: the
-// timed google-benchmark loops use the first count, and the instrumented
-// JSON pass sweeps the whole list (row names gain a "/tN" suffix and rows
-// gain "threads" + "per_worker" fields). 0 means auto-size the pool.
-//
 // Pass `--storage=hash|columnar[,...]` to pick the semi-naive data plane
 // (docs/storage.md): the timed loops use the first backend, the JSON pass
 // sweeps the list (non-default backends suffix row names with
@@ -36,18 +31,13 @@ using datalog::Engine;
 using datalog::GraphBuilder;
 using datalog::Instance;
 
-// Thread counts from --threads=, empty when the flag is absent (engines
-// then keep the EvalOptions default and JSON rows stay in the old shape).
-std::vector<int> g_threads;
-
 // Storage backends from --storage=, empty when absent (EvalOptions
 // default, i.e. hash).
 std::vector<datalog::storage::StorageBackend> g_storage;
 
-// The timed loops run at one setting — the first of each sweep — so the
+// The timed loops run on one backend — the first of the sweep — so the
 // reported ms stay comparable across --benchmark_filter invocations.
-void ApplyThreads(Engine* engine) {
-  if (!g_threads.empty()) engine->options().num_threads = g_threads.front();
+void ApplyStorage(Engine* engine) {
   if (!g_storage.empty()) engine->options().storage = g_storage.front();
 }
 
@@ -58,7 +48,7 @@ constexpr const char* kTc =
 void BM_NaiveTcChain(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Engine engine;
-  ApplyThreads(&engine);
+  ApplyStorage(&engine);
   auto p = engine.Parse(kTc);
   GraphBuilder graphs(&engine.catalog(), &engine.symbols());
   Instance db = graphs.Chain(n);
@@ -73,7 +63,7 @@ BENCHMARK(BM_NaiveTcChain)->Arg(16)->Arg(32)->Arg(64)->Arg(128)->Complexity();
 void BM_SemiNaiveTcChain(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Engine engine;
-  ApplyThreads(&engine);
+  ApplyStorage(&engine);
   auto p = engine.Parse(kTc);
   GraphBuilder graphs(&engine.catalog(), &engine.symbols());
   Instance db = graphs.Chain(n);
@@ -94,7 +84,7 @@ BENCHMARK(BM_SemiNaiveTcChain)
 void BM_SemiNaiveTcRandom(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Engine engine;
-  ApplyThreads(&engine);
+  ApplyStorage(&engine);
   auto p = engine.Parse(kTc);
   GraphBuilder graphs(&engine.catalog(), &engine.symbols());
   Instance db = graphs.RandomDigraph(n, 3 * n, /*seed=*/42);
@@ -108,7 +98,7 @@ BENCHMARK(BM_SemiNaiveTcRandom)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
 void BM_StratifiedComplementTc(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Engine engine;
-  ApplyThreads(&engine);
+  ApplyStorage(&engine);
   auto p = engine.Parse(
       "t(X, Y) :- g(X, Y).\n"
       "t(X, Y) :- g(X, Z), t(Z, Y).\n"
@@ -125,7 +115,7 @@ BENCHMARK(BM_StratifiedComplementTc)->Arg(16)->Arg(32)->Arg(64);
 void BM_WellFoundedWin(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Engine engine;
-  ApplyThreads(&engine);
+  ApplyStorage(&engine);
   auto p = engine.Parse("win(X) :- moves(X, Y), !win(Y).\n");
   Instance db = datalog::RandomGameGraph(&engine.catalog(),
                                          &engine.symbols(), n, 2 * n,
@@ -140,7 +130,7 @@ BENCHMARK(BM_WellFoundedWin)->Arg(16)->Arg(32)->Arg(64)->Arg(128);
 void BM_InflationaryCloser(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Engine engine;
-  ApplyThreads(&engine);
+  ApplyStorage(&engine);
   auto p = engine.Parse(
       "t(X, Y) :- g(X, Y).\n"
       "t(X, Y) :- t(X, Z), g(Z, Y).\n"
@@ -157,7 +147,7 @@ BENCHMARK(BM_InflationaryCloser)->Arg(8)->Arg(12)->Arg(16);
 void BM_NondetOrientationRun(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   Engine engine;
-  ApplyThreads(&engine);
+  ApplyStorage(&engine);
   auto p = engine.Parse("!g(X, Y) :- g(X, Y), g(Y, X).\n");
   GraphBuilder graphs(&engine.catalog(), &engine.symbols());
   Instance db = graphs.TwoCycles(k);
@@ -170,8 +160,8 @@ void BM_NondetOrientationRun(benchmark::State& state) {
 }
 BENCHMARK(BM_NondetOrientationRun)->Arg(4)->Arg(8)->Arg(16);
 
-// One instrumented repetition per workload (per thread count when
-// --threads is given): wall-clock through bench::Timer, counters through
+// One instrumented repetition per workload (per backend when --storage
+// is given): wall-clock through bench::Timer, counters through
 // Engine::LastRunStats(). Kept separate from the google-benchmark loops
 // so the stats pass never perturbs the timed iterations. `body` sets up
 // and runs one evaluation on the given engine, returning its wall-clock
@@ -191,23 +181,10 @@ void SweepRow(datalog::bench::JsonEmitter* json, const std::string& name,
     if (backend != datalog::storage::StorageBackend::kHash) {
       base += std::string("/") + datalog::storage::StorageBackendName(backend);
     }
-    if (g_threads.empty()) {
-      Engine engine;
-      engine.options().storage = backend;
-      double ms = body(&engine);
-      if (ms >= 0) json->Row(base, ms, engine.LastRunStats());
-      continue;
-    }
-    for (int th : g_threads) {
-      Engine engine;
-      engine.options().num_threads = th;
-      engine.options().storage = backend;
-      double ms = body(&engine);
-      if (ms >= 0) {
-        json->Row(base + "/t" + std::to_string(th), ms,
-                  engine.LastRunStats(), th);
-      }
-    }
+    Engine engine;
+    engine.options().storage = backend;
+    double ms = body(&engine);
+    if (ms >= 0) json->Row(base, ms, engine.LastRunStats());
   }
 }
 
@@ -293,10 +270,9 @@ void EmitStatsJson(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Extract --json=<path>, --threads=..., --trace=<path> and --metrics
+  // Extract --json=<path>, --storage=..., --trace=<path> and --metrics
   // before google-benchmark sees the arguments (it rejects flags it
   // doesn't recognize).
-  g_threads = datalog::bench::ThreadsFromArgs(argc, argv);
   g_storage = datalog::bench::StorageFromArgs(argc, argv);
   datalog::bench::ObsArgs observability(argc, argv);
   std::string json_path;
@@ -306,8 +282,7 @@ int main(int argc, char** argv) {
     std::string arg = argv[i];
     if (arg.rfind("--json=", 0) == 0) {
       json_path = arg.substr(7);
-    } else if (arg.rfind("--threads=", 0) != 0 &&
-               arg.rfind("--storage=", 0) != 0 &&
+    } else if (arg.rfind("--storage=", 0) != 0 &&
                arg.rfind("--trace=", 0) != 0 && arg != "--metrics") {
       passthrough.push_back(argv[i]);
     }

@@ -104,13 +104,12 @@ Result<ActiveResult> RunActiveRules(const Program& program, Catalog* catalog,
                        "active rules exceeded stage budget",
                        "active rules exceeded fact budget"};
   Status status = RunStages(&ctx, loop, state, [&]() -> Result<bool> {
-    // Parallel firing against the frozen state, inline. The state is
-    // replaced each round, so the caches rebuild via the epoch check.
+    // Parallel firing against the frozen state. The state is replaced
+    // each round, so the caches rebuild via the epoch check.
     Instance inserts(catalog);
     Instance deletes(catalog);
-    DATALOG_RETURN_IF_ERROR(FireStage(
+    FireStage(
         program, matchers, units, DbView{&state, &state}, &ctx,
-        /*pool=*/nullptr,
         [&](const MatchUnit& unit, const Valuation& val, Firing* out) {
           for (const Literal& head : matchers[unit.matcher].rule().heads) {
             out->Fire(head.atom.pred, InstantiateAtom(head.atom, val),
@@ -118,7 +117,7 @@ Result<ActiveResult> RunActiveRules(const Program& program, Catalog* catalog,
           }
           return false;
         },
-        &inserts, &deletes));
+        &inserts, &deletes);
 
     // Apply with positive priority; the effective changes are the next
     // stage's deltas.

@@ -13,8 +13,8 @@
 namespace datalog {
 
 /// A fixed pool of worker threads with a chunked, work-stealing
-/// ParallelFor — the execution substrate of the parallel evaluation
-/// rounds (docs/execution.md, "Parallel execution model").
+/// ParallelFor — the execution substrate of the stable-model candidate
+/// fan-out (docs/execution.md, "Stable-model fan-out").
 ///
 /// The iteration space [0, n) is cut into chunks of `chunk_size` items;
 /// each worker starts with a contiguous span of chunk ids and pops from

@@ -14,11 +14,11 @@ class DerivationLog;
 
 /// Cooperative cancellation flag shared between an evaluation and the
 /// caller that may abort it (another thread, a signal handler, a driving
-/// event loop). Engines poll it at every round boundary and inside
-/// ThreadPool chunk boundaries; once set, the evaluation returns
-/// kCancelled with finalized stats at the next check point. Tokens are
-/// sticky: there is deliberately no Reset — use a fresh token per run so
-/// a late cancel can never leak into the next evaluation.
+/// event loop). Engines poll it at every round boundary, and the
+/// stable-model search at every candidate chunk; once set, the evaluation
+/// returns kCancelled with finalized stats at the next check point. Tokens
+/// are sticky: there is deliberately no Reset — use a fresh token per run
+/// so a late cancel can never leak into the next evaluation.
 class CancelToken {
  public:
   CancelToken() = default;
@@ -103,9 +103,10 @@ struct EvalStats {
     int64_t steals = 0;
   };
   /// Per-worker activity (index 0 = the evaluating thread), filled by
-  /// EvalContext::Finalize when the run used a worker pool; empty for
-  /// sequential runs. Unlike every counter above, this is scheduling
-  /// telemetry and is NOT deterministic across runs or thread counts.
+  /// EvalContext::Finalize when the run created a worker pool — only a
+  /// stable-model search does; empty otherwise. Unlike every counter
+  /// above, this is scheduling telemetry and is NOT deterministic across
+  /// runs or thread counts.
   std::vector<WorkerActivity> per_worker;
 
   // -- Timing ----------------------------------------------------------
@@ -163,14 +164,12 @@ struct EvalStats {
 /// always terminate, so their default budgets are effectively unlimited;
 /// Datalog¬¬ and Datalog¬new can diverge and rely on these.
 struct EvalOptions {
-  /// Worker threads for data-parallel rule matching: 0 = one per hardware
-  /// thread, 1 = the exact sequential code path, N > 1 = a pool of N
-  /// workers (the calling thread plus N-1 spawned ones). Results and all
-  /// deterministic EvalStats counters are byte-identical at every
-  /// setting — parallel rounds stage per-chunk and merge in the
-  /// sequential order (see docs/execution.md). Engines that record
-  /// provenance fall back to the sequential path while a DerivationLog
-  /// is attached.
+  /// Worker threads for the stable-model search's candidate fan-out
+  /// (StableModels): 0 = one per hardware thread, 1 = candidates checked
+  /// inline, N > 1 = a pool of N workers (the calling thread plus N-1
+  /// spawned ones). Every other engine fires its stages inline at any
+  /// setting. Results and all deterministic EvalStats counters are
+  /// byte-identical at every setting (see docs/execution.md).
   int num_threads = 0;
   /// Maximum number of stages/rounds before giving up (kBudgetExhausted).
   int64_t max_rounds = 1'000'000;
@@ -179,9 +178,9 @@ struct EvalOptions {
   /// Datalog¬new: maximum invented values (kBudgetExhausted beyond).
   int64_t max_invented = 1'000'000;
   /// Wall-clock deadline for the whole evaluation in milliseconds;
-  /// <= 0 disables. Checked cooperatively at every round boundary and
-  /// inside ThreadPool chunk boundaries, so overshoot is bounded by one
-  /// chunk. An expired deadline returns kBudgetExhausted with finalized
+  /// <= 0 disables. Checked cooperatively at every round boundary (and
+  /// every stable-model candidate chunk), so overshoot is bounded by one
+  /// round. An expired deadline returns kBudgetExhausted with finalized
   /// stats, exactly like the round budget. Note the check makes the
   /// *abort point* wall-clock dependent: results of deadline-exceeded
   /// runs are partial and not reproducible (use max_rounds for

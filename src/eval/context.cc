@@ -106,6 +106,34 @@ void EvalContext::PublishMetrics() {
   }
 }
 
+void EvalContext::Finalize() {
+  stats.total_ms = ElapsedMs(start_);
+  const IndexManager::Counters& c = index.counters();
+  const IndexManager::Counters& fc = folded_index_;
+  stats.index_hits += c.hits - fc.hits;
+  stats.index_builds += c.builds - fc.builds;
+  stats.index_rebuilds += c.rebuilds - fc.rebuilds;
+  stats.index_appended += c.appended - fc.appended;
+  stats.index_removed += c.removed - fc.removed;
+  stats.index_bitmap_hits += c.bitmap_hits - fc.bitmap_hits;
+  stats.index_bitmap_builds += c.bitmap_builds - fc.bitmap_builds;
+  stats.index_bitmap_rebuilds += c.bitmap_rebuilds - fc.bitmap_rebuilds;
+  stats.index_bitmap_appended += c.bitmap_appended - fc.bitmap_appended;
+  stats.index_bitmap_removed += c.bitmap_removed - fc.bitmap_removed;
+  folded_index_ = c;
+  const storage::ColumnStore::Counters& s = column_store.counters();
+  const storage::ColumnStore::Counters& fs = folded_storage_;
+  stats.storage_builds += s.builds - fs.builds;
+  stats.storage_rebuilds += s.rebuilds - fs.rebuilds;
+  stats.storage_run_appends += s.run_appends - fs.run_appends;
+  stats.storage_rows_appended += s.rows_appended - fs.rows_appended;
+  stats.storage_rows_removed += s.rows_removed - fs.rows_removed;
+  stats.storage_compactions += s.compactions - fs.compactions;
+  stats.storage_hits += s.hits - fs.hits;
+  folded_storage_ = s;
+  FoldWorkerStats();
+}
+
 ThreadPool* EvalContext::pool() {
   if (!pool_checked_) {
     pool_checked_ = true;

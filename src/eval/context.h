@@ -55,9 +55,8 @@ class AdomCache {
 /// Shared per-evaluation state threaded through every engine in the
 /// family: budgets, stats, the persistent index manager, the incremental
 /// active-domain cache, provenance, and wall-clock timers. One EvalContext
-/// corresponds to one evaluation (and is the intended unit of per-worker
-/// state for future parallel evaluation); the Engine facade constructs one
-/// per entry-point call and surfaces its stats via Engine::LastRunStats().
+/// corresponds to one evaluation; the Engine facade constructs one per
+/// entry-point call and surfaces its stats via Engine::LastRunStats().
 class EvalContext {
  public:
   EvalContext();
@@ -78,12 +77,12 @@ class EvalContext {
   /// options.provenance; kept as a member so engines no longer thread a
   /// third parameter around).
   DerivationLog* provenance = nullptr;
-  /// When set, the sequential semi-naive sinks invoke this for every
-  /// fact the moment it is first derived (rule index, head predicate,
-  /// instantiated head tuple) — the seeding hook IncrementalView uses to
-  /// collect per-fact derivation counts during the initial evaluation.
-  /// Only honored on the sequential generic path (attach provenance to
-  /// force it); parallel and columnar paths ignore it.
+  /// When set, the semi-naive sinks invoke this for every fact the moment
+  /// it is first derived (rule index, head predicate, instantiated head
+  /// tuple) — the seeding hook IncrementalView uses to collect per-fact
+  /// derivation counts during the initial evaluation. Only honored on the
+  /// generic path (attach provenance to force it); the columnar delta
+  /// rounds ignore it.
   std::function<void(size_t, PredId, const Tuple&)> on_derivation;
   /// Whether this context publishes its final stats to the global
   /// obs::MetricsRegistry on destruction (when metrics collection is
@@ -99,11 +98,10 @@ class EvalContext {
     return adom_cache.Get(program, instance);
   }
 
-  /// The worker pool for data-parallel rule matching, created on first
-  /// call from options.num_threads (0 = hardware concurrency). Returns
-  /// nullptr when the evaluation is single-threaded — engines then take
-  /// the exact sequential code path. The pool lives as long as the
-  /// context, so strata/rounds reuse the same workers.
+  /// The worker pool for the stable-model candidate fan-out, created on
+  /// first call from options.num_threads (0 = hardware concurrency).
+  /// Returns nullptr when that resolves to one thread — the search then
+  /// checks its candidates inline. The pool lives as long as the context.
   ThreadPool* pool();
 
   /// Cooperative interruption gate, polled by every engine at its round
@@ -153,57 +151,14 @@ class EvalContext {
     }
   }
 
-  /// Folds the index counters, the worker-pool activity and the total
-  /// wall-clock into `stats`. Engines call it on their success path; the
-  /// Engine facade also calls it defensively before copying stats out,
-  /// and the destructor before publishing metrics. Idempotent: only the
-  /// not-yet-folded portion of the index counters is added, so counters
-  /// merged in from sub-evaluations (stable-model candidates) survive a
-  /// repeat call.
-  void Finalize() {
-    stats.total_ms = ElapsedMs(start_);
-    const IndexManager::Counters& c = index.counters();
-    stats.index_hits += c.hits - folded_index_hits_;
-    stats.index_builds += c.builds - folded_index_builds_;
-    stats.index_rebuilds += c.rebuilds - folded_index_rebuilds_;
-    stats.index_appended += c.appended - folded_index_appended_;
-    stats.index_removed += c.removed - folded_index_removed_;
-    folded_index_hits_ = c.hits;
-    folded_index_builds_ = c.builds;
-    folded_index_rebuilds_ = c.rebuilds;
-    folded_index_appended_ = c.appended;
-    folded_index_removed_ = c.removed;
-    stats.index_bitmap_hits += c.bitmap_hits - folded_bitmap_hits_;
-    stats.index_bitmap_builds += c.bitmap_builds - folded_bitmap_builds_;
-    stats.index_bitmap_rebuilds +=
-        c.bitmap_rebuilds - folded_bitmap_rebuilds_;
-    stats.index_bitmap_appended +=
-        c.bitmap_appended - folded_bitmap_appended_;
-    stats.index_bitmap_removed += c.bitmap_removed - folded_bitmap_removed_;
-    folded_bitmap_hits_ = c.bitmap_hits;
-    folded_bitmap_builds_ = c.bitmap_builds;
-    folded_bitmap_rebuilds_ = c.bitmap_rebuilds;
-    folded_bitmap_appended_ = c.bitmap_appended;
-    folded_bitmap_removed_ = c.bitmap_removed;
-    const storage::ColumnStore::Counters& s = column_store.counters();
-    stats.storage_builds += s.builds - folded_storage_builds_;
-    stats.storage_rebuilds += s.rebuilds - folded_storage_rebuilds_;
-    stats.storage_run_appends += s.run_appends - folded_storage_run_appends_;
-    stats.storage_rows_appended +=
-        s.rows_appended - folded_storage_rows_appended_;
-    stats.storage_rows_removed +=
-        s.rows_removed - folded_storage_rows_removed_;
-    stats.storage_compactions += s.compactions - folded_storage_compactions_;
-    stats.storage_hits += s.hits - folded_storage_hits_;
-    folded_storage_builds_ = s.builds;
-    folded_storage_rebuilds_ = s.rebuilds;
-    folded_storage_run_appends_ = s.run_appends;
-    folded_storage_rows_appended_ = s.rows_appended;
-    folded_storage_rows_removed_ = s.rows_removed;
-    folded_storage_compactions_ = s.compactions;
-    folded_storage_hits_ = s.hits;
-    FoldWorkerStats();
-  }
+  /// Folds the index and column-store counters, the worker-pool activity
+  /// and the total wall-clock into `stats`. Engines call it on their
+  /// success path; the Engine facade also calls it defensively before
+  /// copying stats out, and the destructor before publishing metrics.
+  /// Idempotent: only the counter growth since the last call is added, so
+  /// counters merged in from sub-evaluations (stable-model candidates)
+  /// survive a repeat call.
+  void Finalize();
 
  private:
   using Clock = std::chrono::steady_clock;
@@ -226,25 +181,9 @@ class EvalContext {
   bool has_deadline_ = false;
   std::unique_ptr<ThreadPool> pool_;
   bool pool_checked_ = false;
-  /// Index-counter values already folded into `stats` by Finalize.
-  int64_t folded_index_hits_ = 0;
-  int64_t folded_index_builds_ = 0;
-  int64_t folded_index_rebuilds_ = 0;
-  int64_t folded_index_appended_ = 0;
-  int64_t folded_index_removed_ = 0;
-  int64_t folded_bitmap_hits_ = 0;
-  int64_t folded_bitmap_builds_ = 0;
-  int64_t folded_bitmap_rebuilds_ = 0;
-  int64_t folded_bitmap_appended_ = 0;
-  int64_t folded_bitmap_removed_ = 0;
-  /// Column-store counter values already folded into `stats`.
-  int64_t folded_storage_builds_ = 0;
-  int64_t folded_storage_rebuilds_ = 0;
-  int64_t folded_storage_run_appends_ = 0;
-  int64_t folded_storage_rows_appended_ = 0;
-  int64_t folded_storage_rows_removed_ = 0;
-  int64_t folded_storage_compactions_ = 0;
-  int64_t folded_storage_hits_ = 0;
+  /// Counter values already folded into `stats` by Finalize.
+  IndexManager::Counters folded_index_;
+  storage::ColumnStore::Counters folded_storage_;
 };
 
 }  // namespace datalog

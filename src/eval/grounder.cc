@@ -51,7 +51,7 @@ struct RuleMatcher::MatchState {
   int delta_literal;
   const Relation* delta;
   /// When non-null, the delta literal iterates this tuple span instead of
-  /// `*delta` — one chunk of a round's delta in a parallel fan-out.
+  /// `*delta`.
   const Tuple* const* delta_tuples = nullptr;
   size_t delta_count = 0;
   const std::function<bool(const Valuation&)>* cb;

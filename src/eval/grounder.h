@@ -66,11 +66,9 @@ class RuleMatcher {
                     const Relation* delta,
                     const std::function<bool(const Valuation&)>& cb) const;
 
-  /// Chunked semi-naive entry: like the Relation* overload, but the delta
-  /// literal ranges over the `delta_count` tuples at `delta_tuples` — one
-  /// contiguous chunk of a round's delta, the unit of parallel matching.
-  /// Concatenating the chunks of a delta in order enumerates exactly the
-  /// matches of the whole-delta overload, in the same order.
+  /// Pointer-list semi-naive entry: like the Relation* overload, but the
+  /// delta literal ranges over the `delta_count` tuples at `delta_tuples`
+  /// (a round's delta flattened once, or a single bound tuple).
   void ForEachMatch(const DbView& view, const std::vector<Value>& adom,
                     IndexManager* index, int delta_literal,
                     const Tuple* const* delta_tuples, size_t delta_count,

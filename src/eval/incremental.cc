@@ -122,12 +122,10 @@ void IncrementalView::PrepareRules() {
 Status IncrementalView::InitialEvaluate(const EvalOptions& options) {
   OBS_SPAN("incremental.initial");
   EvalOptions opts = options;
-  // The maintenance algorithms are sequential and index-driven; pinning
-  // the initial run to the sequential hash path (provenance attached
-  // forces the generic sinks that honor on_derivation) makes the view's
-  // state — model, counts, provenance, stats — byte-identical across
-  // thread counts and storage backends.
-  opts.num_threads = 1;
+  // The maintenance algorithms are index-driven; pinning the initial run
+  // to the hash path (provenance attached forces the generic sinks that
+  // honor on_derivation) makes the view's state — model, counts,
+  // provenance, stats — byte-identical across storage backends.
   opts.storage = storage::StorageBackend::kHash;
   opts.provenance = &provenance_;
   EvalContext ctx(opts);
@@ -269,6 +267,7 @@ void IncrementalView::MaintainCounting(
     PreparedRule& pr = prepared_[static_cast<size_t>(ri)];
     const Atom& head = pr.rule->heads[0].atom;
     auto collect = [&](const Valuation& val) -> bool {
+      ++stats_.instantiations;
       candidates.emplace_back(head.pred, InstantiateAtom(head, val));
       return true;
     };
@@ -331,6 +330,7 @@ void IncrementalView::MaintainCounting(
       if (pr.rule->heads[0].atom.pred != p) continue;
       pr.head_matcher->ForEachMatch(new_view, kNoAdom, &index_, 0, &one, 1,
                                     [&](const Valuation&) -> bool {
+                                      ++stats_.instantiations;
                                       ++count;
                                       return true;
                                     });
@@ -389,6 +389,7 @@ void IncrementalView::MaintainDred(int s, const DbView& new_view,
       PreparedRule& pr = prepared_[static_cast<size_t>(ri)];
       const Atom& head = pr.rule->heads[0].atom;
       auto collect = [&](const Valuation& val) -> bool {
+        ++stats_.instantiations;
         overdelete(head.pred, InstantiateAtom(head, val));
         return true;
       };
@@ -436,6 +437,7 @@ void IncrementalView::MaintainDred(int s, const DbView& new_view,
           pr.matcher->ForEachMatch(
               old_view, kNoAdom, old_index, static_cast<int>(li), &one, 1,
               [&](const Valuation& val) -> bool {
+                ++stats_.instantiations;
                 overdelete(head.pred, InstantiateAtom(head, val));
                 return true;
               });
@@ -484,6 +486,7 @@ void IncrementalView::MaintainDred(int s, const DbView& new_view,
           if (pr.rule->heads[0].atom.pred != p) continue;
           pr.head_matcher->ForEachMatch(new_view, kNoAdom, &index_, 0, &one,
                                         1, [&](const Valuation&) -> bool {
+                                          ++stats_.instantiations;
                                           derivable = true;
                                           return false;
                                         });
@@ -537,6 +540,7 @@ void IncrementalView::MaintainDred(int s, const DbView& new_view,
       PreparedRule& pr = prepared_[static_cast<size_t>(ri)];
       const Atom& head = pr.rule->heads[0].atom;
       auto produce = [&](const Valuation& val) -> bool {
+        ++stats_.instantiations;
         stage(head.pred, InstantiateAtom(head, val));
         return true;
       };

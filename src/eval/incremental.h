@@ -76,6 +76,10 @@ class IncrementalView {
     int dred_strata = 0;
     /// Candidate head facts recounted in counting strata.
     int64_t recounted = 0;
+    /// Rule-body matches found by the counting and DRed passes, one per
+    /// match callback: the maintenance work that EvalStats::instantiations
+    /// measures for a from-scratch run.
+    int64_t instantiations = 0;
     /// Facts removed by the DRed overdeletion fixpoint (before
     /// rederivation).
     int64_t overdeleted = 0;

@@ -36,8 +36,6 @@ Result<InflationaryResult> InflationaryFixpoint(const Program& program,
   }
 
   const std::vector<MatchUnit> units = WholeRuleUnits(matchers.size());
-  // Provenance recording is sequential by nature; such runs fire inline.
-  ThreadPool* pool = ctx->provenance == nullptr ? ctx->pool() : nullptr;
 
   InflationaryResult result(input);
   Instance& db = result.instance;
@@ -52,8 +50,8 @@ Result<InflationaryResult> InflationaryFixpoint(const Program& program,
     // against the frozen current instance (parallel firing), then add all
     // inferred facts at once.
     Instance fresh(&input.catalog());
-    DATALOG_RETURN_IF_ERROR(FireStage(
-        program, matchers, units, DbView{&db, &db}, ctx, pool,
+    FireStage(
+        program, matchers, units, DbView{&db, &db}, ctx,
         [&](const MatchUnit& unit, const Valuation& val, Firing* out) {
           const Rule& rule = matchers[unit.matcher].rule();
           const Atom& head = rule.heads[0].atom;
@@ -67,7 +65,7 @@ Result<InflationaryResult> InflationaryFixpoint(const Program& program,
           out->Fire(head.pred, std::move(t));
           return true;
         },
-        &fresh));
+        &fresh);
     if (fresh.TotalFacts() == 0) return false;
     ++result.stages;
     ++st.rounds;

@@ -62,7 +62,6 @@ Result<InventionResult> InventionFixpoint(const Program& program,
   // Skolem memo: (rule index, body valuation) -> invented values for the
   // rule's invention variables.
   std::map<std::pair<size_t, Tuple>, std::vector<Value>> memo;
-  // Values are minted in match order, so stages always fire inline.
   const std::vector<MatchUnit> units = WholeRuleUnits(matchers.size());
   Status budget = Status::OK();
   const StageSink sink = [&](const MatchUnit& unit, const Valuation& val,
@@ -106,9 +105,7 @@ Result<InventionResult> InventionFixpoint(const Program& program,
                        "Datalog¬new exceeded fact budget"};
   Status status = RunStages(ctx, loop, db, [&]() -> Result<bool> {
     Instance fresh(&input.catalog());
-    DATALOG_RETURN_IF_ERROR(FireStage(program, matchers, units,
-                                      DbView{&db, &db}, ctx,
-                                      /*pool=*/nullptr, sink, &fresh));
+    FireStage(program, matchers, units, DbView{&db, &db}, ctx, sink, &fresh);
     DATALOG_RETURN_IF_ERROR(budget);
     if (fresh.TotalFacts() == 0) return false;
     ++result.stages;

@@ -49,9 +49,8 @@ Result<Instance> NaiveLeastFixpoint(const Program& program,
     ++st.rounds;
     Instance fresh(&input.catalog());
     DbView view{&db, fixed_negation != nullptr ? fixed_negation : &db};
-    // The naive engine never records provenance, so any pool applies.
-    DATALOG_RETURN_IF_ERROR(FireStage(
-        program, matchers, units, view, ctx, ctx->pool(),
+    FireStage(
+        program, matchers, units, view, ctx,
         [&](const MatchUnit& unit, const Valuation& val, Firing* out) {
           const Atom& head = matchers[unit.matcher].rule().heads[0].atom;
           Tuple t = InstantiateAtom(head, val);
@@ -59,7 +58,7 @@ Result<Instance> NaiveLeastFixpoint(const Program& program,
           out->Fire(head.pred, std::move(t));
           return true;
         },
-        &fresh));
+        &fresh);
     const size_t added = db.UnionWith(fresh);
     st.facts_derived += static_cast<int64_t>(added);
     return added > 0;

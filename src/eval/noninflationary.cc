@@ -50,8 +50,8 @@ Result<NonInflationaryResult> NonInflationaryFixpoint(
     // fallback for non-inflationary mutation.
     Instance inserts(&input.catalog());
     Instance deletes(&input.catalog());
-    DATALOG_RETURN_IF_ERROR(FireStage(
-        program, matchers, units, DbView{&db, &db}, ctx, ctx->pool(),
+    FireStage(
+        program, matchers, units, DbView{&db, &db}, ctx,
         [&](const MatchUnit& unit, const Valuation& val, Firing* out) {
           bool produced = false;
           for (const Literal& head : matchers[unit.matcher].rule().heads) {
@@ -63,7 +63,7 @@ Result<NonInflationaryResult> NonInflationaryFixpoint(
           }
           return produced;
         },
-        &inserts, &deletes));
+        &inserts, &deletes);
 
     Instance next = db;
     DATALOG_RETURN_IF_ERROR(

@@ -1,11 +1,9 @@
 #include "eval/seminaive.h"
 
-#include <algorithm>
 #include <cassert>
 #include <memory>
 #include <unordered_map>
 
-#include "base/thread_pool.h"
 #include "eval/columnar.h"
 #include "eval/grounder.h"
 #include "eval/provenance.h"
@@ -18,30 +16,6 @@ namespace datalog {
 namespace internal {
 int g_seminaive_skip_delta_rule = -1;
 }  // namespace internal
-
-namespace {
-
-/// Appends `unit` over `list` in order: whole inline, chunked with a pool
-/// so each worker sees several steal-able pieces. `list` must outlive the
-/// units (they point into it).
-void AppendDeltaUnits(MatchUnit unit, const std::vector<const Tuple*>& list,
-                      ThreadPool* pool, std::vector<MatchUnit>* units) {
-  size_t chunk = list.size();
-  if (pool != nullptr) {
-    // Several chunks per worker so stealing can balance skewed join costs,
-    // with a floor that keeps per-chunk staging overhead negligible.
-    const size_t target =
-        static_cast<size_t>(std::max(1, pool->num_workers())) * 8;
-    chunk = std::max<size_t>(16, (list.size() + target - 1) / target);
-  }
-  for (size_t off = 0; off < list.size(); off += chunk) {
-    unit.delta_begin = list.data() + off;
-    unit.delta_count = std::min(chunk, list.size() - off);
-    units->push_back(unit);
-  }
-}
-
-}  // namespace
 
 Result<int64_t> SemiNaiveStep(const Program& program,
                               const std::vector<int>& rule_indexes,
@@ -72,14 +46,10 @@ Result<int64_t> SemiNaiveStep(const Program& program,
     matchers.emplace_back(&rule);
   }
 
-  // Provenance recording is inherently sequential (first-derivation order
-  // is the record); those runs fire inline.
-  ThreadPool* pool = ctx->provenance == nullptr ? ctx->pool() : nullptr;
-
   // Columnar backend (docs/storage.md): round 0 runs the generic full
   // evaluation either way, but the delta rounds below are replaced by
   // merge joins over sorted runs. Provenance runs stay on the generic
-  // sequential path — first-derivation order is the record.
+  // path — first-derivation order is the record.
   std::unique_ptr<columnar::DeltaEngine> columnar_engine;
   if (ctx->options.storage == storage::StorageBackend::kColumnar &&
       ctx->provenance == nullptr) {
@@ -97,30 +67,24 @@ Result<int64_t> SemiNaiveStep(const Program& program,
                               InstantiateBodyPremises(*rules[unit.matcher],
                                                       val));
     }
-    if (pool == nullptr && ctx->on_derivation) {  // an inline-only hook
+    if (ctx->on_derivation) {
       ctx->on_derivation(static_cast<size_t>(unit.rule_index), head.pred, t);
     }
     out->Fire(head.pred, std::move(t));
     return true;
   };
-  // One generic round: fires `units` (inline rounds trace each rule), then
+  // One generic round: fires `units` rule by rule (each traced), then
   // merges the new facts; the recursive ones are the next round's delta.
   std::unordered_map<PredId, Relation> delta;
-  auto round = [&](std::span<const MatchUnit> units) -> Status {
+  auto round = [&](std::span<const MatchUnit> units) {
     const DbView view{db, db};
     Instance fresh(&db->catalog());
-    if (pool != nullptr) {
-      DATALOG_RETURN_IF_ERROR(
-          FireStage(program, matchers, units, view, ctx, pool, sink, &fresh));
-    } else {
-      for (size_t i = 0; i < matchers.size(); ++i) {
-        OBS_SPAN("seminaive.rule", {{"rule", rule_indexes[i]}});
-        size_t n = 0;
-        while (n < units.size() && units[n].matcher == i) ++n;
-        DATALOG_RETURN_IF_ERROR(FireStage(program, matchers, units.first(n),
-                                          view, ctx, nullptr, sink, &fresh));
-        units = units.subspan(n);
-      }
+    for (size_t i = 0; i < matchers.size(); ++i) {
+      OBS_SPAN("seminaive.rule", {{"rule", rule_indexes[i]}});
+      size_t n = 0;
+      while (n < units.size() && units[n].matcher == i) ++n;
+      FireStage(program, matchers, units.first(n), view, ctx, sink, &fresh);
+      units = units.subspan(n);
     }
     ++st.rounds;
     if (columnar_engine != nullptr) {
@@ -133,7 +97,6 @@ Result<int64_t> SemiNaiveStep(const Program& program,
       }
     }
     st.facts_derived += static_cast<int64_t>(db->UnionWith(fresh));
-    return Status::OK();
   };
   const int64_t derived_before = st.facts_derived;
 
@@ -144,10 +107,7 @@ Result<int64_t> SemiNaiveStep(const Program& program,
     OBS_SPAN("seminaive.round", {{"round", st.rounds + 1}});
     std::vector<MatchUnit> units = WholeRuleUnits(matchers.size());
     for (MatchUnit& unit : units) unit.rule_index = rule_indexes[unit.matcher];
-    if (Status fired = round(units); !fired.ok()) {
-      ctx->Finalize();
-      return fired;
-    }
+    round(units);
     ctx->FinishRound();
   }
 
@@ -157,9 +117,8 @@ Result<int64_t> SemiNaiveStep(const Program& program,
                            std::to_string(ctx->options.max_rounds) + " rounds",
                        "semi-naive evaluation exceeded fact budget"};
   // Columnar delta rounds are merge joins and bitmap semijoins over sorted
-  // runs, on the evaluating thread: deltas are small, and determinism
-  // across thread counts is then structural. Hash delta rounds refresh the
-  // persistent indexes over `db` by appending each round's journal tail.
+  // runs. Hash delta rounds refresh the persistent indexes over `db` by
+  // appending each round's journal tail.
   if (columnar_engine != nullptr ? !columnar_engine->HasDelta()
                                  : delta.empty()) {
     return st.facts_derived - derived_before;
@@ -171,8 +130,8 @@ Result<int64_t> SemiNaiveStep(const Program& program,
       ++st.rounds;
       return columnar_engine->HasDelta();
     }
-    // Flatten each delta relation once, as stable tuple pointers; units
-    // chunk these lists in the sequential (rule, literal, chunk) order.
+    // Flatten each delta relation once, as stable tuple pointers; one
+    // unit per (rule, delta literal), in that order.
     std::unordered_map<PredId, std::vector<const Tuple*>> lists;
     for (const auto& [p, rel] : delta) {
       for (const Tuple& t : rel) lists[p].push_back(&t);
@@ -187,11 +146,11 @@ Result<int64_t> SemiNaiveStep(const Program& program,
         // Only recursive predicates have deltas.
         auto it = lists.find(lit.atom.pred);
         if (it == lists.end()) continue;
-        AppendDeltaUnits(MatchUnit{i, rule_indexes[i], static_cast<int>(li)},
-                         it->second, pool, &units);
+        units.push_back(MatchUnit{i, rule_indexes[i], static_cast<int>(li),
+                                  it->second.data(), it->second.size()});
       }
     }
-    DATALOG_RETURN_IF_ERROR(round(units));
+    round(units);
     return !delta.empty();
   });
   if (!status.ok()) return status;

@@ -78,17 +78,16 @@ Result<StableModelsResult> StableModels(const Program& program,
   if (pool != nullptr) {
     // Fan the Gelfond–Lifschitz checks over the pool: candidates are
     // independent, so each worker evaluates its masks with a private
-    // sub-context (forced single-threaded — no nested pools) and stages
-    // the verdict plus the finalized stats. The merge below walks masks
-    // in ascending order and folds each candidate's stats exactly as the
-    // sequential loop does, so models, every counter, and the
-    // stop-at-first-error behaviour are byte-identical to it.
+    // sub-context and stages the verdict plus the finalized stats. The
+    // merge below walks masks in ascending order and folds each
+    // candidate's stats exactly as the sequential loop does, so models,
+    // every counter, and the stop-at-first-error behaviour are
+    // byte-identical to it.
     std::vector<uint8_t> stable(combinations, 0);
     std::vector<EvalStats> cand_stats(combinations);
     std::mutex failures_mu;
     std::map<uint64_t, Status> failures;
     EvalOptions cand_options = ctx->options;
-    cand_options.num_threads = 1;
     cand_options.provenance = nullptr;
     const size_t chunk = std::max<size_t>(
         1, static_cast<size_t>(combinations) /

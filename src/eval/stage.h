@@ -25,75 +25,59 @@
 namespace datalog {
 
 /// One unit of a stage's matching work: one rule, optionally restricted to
-/// one contiguous chunk of a delta relation (the semi-naive rewriting).
-/// Engines list units in the order the inline stage enumerates matches —
-/// rule, then delta body literal, then delta chunk ascending — so a pooled
-/// stage replays the inline insertion order bit for bit.
+/// one delta relation (the semi-naive rewriting). Units fire in list
+/// order.
 struct MatchUnit {
   /// Index into the engine's matcher vector.
   size_t matcher = 0;
   /// Program-level rule index, for per-rule stats.
   int rule_index = 0;
-  /// Body literal matched against the delta chunk; < 0 = full match.
+  /// Body literal matched against the delta; < 0 = full match.
   int delta_literal = -1;
-  /// The delta chunk (null/0 for full matches). Pointers must stay stable
+  /// The delta tuples (null/0 for full matches). Pointers must stay stable
   /// for the stage: they reference journal-backed tuples.
   const Tuple* const* delta_begin = nullptr;
   size_t delta_count = 0;
 };
 
-/// One head fact fired by a match.
-struct FiredFact {
-  PredId pred;
-  Tuple tuple;
-  bool negative;
-};
-
-/// Receives the head facts of one match from an engine's sink: straight
-/// into the stage's output on the inline path, into the unit's staging
-/// buffer on the pooled path.
+/// Receives the head facts of one match from an engine's sink and inserts
+/// them into the stage's output.
 class Firing {
  public:
   Firing(Instance* additions, Instance* retractions)
       : additions_(additions), retractions_(retractions) {}
-  explicit Firing(std::vector<FiredFact>* staged) : staged_(staged) {}
 
   /// Fires `tuple` into `pred`; a retraction when `negative`.
-  void Fire(PredId pred, Tuple tuple, bool negative = false);
+  void Fire(PredId pred, Tuple tuple, bool negative = false) {
+    (negative ? retractions_ : additions_)
+        ->MutableRel(pred)
+        ->Insert(std::move(tuple));
+  }
   /// Abandons the stage: this match is not counted and no further match
-  /// fires. Inline stages only (the invention engine's value budget).
+  /// fires (the invention engine's value budget).
   void Stop() { stopped_ = true; }
   bool stopped() const { return stopped_; }
 
  private:
-  Instance* additions_ = nullptr;
-  Instance* retractions_ = nullptr;
-  std::vector<FiredFact>* staged_ = nullptr;
+  Instance* additions_;
+  Instance* retractions_;
   bool stopped_ = false;
 };
 
 /// An engine's per-match callback: fires the heads of `unit`'s rule under
 /// `val` and returns whether the match produced a fact the frozen instance
-/// lacks (the per-rule `tuples_produced` counter). Called concurrently on
-/// the pooled path, so it may only read shared state.
+/// lacks (the per-rule `tuples_produced` counter).
 using StageSink = std::function<bool(const MatchUnit& unit,
                                      const Valuation& val, Firing* out)>;
 
-/// Fires `units` against the frozen `view` (over adom(`program`,
+/// Fires `units` in order against the frozen `view` (over adom(`program`,
 /// view.positives)) through `sink`, counting every match into ctx->stats;
 /// positive heads land in `additions`, negative ones in `retractions`.
-/// With `pool == nullptr` the units run inline. With a pool they fan out
-/// under the freeze-then-fan-out protocol (the view must not change until
-/// this returns, asserted via Instance::Generation; the index manager is
-/// frozen meanwhile), each staging its facts for a replay in unit order,
-/// so output and counters are byte-identical to the inline path. An
-/// interrupt skips the remaining pooled units; the stage is incomplete and
-/// FireStage returns the interrupt status.
-Status FireStage(const Program& program,
-                 const std::vector<RuleMatcher>& matchers,
-                 std::span<const MatchUnit> units, const DbView& view,
-                 EvalContext* ctx, ThreadPool* pool, const StageSink& sink,
-                 Instance* additions, Instance* retractions = nullptr);
+void FireStage(const Program& program,
+               const std::vector<RuleMatcher>& matchers,
+               std::span<const MatchUnit> units, const DbView& view,
+               EvalContext* ctx, const StageSink& sink, Instance* additions,
+               Instance* retractions = nullptr);
 
 /// One full-match unit per matcher, rule index = matcher index.
 std::vector<MatchUnit> WholeRuleUnits(size_t num_matchers);

@@ -1,8 +1,6 @@
 #include "ra/index.h"
 
 #include <algorithm>
-#include <cassert>
-#include <mutex>
 
 #include "obs/trace.h"
 
@@ -48,12 +46,9 @@ void IndexManager::Append(const Relation& rel, uint32_t mask, Index* index) {
     }
   }
   insert_up_to(journal.size());
-  counters_.appended.fetch_add(
-      static_cast<int64_t>(journal.size() - index->journal_pos),
-      std::memory_order_relaxed);
-  counters_.removed.fetch_add(
-      static_cast<int64_t>(erases.size() - index->erase_pos),
-      std::memory_order_relaxed);
+  counters_.appended +=
+      static_cast<int64_t>(journal.size() - index->journal_pos);
+  counters_.removed += static_cast<int64_t>(erases.size() - index->erase_pos);
   index->journal_pos = journal.size();
   index->erase_pos = erases.size();
 }
@@ -70,22 +65,22 @@ void IndexManager::Rebuild(const Relation& rel, uint32_t mask, Index* index) {
   index->erase_pos = rel.erase_journal().size();
 }
 
-const IndexManager::Bucket* IndexManager::LookupLocked(const Relation& rel,
-                                                       PredId pred,
-                                                       uint32_t mask,
-                                                       const Tuple& key) {
+const IndexManager::Bucket* IndexManager::Lookup(const Instance& db,
+                                                 PredId pred, uint32_t mask,
+                                                 const Tuple& key) {
+  const Relation& rel = db.Rel(pred);
   auto [it, created] = indexes_.try_emplace(std::make_pair(pred, mask));
   Index& index = it->second;
   // Spans cover only the maintenance paths; the hit path is far too hot
   // to trace per lookup (it is counted, not spanned).
   if (created) {
-    counters_.builds.fetch_add(1, std::memory_order_relaxed);
+    ++counters_.builds;
     OBS_SPAN("index.build", {{"pred", pred}, {"mask", mask}});
     Rebuild(rel, mask, &index);
   } else if (index.epoch != rel.epoch()) {
     // History-losing mutation (or a different instance supplied the
     // relation): the incremental view is unprovable — rebuild.
-    counters_.rebuilds.fetch_add(1, std::memory_order_relaxed);
+    ++counters_.rebuilds;
     OBS_SPAN("index.rebuild", {{"pred", pred}, {"mask", mask}});
     Rebuild(rel, mask, &index);
   } else if (index.journal_pos != rel.journal().size() ||
@@ -93,7 +88,7 @@ const IndexManager::Bucket* IndexManager::LookupLocked(const Relation& rel,
     OBS_SPAN("index.append", {{"pred", pred}, {"mask", mask}});
     Append(rel, mask, &index);
   } else {
-    counters_.hits.fetch_add(1, std::memory_order_relaxed);
+    ++counters_.hits;
   }
   auto bit = index.buckets.find(key);
   return bit == index.buckets.end() ? nullptr : &bit->second;
@@ -101,18 +96,16 @@ const IndexManager::Bucket* IndexManager::LookupLocked(const Relation& rel,
 
 const storage::ValueBitmap* IndexManager::UnaryBitmap(const Instance& db,
                                                       PredId pred) {
-  assert(!parallel_ &&
-         "bitmap indexes serve the sequential columnar path only");
   const Relation& rel = db.Rel(pred);
   if (rel.arity() != 1) return nullptr;
   auto [it, created] = bitmaps_.try_emplace(pred);
   BitmapIndex& index = it->second;
   if (created || index.epoch != rel.epoch()) {
     if (created) {
-      counters_.bitmap_builds.fetch_add(1, std::memory_order_relaxed);
+      ++counters_.bitmap_builds;
       OBS_SPAN("index.bitmap_build", {{"pred", pred}});
     } else {
-      counters_.bitmap_rebuilds.fetch_add(1, std::memory_order_relaxed);
+      ++counters_.bitmap_rebuilds;
       OBS_SPAN("index.bitmap_rebuild", {{"pred", pred}});
     }
     index.bitmap.Clear();
@@ -125,12 +118,10 @@ const storage::ValueBitmap* IndexManager::UnaryBitmap(const Instance& db,
     OBS_SPAN("index.bitmap_append", {{"pred", pred}});
     const auto& journal = rel.journal();
     const auto& erases = rel.erase_journal();
-    counters_.bitmap_appended.fetch_add(
-        static_cast<int64_t>(journal.size() - index.journal_pos),
-        std::memory_order_relaxed);
-    counters_.bitmap_removed.fetch_add(
-        static_cast<int64_t>(erases.size() - index.erase_pos),
-        std::memory_order_relaxed);
+    counters_.bitmap_appended +=
+        static_cast<int64_t>(journal.size() - index.journal_pos);
+    counters_.bitmap_removed +=
+        static_cast<int64_t>(erases.size() - index.erase_pos);
     // Value-level replay must follow event order exactly: Add/Add/Remove
     // of the same value ends absent, Remove-then-reinsert ends present.
     size_t ins = index.journal_pos;
@@ -146,36 +137,9 @@ const storage::ValueBitmap* IndexManager::UnaryBitmap(const Instance& db,
     index.journal_pos = journal.size();
     index.erase_pos = erases.size();
   } else {
-    counters_.bitmap_hits.fetch_add(1, std::memory_order_relaxed);
+    ++counters_.bitmap_hits;
   }
   return &index.bitmap;
-}
-
-const IndexManager::Bucket* IndexManager::Lookup(const Instance& db,
-                                                 PredId pred, uint32_t mask,
-                                                 const Tuple& key) {
-  const Relation& rel = db.Rel(pred);
-  if (!parallel_) return LookupLocked(rel, pred, mask, key);
-
-  // Frozen parallel mode. Fast path: an index already covering the
-  // relation's (frozen) state is immutable for the rest of the region, so
-  // a shared lock suffices and the bucket pointer stays valid after
-  // release. Slow path: build/refresh exactly once under the exclusive
-  // lock; a second thread racing here re-checks and lands in the hit
-  // branch, keeping counter totals identical to a sequential run.
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    auto it = indexes_.find(std::make_pair(pred, mask));
-    if (it != indexes_.end() && it->second.epoch == rel.epoch() &&
-        it->second.journal_pos == rel.journal().size() &&
-        it->second.erase_pos == rel.erase_journal().size()) {
-      counters_.hits.fetch_add(1, std::memory_order_relaxed);
-      auto bit = it->second.buckets.find(key);
-      return bit == it->second.buckets.end() ? nullptr : &bit->second;
-    }
-  }
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  return LookupLocked(rel, pred, mask, key);
 }
 
 }  // namespace datalog

@@ -1,10 +1,8 @@
 #ifndef UNCHAINED_RA_INDEX_H_
 #define UNCHAINED_RA_INDEX_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <shared_mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -35,45 +33,32 @@ namespace datalog {
 /// are node-stable for the lifetime of an epoch (erased nodes are parked
 /// in the relation's graveyard); an epoch change discards them before
 /// they can dangle.
-///
-/// Parallel rounds use the freeze-then-fan-out protocol: the evaluating
-/// thread calls BeginParallel() before fanning a round's matching across
-/// workers and EndParallel() after the barrier. In between, Lookup is
-/// safe to call concurrently *provided the indexed relations stay
-/// frozen* (the engines' round structure guarantees this and asserts on
-/// Instance::Generation): an up-to-date index is served under a shared
-/// lock, and a missing or stale one is built exactly once under an
-/// exclusive lock. Because relations only reach a new state between
-/// rounds, an index observed current stays current for the whole region,
-/// so returned bucket pointers never mutate under a reader.
 class IndexManager {
  public:
   using Bucket = std::vector<const Tuple*>;
 
-  /// Maintenance counters, surfaced through EvalStats. Atomic (relaxed)
-  /// so concurrent frozen-mode lookups can count; totals are sums and
-  /// therefore identical across thread counts.
+  /// Maintenance counters, surfaced through EvalStats.
   struct Counters {
     /// Lookups served by an index that was already up to date.
-    std::atomic<int64_t> hits{0};
+    int64_t hits = 0;
     /// First-time builds of a (pred, mask) index.
-    std::atomic<int64_t> builds{0};
+    int64_t builds = 0;
     /// Full rebuilds forced by an epoch change (history-losing mutation).
-    std::atomic<int64_t> rebuilds{0};
+    int64_t rebuilds = 0;
     /// Tuples appended incrementally from relation insert journals.
-    std::atomic<int64_t> appended{0};
+    int64_t appended = 0;
     /// Tuples removed incrementally from relation erase journals.
-    std::atomic<int64_t> removed{0};
+    int64_t removed = 0;
     /// Bitmap-index lookups served by an up-to-date bitmap.
-    std::atomic<int64_t> bitmap_hits{0};
+    int64_t bitmap_hits = 0;
     /// First-time bitmap builds for a unary predicate.
-    std::atomic<int64_t> bitmap_builds{0};
+    int64_t bitmap_builds = 0;
     /// Bitmap rebuilds forced by an epoch change.
-    std::atomic<int64_t> bitmap_rebuilds{0};
+    int64_t bitmap_rebuilds = 0;
     /// Values appended to bitmaps from relation journals.
-    std::atomic<int64_t> bitmap_appended{0};
+    int64_t bitmap_appended = 0;
     /// Values removed from bitmaps via relation erase journals.
-    std::atomic<int64_t> bitmap_removed{0};
+    int64_t bitmap_removed = 0;
   };
 
   IndexManager() = default;
@@ -91,14 +76,8 @@ class IndexManager {
   /// (docs/storage.md), brought up to date first through the same
   /// epoch/journal protocol as the hash indexes. Returns nullptr if the
   /// predicate is not unary. Bitmap indexes serve the columnar backend's
-  /// sequential delta path and are not part of the frozen-parallel
-  /// contract: calling this between BeginParallel/EndParallel is a bug.
+  /// delta path.
   const storage::ValueBitmap* UnaryBitmap(const Instance& db, PredId pred);
-
-  /// Enters frozen parallel mode: until EndParallel, Lookup may be called
-  /// from multiple threads (see class comment for the freeze contract).
-  void BeginParallel() { parallel_ = true; }
-  void EndParallel() { parallel_ = false; }
 
   /// Drops every index (used by tests; evaluation contexts simply let the
   /// manager go out of scope).
@@ -135,15 +114,10 @@ class IndexManager {
   void Append(const Relation& rel, uint32_t mask, Index* index);
   /// Rebuilds `index` from the full contents of `rel`.
   void Rebuild(const Relation& rel, uint32_t mask, Index* index);
-  /// The pre-parallel Lookup body; in parallel mode runs under `mu_`.
-  const Bucket* LookupLocked(const Relation& rel, PredId pred, uint32_t mask,
-                             const Tuple& key);
 
   std::map<std::pair<PredId, uint32_t>, Index> indexes_;
   std::map<PredId, BitmapIndex> bitmaps_;
   Counters counters_;
-  bool parallel_ = false;
-  std::shared_mutex mu_;
 };
 
 }  // namespace datalog

@@ -62,12 +62,6 @@ size_t Instance::TotalFacts() const {
   return n;
 }
 
-uint64_t Instance::Generation() const {
-  uint64_t g = static_cast<uint64_t>(relations_.size());
-  for (const auto& [p, rel] : relations_) g += rel.generation();
-  return g;
-}
-
 std::set<Value> Instance::ActiveDomain() const {
   std::set<Value> dom;
   for (const auto& [p, rel] : relations_) {

@@ -64,13 +64,6 @@ class Instance {
   /// The set of domain values occurring in any fact — adom(I).
   std::set<Value> ActiveDomain() const;
 
-  /// Sum of the relations' mutation counters (plus the number of
-  /// materialized relations): monotonically increasing while the instance
-  /// only grows, and cheap enough (#predicates, not #facts) to poll each
-  /// round. Caches use it as a fast "anything changed?" probe before the
-  /// per-relation epoch/journal walk.
-  uint64_t Generation() const;
-
   /// Read-only view of the materialized relations, for incremental caches
   /// (IndexManager, AdomCache) that track per-predicate epochs/journals.
   /// Absent predicates are empty; relations are never un-materialized.

@@ -15,7 +15,6 @@ uint64_t Relation::NextEpoch() {
 Relation::Relation(const Relation& other)
     : arity_(other.arity_),
       epoch_(NextEpoch()),
-      generation_(other.generation_),
       journal_complete_(false) {
   other.MaterializeStaged();
   tuples_ = other.tuples_;
@@ -32,7 +31,6 @@ Relation& Relation::operator=(const Relation& other) {
   graveyard_.clear();
   staged_.clear();
   epoch_ = NextEpoch();
-  ++generation_;
   journal_complete_ = tuples_.empty();
   return *this;
 }
@@ -45,7 +43,6 @@ Relation::Relation(Relation&& other) noexcept
       graveyard_(std::move(other.graveyard_)),
       staged_(std::move(other.staged_)),
       epoch_(other.epoch_),
-      generation_(other.generation_),
       journal_complete_(other.journal_complete_) {
   // Leave the source empty with a fresh monotone phase of its own, so any
   // cache still keyed on it rebuilds rather than reading stolen nodes.
@@ -67,7 +64,6 @@ Relation& Relation::operator=(Relation&& other) noexcept {
   graveyard_ = std::move(other.graveyard_);
   staged_ = std::move(other.staged_);
   epoch_ = other.epoch_;
-  generation_ = other.generation_ + 1;
   journal_complete_ = other.journal_complete_;
   other.tuples_.clear();
   other.journal_.clear();
@@ -83,10 +79,7 @@ bool Relation::Insert(const Tuple& t) {
   assert(static_cast<int>(t.size()) == arity_);
   MaterializeStaged();
   auto [it, inserted] = tuples_.insert(t);
-  if (inserted) {
-    ++generation_;
-    journal_.push_back(&*it);
-  }
+  if (inserted) journal_.push_back(&*it);
   return inserted;
 }
 
@@ -94,10 +87,7 @@ bool Relation::Insert(Tuple&& t) {
   assert(static_cast<int>(t.size()) == arity_);
   MaterializeStaged();
   auto [it, inserted] = tuples_.insert(std::move(t));
-  if (inserted) {
-    ++generation_;
-    journal_.push_back(&*it);
-  }
+  if (inserted) journal_.push_back(&*it);
   return inserted;
 }
 
@@ -106,7 +96,6 @@ void Relation::AppendStagedRows(const Value* data, size_t rows) {
   if (rows == 0) return;
   staged_.insert(staged_.end(), data,
                  data + rows * static_cast<size_t>(arity_));
-  generation_ += rows;
 }
 
 void Relation::MaterializeStaged() const {
@@ -128,7 +117,6 @@ bool Relation::Erase(const Tuple& t) {
   MaterializeStaged();
   auto it = tuples_.find(t);
   if (it == tuples_.end()) return false;
-  ++generation_;
   // Extract the node rather than erasing it: the tuple's address must
   // stay valid for every pointer already handed out through journal() —
   // and for the erase event itself — until the next epoch change.
@@ -160,7 +148,6 @@ void Relation::Clear() {
   erase_journal_.clear();
   graveyard_.clear();
   staged_.clear();
-  ++generation_;
   epoch_ = NextEpoch();
   journal_complete_ = true;  // empty contents, empty journal: consistent
 }
@@ -173,7 +160,6 @@ size_t Relation::UnionWith(const Relation& other) {
   for (const Tuple& t : other.tuples_) {
     auto [it, inserted] = tuples_.insert(t);
     if (inserted) {
-      ++generation_;
       journal_.push_back(&*it);
       ++added;
     }

@@ -14,8 +14,6 @@ namespace datalog {
 /// use `Sorted()` when a canonical order is needed.
 ///
 /// Incremental-maintenance support: every relation carries
-///  * a `generation()` counter, bumped on every successful mutation, so
-///    caches can cheaply detect "nothing changed";
 ///  * an insertion *journal* — stable pointers to every tuple inserted
 ///    since the last non-monotone event — so index and active-domain
 ///    caches can append just the new tuples instead of rebuilding;
@@ -144,9 +142,6 @@ class Relation {
 
   // -- Incremental-maintenance introspection ---------------------------
 
-  /// Monotonically increasing count of successful mutations.
-  uint64_t generation() const { return generation_; }
-
   /// Globally unique id of the current journaled history. Changes on
   /// clear/copy/compaction; caches compare it to decide append vs rebuild.
   uint64_t epoch() const { return epoch_; }
@@ -195,7 +190,6 @@ class Relation {
   /// Staged flat rows, row-major, `arity_` values per row.
   mutable std::vector<Value> staged_;
   uint64_t epoch_;
-  uint64_t generation_ = 0;
   bool journal_complete_ = true;
 };
 

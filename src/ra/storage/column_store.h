@@ -102,9 +102,8 @@ class SortedView {
 /// pluggable storage layer (docs/storage.md). Owned by EvalContext next to
 /// IndexManager; views are created on demand per (predicate, key columns)
 /// and kept in sync with the evaluation's relations through the
-/// epoch/journal contract. Single-threaded by design: the columnar
-/// merge-join path runs on the evaluating thread (parallel rounds keep
-/// using the frozen hash indexes).
+/// epoch/journal contract. Single-threaded, like the evaluation that
+/// owns it.
 class ColumnStore {
  public:
   /// Maintenance counters, folded into EvalStats as storage_* by

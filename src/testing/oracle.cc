@@ -545,6 +545,7 @@ bool SameMaintenanceStats(const IncrementalView::Stats& a,
       diff("counting_strata", a.counting_strata, b.counting_strata) ||
       diff("dred_strata", a.dred_strata, b.dred_strata) ||
       diff("recounted", a.recounted, b.recounted) ||
+      diff("instantiations", a.instantiations, b.instantiations) ||
       diff("overdeleted", a.overdeleted, b.overdeleted) ||
       diff("rederived_base", a.rederived_base, b.rederived_base) ||
       diff("rederived_provenance", a.rederived_provenance,

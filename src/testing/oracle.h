@@ -28,9 +28,9 @@ namespace fuzz {
 ///  * kWellFoundedVsStratified — Section 3.3: the well-founded model must
 ///                            be total and equal the stratified semantics
 ///                            on stratified programs.
-///  * kSequentialVsParallel — PR 2's determinism contract: results and the
+///  * kSequentialVsParallel — the thread-count contract: results and the
 ///                            deterministic EvalStats counters must be
-///                            identical at every worker-pool size.
+///                            identical at every num_threads setting.
 ///  * kTraceOnVsTraceOff    — observability must be inert: running with
 ///                            tracing spans and the metrics registry
 ///                            enabled must produce instances and

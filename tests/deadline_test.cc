@@ -48,8 +48,7 @@ class DeadlineTest : public ::testing::Test {
 
 // A transitive closure sized to run for seconds uninterrupted must come
 // back as kBudgetExhausted within a 10ms deadline, with stats finalized
-// mid-flight, at every pool size (the parallel paths poll the same
-// deadline at chunk boundaries).
+// mid-flight, at every num_threads setting (stages fire inline at each).
 TEST_F(DeadlineTest, TcDeadlineExhaustsAtEveryThreadCount) {
   Program tc = Tc();
   GraphBuilder graphs(&engine_.catalog(), &engine_.symbols());
@@ -65,10 +64,8 @@ TEST_F(DeadlineTest, TcDeadlineExhaustsAtEveryThreadCount) {
     EXPECT_EQ(seminaive.status().code(), StatusCode::kBudgetExhausted);
     const EvalStats& stats = engine_.LastRunStats();
     // Finalized stats: the clock ran and the per-rule slots exist for
-    // both TC rules. How much progress fits inside 10ms depends on the
-    // machine (under TSan a parallel round can be interrupted before any
-    // unit ran), so guaranteed-progress assertions are reserved for the
-    // sequential run, whose round 0 has no intra-round interrupt point.
+    // both TC rules. Round 0 has no intra-round interrupt point, so some
+    // progress is guaranteed; it is asserted once, at threads = 1.
     EXPECT_GT(stats.total_ms, 0.0);
     ASSERT_EQ(stats.per_rule.size(), 2u);
     if (threads == 1) {

@@ -251,6 +251,9 @@ TEST_F(IncrementalTest, MaintenanceStatsGolden) {
   // the delete–rederive pass, the other 3 come back through the insert
   // propagation rounds once their supports are restored.
   EXPECT_EQ(st.rederived_provenance + st.rederived_query, 7);
+  // Every match callback of both batches' DRed passes (TC is one
+  // recursive stratum, so counting never runs).
+  EXPECT_EQ(st.instantiations, 60);
 }
 
 TEST_F(IncrementalTest, UnsupportedAndNotStratifiable) {

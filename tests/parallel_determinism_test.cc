@@ -1,9 +1,10 @@
-// Determinism of the parallel evaluation rounds: every engine must produce
+// Determinism across thread counts: every engine must produce
 // byte-identical results and identical deterministic EvalStats counters at
-// every thread count. The parallel rounds stage per-unit outputs and merge
-// them in the sequential order (src/eval/stage.h), so num_threads is
-// required to be unobservable everywhere except the per-worker telemetry
-// and wall-clock timings — this suite is the enforcement.
+// every num_threads setting. The forward-chaining engines fire every stage
+// inline, and the stable-model search merges its pooled candidate checks
+// in mask order (src/eval/stable.cc), so num_threads is required to be
+// unobservable everywhere except the per-worker telemetry and wall-clock
+// timings — this suite is the enforcement.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include "random_programs.h"
 #include "worked_examples.h"
 #include "worked_examples_golden.h"
+#include "workload/graphs.h"
 
 namespace datalog {
 namespace {
@@ -135,10 +137,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ParallelRandomSweep,
                            return "seed" + std::to_string(info.param);
                          });
 
-/// The columnar backend's round-0 evaluation still runs on the pool (only
-/// the delta rounds are single-threaded merge joins), so it owes the same
-/// determinism contract at every thread count. Named *Columnar* so the
-/// TSan lane in tools/check.sh can select these cases by filter.
+/// The columnar backend owes the same determinism contract at every
+/// thread count. Named *Columnar* so the TSan lane in tools/check.sh can
+/// select these cases by filter.
 class ColumnarRandomSweep : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ColumnarRandomSweep, ColumnarEnginesIdenticalAcrossThreadCounts) {
@@ -307,30 +308,54 @@ TEST(ParallelStableModels, IdenticalAcrossThreadCounts) {
   }
 }
 
-/// The per-worker telemetry is the one thread-count-dependent surface:
-/// populated with one entry per worker for pooled runs, empty for
-/// sequential ones.
+/// The per-worker telemetry is the one thread-count-dependent surface, and
+/// only the stable-model search fills it: the forward-chaining engines fire
+/// every stage inline whatever num_threads says, while the candidate
+/// fan-out gets one entry per pool worker.
 TEST(ParallelWorkerTelemetry, SizedToThePool) {
-  const char* kTc =
-      "t(X, Y) :- g(X, Y).\n"
-      "t(X, Y) :- g(X, Z), t(Z, Y).\n";
-  for (int t : {1, 8}) {
+  {
     Engine engine;
-    engine.options().num_threads = t;
-    auto p = engine.Parse(kTc);
+    engine.options().num_threads = 8;
+    auto p = engine.Parse(
+        "t(X, Y) :- g(X, Y).\n"
+        "t(X, Y) :- g(X, Z), t(Z, Y).\n");
     ASSERT_TRUE(p.ok());
     Instance db = engine.NewInstance();
     ASSERT_TRUE(engine.AddFacts("g(a, b). g(b, c). g(c, d).", &db).ok());
-    auto model = engine.MinimumModel(*p, db);
-    ASSERT_TRUE(model.ok());
+    ASSERT_TRUE(engine.MinimumModel(*p, db).ok());
+    EXPECT_TRUE(engine.LastRunStats().per_worker.empty()) << "MinimumModel";
+    ASSERT_TRUE(engine.MinimumModelNaive(*p, db).ok());
+    EXPECT_TRUE(engine.LastRunStats().per_worker.empty())
+        << "MinimumModelNaive";
+    ASSERT_TRUE(engine.Inflationary(*p, db).ok());
+    EXPECT_TRUE(engine.LastRunStats().per_worker.empty()) << "Inflationary";
+    NonInflationaryOptions options;
+    options.eval.num_threads = 8;
+    ASSERT_TRUE(engine.NonInflationary(*p, db, options).ok());
+    EXPECT_TRUE(engine.LastRunStats().per_worker.empty())
+        << "NonInflationary";
+  }
+  for (int t : {1, 8}) {
+    SCOPED_TRACE("num_threads=" + std::to_string(t));
+    Engine engine;
+    engine.options().num_threads = t;
+    auto p = engine.Parse("win(X) :- moves(X, Y), !win(Y).\n");
+    ASSERT_TRUE(p.ok());
+    GraphBuilder graphs(&engine.catalog(), &engine.symbols(), "moves");
+    const Instance db = graphs.TwoCycles(3);
+    EvalContext ctx(engine.options());
+    Result<StableModelsResult> r =
+        StableModels(*p, db, engine.options(), /*max_candidates=*/1 << 20,
+                     &ctx);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ctx.Finalize();
+    EXPECT_EQ(r->models.size(), 8u);
     if (t == 1) {
-      EXPECT_TRUE(engine.LastRunStats().per_worker.empty());
+      EXPECT_TRUE(ctx.stats.per_worker.empty());
     } else {
-      ASSERT_EQ(engine.LastRunStats().per_worker.size(), 8u);
+      ASSERT_EQ(ctx.stats.per_worker.size(), 8u);
       int64_t chunks = 0;
-      for (const auto& w : engine.LastRunStats().per_worker) {
-        chunks += w.chunks;
-      }
+      for (const auto& w : ctx.stats.per_worker) chunks += w.chunks;
       EXPECT_GT(chunks, 0);
     }
   }

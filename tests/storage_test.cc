@@ -326,7 +326,7 @@ TEST(UnaryBitmapIndexTest, BuildAppendRebuild) {
   EXPECT_EQ(bm->cardinality(), 25u);
   EXPECT_TRUE(bm->Contains(48));
   EXPECT_FALSE(bm->Contains(47));
-  EXPECT_EQ(index.counters().bitmap_builds.load(), 1);
+  EXPECT_EQ(index.counters().bitmap_builds, 1);
 
   // Monotone growth appends from the journal tail.
   db.MutableRel(u)->Insert(Tuple{101});
@@ -334,8 +334,8 @@ TEST(UnaryBitmapIndexTest, BuildAppendRebuild) {
   ASSERT_NE(bm, nullptr);
   EXPECT_TRUE(bm->Contains(101));
   EXPECT_EQ(bm->cardinality(), 26u);
-  EXPECT_EQ(index.counters().bitmap_rebuilds.load(), 0);
-  EXPECT_GT(index.counters().bitmap_appended.load(), 0);
+  EXPECT_EQ(index.counters().bitmap_rebuilds, 0);
+  EXPECT_GT(index.counters().bitmap_appended, 0);
 
   // Erase keeps the epoch: the value is cleared from the bitmap in place
   // via the erase journal, no rebuild.
@@ -344,12 +344,12 @@ TEST(UnaryBitmapIndexTest, BuildAppendRebuild) {
   ASSERT_NE(bm, nullptr);
   EXPECT_FALSE(bm->Contains(0));
   EXPECT_EQ(bm->cardinality(), 25u);
-  EXPECT_EQ(index.counters().bitmap_rebuilds.load(), 0);
-  EXPECT_EQ(index.counters().bitmap_removed.load(), 1);
+  EXPECT_EQ(index.counters().bitmap_rebuilds, 0);
+  EXPECT_EQ(index.counters().bitmap_removed, 1);
 
   // An up-to-date probe is a hit.
   index.UnaryBitmap(db, u);
-  EXPECT_GT(index.counters().bitmap_hits.load(), 0);
+  EXPECT_GT(index.counters().bitmap_hits, 0);
 }
 
 // ---- RowSet --------------------------------------------------------------

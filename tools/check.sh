@@ -2,9 +2,10 @@
 # Tier-1 verification: configure, build and run the full test suite, first
 # in the normal Release configuration, then (unless --no-sanitize) again
 # under ASan + UBSan (-DUNCHAINED_SANITIZE=ON), and finally (unless
-# --no-tsan) the evaluation tests under ThreadSanitizer
-# (-DUNCHAINED_TSAN=ON) — the parallel rounds are the racy surface, so the
-# TSan pass filters to the eval/engine/parallel suites to stay fast.
+# --no-tsan) the threaded suites under ThreadSanitizer
+# (-DUNCHAINED_TSAN=ON) — the stable-model fan-out, the server, the store
+# and the observability rings are the racy surfaces, so the TSan pass
+# filters to the eval/engine/server suites to stay fast.
 # Each configuration uses its own build tree.
 #
 # Usage: tools/check.sh [--no-sanitize] [--no-tsan] [-j N]
@@ -64,7 +65,7 @@ fuzz_smoke() {
 # incremental-vs-scratch sweep (oracle pair #9 — the default fuzz_smoke
 # sweep covers it too, this lane goes deeper on the one pair), plus the
 # maintenance-vs-from-scratch bench with its built-in byte-identity
-# self-check and the >= 10x single-fact acceptance bar.
+# self-check and its single-fact work bar.
 incremental_smoke() {
   local build_dir="$1"
   echo "==> incremental-smoke ${build_dir}"
@@ -79,7 +80,9 @@ incremental_smoke() {
 
 # Maintenance bench (docs/incremental.md): every row self-checks the
 # maintained model byte-identical to from-scratch re-evaluation, and the
-# binary fails unless single-fact maintenance clears the 10x bar.
+# binary fails unless each single-fact batch finds at most 1/10 of the
+# recomputation's instantiations (a work count, so host speed cannot
+# decide it; the timings are printed, not gated).
 bench_incremental() {
   local build_dir="$1"
   echo "==> bench-incremental ${build_dir}"
@@ -224,15 +227,15 @@ if [[ "${sanitize}" -eq 1 ]]; then
   bench_peer_faults "${repo}/build-asan"
 fi
 if [[ "${tsan}" -eq 1 ]]; then
-  # The evaluation-layer tests exercise every parallel code path (the
-  # determinism sweep runs all engines at 1/2/8 threads under TSan);
+  # The evaluation-layer tests exercise the one pooled evaluation path,
+  # the stable-model candidate fan-out, and run every engine at 1/2/8
+  # threads to show the rest stay on one thread;
   # Trace/Obs covers the observability ring buffers and shard merges;
   # Peers/Dist/Fault/Deadline/Cancel covers the fault-tolerant peer runs
   # and the deadline/cancellation probes at ThreadPool chunk boundaries;
   # Columnar/Storage/Bitmap/RowSet/HashVsColumnar covers the columnar
-  # storage backend (docs/storage.md) — in particular that the lazy
-  # staged-row materialization never races the pool (the ColumnarRandom
-  # sweep runs the columnar engines at 1/2/8 threads);
+  # storage backend (docs/storage.md) — in particular that staged rows
+  # are materialized before the stable-model workers share an instance;
   # Incremental/Retract/Dred/Counting covers IncrementalView maintenance
   # and the erase-journal index replay (the IncrementalRandomSweep drives
   # its scratch reference engines at 1/2/8 threads);
@@ -243,7 +246,8 @@ if [[ "${tsan}" -eq 1 ]]; then
   # (docs/durability.md) — the writer-thread WAL appends and compaction
   # against concurrent readers, and the restart/recovery paths;
   # Tuple|Matcher covers the inline-storage Tuple and the rule matcher's
-  # per-call scratch, which pooled stages share matchers through.
+  # per-call scratch, which the stable-model workers run concurrently
+  # over one shared input instance.
   run_suite "${repo}/build-tsan" \
     "--tests-regex=Tuple|Matcher|Parallel|Datalog|Stratified|WellFounded|Inflationary|NonInflationary|Stable|Engine|SemiNaive|Naive|RandomProgram|Trace|Obs|Metrics|Tracer|Peer|Dist|Deadline|Cancel|Fault|Snapshot|Columnar|Storage|ColumnStore|Bitmap|RowSet|RelationStaging|Incremental|Retract|Dred|Counting|Server|Session|Epoch|Reclaim|Wal|Snapshotter|Recover|Durab" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DUNCHAINED_TSAN=ON

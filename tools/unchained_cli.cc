@@ -10,6 +10,8 @@
 //           noninflationary | invention | stable |
 //           nondet-run | nondet-enum | poss-cert
 //   POLICY: positive | negative | noop | undefined   (Datalog¬¬ conflicts)
+//   --threads=N sizes the worker pool of the stable-model search (0 =
+//   one per hardware thread); every other semantics runs on one thread.
 //
 // Prints the resulting instance (canonical fact list) to stdout; for
 // wellfounded also the unknown facts; for nondet-enum every image; for
@@ -108,7 +110,9 @@ int Usage() {
       "                     [--storage=hash|columnar]\n"
       "  NAME: datalog | naive | stratified | wellfounded | inflationary |\n"
       "        noninflationary | invention | stable | nondet-run |\n"
-      "        nondet-enum | poss-cert\n");
+      "        nondet-enum | poss-cert\n"
+      "  --threads=N: worker pool of the stable-model search (0 = one per\n"
+      "        hardware thread); every other semantics runs on one thread\n");
   return 2;
 }
 
@@ -344,7 +348,7 @@ int main(int argc, char** argv) {
   if (s == "noninflationary") {
     datalog::NonInflationaryOptions options;
     // This facade reads its own options struct; forward the engine-wide
-    // settings (threads, deadline) so the flags apply here too.
+    // settings (the deadline) so the flags apply here too.
     options.eval = engine.options();
     if (args.policy == "positive") {
       options.policy = datalog::ConflictPolicy::kPositiveWins;
