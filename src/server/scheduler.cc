@@ -33,13 +33,14 @@ ScheduleRun RunSessions(Server* server, const std::vector<SessionOp>& ops,
     sessions[ops[i].session].op_indices.push_back(i);
   }
 
-  // Per-epoch byte capture: the publish hook sees every epoch the run
-  // creates; the initial epoch's bytes come from one bookkeeping
-  // snapshot query before any writer step runs.
+  // Commit log and per-epoch byte capture: the publish hook sees every
+  // commit the run makes; the initial epoch's bytes come from one
+  // bookkeeping snapshot query before any writer step runs.
   std::map<int64_t, std::string> epoch_bytes;
   server->set_on_publish(
-      [&epoch_bytes](int64_t epoch, const std::string& bytes) {
-        epoch_bytes[epoch] = bytes;
+      [&](const CommitRecord& commit, const Snapshot& snapshot) {
+        run.commits.push_back(commit);
+        epoch_bytes[commit.epoch] = snapshot.ModelBytes();
       });
   {
     Request initial;
@@ -130,7 +131,6 @@ ScheduleRun RunSessions(Server* server, const std::vector<SessionOp>& ops,
   }
   server->set_on_publish(nullptr);
 
-  run.commits = server->CommitLog();
   run.final_epoch = server->epoch();
   run.view_stats = server->view_stats();
   run.counters = server->snapshots().counters();

@@ -61,7 +61,8 @@ struct ScheduleRun {
   /// Completed ops, in completion (virtual-time) order. Update events
   /// complete when their batch commits.
   std::vector<ScheduledEvent> events;
-  /// The server's commit log after the run (publication order).
+  /// The batches the run committed, in publication order (collected
+  /// through the server's publish hook).
   std::vector<CommitRecord> commits;
   /// Published model bytes per epoch: epoch_bytes[i] is epoch
   /// (base_epoch + i)'s canonical snapshot. base_epoch is 0 for a fresh

@@ -1,5 +1,6 @@
 #include "server/server.h"
 
+#include <chrono>
 #include <utility>
 
 #include "dist/transport.h"
@@ -22,65 +23,27 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-obs::CounterHandle& RequestsCounter() {
-  static obs::CounterHandle c("server.requests");
-  return c;
-}
-obs::CounterHandle& QueriesCounter() {
-  static obs::CounterHandle c("server.queries");
-  return c;
-}
-obs::CounterHandle& UpdatesCounter() {
-  static obs::CounterHandle c("server.updates");
-  return c;
-}
-obs::CounterHandle& BatchesAppliedCounter() {
-  static obs::CounterHandle c("server.batches_applied");
-  return c;
-}
-obs::CounterHandle& CancelledCounter() {
-  static obs::CounterHandle c("server.cancelled");
-  return c;
-}
-obs::CounterHandle& DeadlineExhaustedCounter() {
-  static obs::CounterHandle c("server.deadline_exhausted");
-  return c;
-}
-obs::GaugeHandle& EpochGauge() {
-  static obs::GaugeHandle g("server.epoch");
-  return g;
-}
-obs::HistogramHandle& RequestLatency() {
-  static obs::HistogramHandle h("server.request_us");
-  return h;
-}
-obs::HistogramHandle& ApplyLatency() {
-  static obs::HistogramHandle h("server.apply_us");
-  return h;
-}
-obs::CounterHandle& WalAppendsCounter() {
-  static obs::CounterHandle c("server.wal_appends");
-  return c;
-}
-obs::CounterHandle& WalSyncsCounter() {
-  static obs::CounterHandle c("server.wal_syncs");
-  return c;
-}
-obs::CounterHandle& WalRefusedCounter() {
-  static obs::CounterHandle c("server.wal_refused");
-  return c;
-}
-obs::CounterHandle& WalSnapshotsCounter() {
-  static obs::CounterHandle c("server.wal_snapshots");
-  return c;
-}
-obs::GaugeHandle& WalBytesGauge() {
-  static obs::GaugeHandle g("server.wal_bytes");
-  return g;
-}
-obs::CounterHandle& PublishChunksEncodedCounter() {
-  static obs::CounterHandle c("server.publish_chunks_encoded");
-  return c;
+struct ServerMetrics {
+  obs::CounterHandle requests{"server.requests"};
+  obs::CounterHandle queries{"server.queries"};
+  obs::CounterHandle updates{"server.updates"};
+  obs::CounterHandle batches_applied{"server.batches_applied"};
+  obs::CounterHandle cancelled{"server.cancelled"};
+  obs::CounterHandle deadline_exhausted{"server.deadline_exhausted"};
+  obs::GaugeHandle epoch{"server.epoch"};
+  obs::HistogramHandle request_us{"server.request_us"};
+  obs::HistogramHandle apply_us{"server.apply_us"};
+  obs::CounterHandle wal_appends{"server.wal_appends"};
+  obs::CounterHandle wal_syncs{"server.wal_syncs"};
+  obs::CounterHandle wal_refused{"server.wal_refused"};
+  obs::CounterHandle wal_snapshots{"server.wal_snapshots"};
+  obs::GaugeHandle wal_bytes{"server.wal_bytes"};
+  obs::CounterHandle publish_chunks_encoded{"server.publish_chunks_encoded"};
+};
+
+ServerMetrics& Metrics() {
+  static ServerMetrics metrics;
+  return metrics;
 }
 
 Response Refuse(StatusCode code, std::string error) {
@@ -102,7 +65,7 @@ Result<std::unique_ptr<Server>> Server::Create(const Program& program,
         IncrementalView::Create(program, *catalog, base, options.eval);
     if (!view.ok()) return view.status();
     std::unique_ptr<Server> server(
-        new Server(std::move(view).value(), catalog, symbols, options));
+        new Server(std::move(view).value(), catalog, symbols));
     server->chunks_ = server->view_->model().EncodeSnapshotChunks();
     server->Publish(0, server->chunks_);
     return server;
@@ -118,15 +81,15 @@ Result<std::unique_ptr<Server>> Server::Create(const Program& program,
   Result<std::unique_ptr<store::DurableStore>> store =
       store::DurableStore::Open(options.durability);
   if (!store.ok()) return store.status();
-  std::unique_ptr<Server> server(new Server(std::move(recovered->view),
-                                            catalog, symbols, options));
+  std::unique_ptr<Server> server(
+      new Server(std::move(recovered->view), catalog, symbols));
   server->store_ = std::move(*store);
   server->recovery_.ran = true;
   server->recovery_.epoch = recovered->epoch;
   server->recovery_.replayed = recovered->replayed;
   server->recovery_.from_snapshot = recovered->from_snapshot;
   server->recovery_.truncated_tail = recovered->truncated_tail;
-  WalBytesGauge().Set(server->store_->wal().size());
+  Metrics().wal_bytes.Set(server->store_->wal().size());
   // The first publish carries the recovered epoch: clients resume at the
   // exact version the directory proves durable.
   server->chunks_ = server->view_->model().EncodeSnapshotChunks();
@@ -135,13 +98,8 @@ Result<std::unique_ptr<Server>> Server::Create(const Program& program,
 }
 
 Server::Server(std::unique_ptr<IncrementalView> view, const Catalog* catalog,
-               SymbolTable* symbols, const ServerOptions& options)
-    : catalog_(catalog),
-      symbols_(symbols),
-      options_(options),
-      view_(std::move(view)) {
-  if (options_.num_readers < 1) options_.num_readers = 1;
-}
+               SymbolTable* symbols)
+    : catalog_(catalog), symbols_(symbols), view_(std::move(view)) {}
 
 Status Server::FlushStore() {
   if (store_ == nullptr || store_->crashed()) return Status::OK();
@@ -158,17 +116,17 @@ Server::~Server() {
   }
 }
 
-void Server::Publish(int64_t epoch, SnapshotChunks chunks) {
+const Snapshot& Server::Publish(int64_t epoch, SnapshotChunks chunks) {
   auto snapshot = std::make_unique<Snapshot>(epoch, std::move(chunks));
-  const Snapshot* published = snapshot.get();
+  const Snapshot& published = *snapshot;
   registry_.Publish(std::move(snapshot));
-  EpochGauge().Set(epoch);
-  if (on_publish_) on_publish_(epoch, published->ModelBytes());
+  Metrics().epoch.Set(epoch);
+  return published;
 }
 
 Result<int64_t> Server::SubmitUpdate(const std::string& tokens) {
-  RequestsCounter().Add(1);
-  UpdatesCounter().Add(1);
+  Metrics().requests.Add(1);
+  Metrics().updates.Add(1);
   // The whole submission — including the parse — runs under mu_:
   // ParseUpdateTokens interns values into the shared SymbolTable, which
   // is not thread-safe, and concurrent clients reach here from their own
@@ -206,7 +164,7 @@ bool Server::ApplyOneQueued() {
 
   OBS_SPAN("server.apply_batch",
            {{"updates", static_cast<int>(pending.batch.size())}});
-  obs::ScopedLatency latency(&ApplyLatency());
+  obs::ScopedLatency latency(&Metrics().apply_us);
   Response response = Commit(std::move(pending.batch));
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -223,7 +181,7 @@ Response Server::Commit(std::vector<FactUpdate> batch) {
   // view: the view may already hold a batch whose WAL append failed, and
   // that dirty state must never be published or extended.
   if (store_ != nullptr && store_->crashed()) {
-    WalRefusedCounter().Add(1);
+    Metrics().wal_refused.Add(1);
     return Refuse(StatusCode::kInternal, "store crashed (commit refused)");
   }
   // The WAL record is formatted before the view sees the batch, so a
@@ -232,7 +190,7 @@ Response Server::Commit(std::vector<FactUpdate> batch) {
   if (store_ != nullptr) {
     tokens = FormatUpdateTokens(batch, *catalog_, *symbols_);
     if (!store::WalRecordFits(tokens)) {
-      WalRefusedCounter().Add(1);
+      Metrics().wal_refused.Add(1);
       return Refuse(StatusCode::kBudgetExhausted,
                     "update batch over the wal record size cap");
     }
@@ -250,7 +208,7 @@ Response Server::Commit(std::vector<FactUpdate> batch) {
       internal::g_server_publish_stale ? chunks_ : SnapshotChunks();
   {
     OBS_SPAN("server.publish", {{"epoch", static_cast<int>(epoch)}});
-    PublishChunksEncodedCounter().Add(MergeSnapshotDelta(
+    Metrics().publish_chunks_encoded.Add(MergeSnapshotDelta(
         view_->last_added(), view_->last_removed(), &chunks_));
   }
 
@@ -265,18 +223,18 @@ Response Server::Commit(std::vector<FactUpdate> batch) {
     OBS_SPAN("server.wal_append", {{"epoch", static_cast<int>(epoch)}});
     const Status append = store_->AppendCommit(epoch, tokens);
     if (!append.ok()) {
-      WalRefusedCounter().Add(1);
+      Metrics().wal_refused.Add(1);
       return Refuse(append.code(), append.message());
     }
-    WalAppendsCounter().Add(1);
-    WalBytesGauge().Set(store_->wal().size());
+    Metrics().wal_appends.Add(1);
+    Metrics().wal_bytes.Set(store_->wal().size());
   }
-  BatchesAppliedCounter().Add(1);
-  Publish(epoch,
-          internal::g_server_publish_stale ? std::move(pre_batch) : chunks_);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    commit_log_.push_back(CommitRecord{epoch, std::move(batch)});
+  Metrics().batches_applied.Add(1);
+  const Snapshot& published =
+      Publish(epoch, internal::g_server_publish_stale ? std::move(pre_batch)
+                                                      : chunks_);
+  if (on_publish_) {
+    on_publish_(CommitRecord{epoch, std::move(batch)}, published);
   }
   // Compaction after publish: the ack does not wait on the snapshot
   // write, and a compaction crash cannot retract an acked commit — it
@@ -294,11 +252,11 @@ Response Server::Commit(std::vector<FactUpdate> batch) {
     const int64_t before = store_->snapshots();
     (void)store_->MaybeCompact(epoch, view_->base().SerializeSnapshot(),
                                std::move(spellings));
-    if (store_->snapshots() > before) WalSnapshotsCounter().Add(1);
-    WalBytesGauge().Set(store_->wal().size());
+    if (store_->snapshots() > before) Metrics().wal_snapshots.Add(1);
+    Metrics().wal_bytes.Set(store_->wal().size());
   }
   if (store_ != nullptr) {
-    WalSyncsCounter().Add(store_->wal().syncs() - syncs_before);
+    Metrics().wal_syncs.Add(store_->wal().syncs() - syncs_before);
   }
   Response response;
   response.epoch = epoch;
@@ -319,16 +277,12 @@ int64_t Server::pending_updates() const {
 }
 
 Response Server::ServeQuery(const Request& request) {
-  return ServeQuery(request, Clock::now());
-}
-
-Response Server::ServeQuery(const Request& request,
-                            Clock::time_point admit) {
-  RequestsCounter().Add(1);
-  QueriesCounter().Add(1);
+  const Clock::time_point admit = Clock::now();
+  Metrics().requests.Add(1);
+  Metrics().queries.Add(1);
   OBS_SPAN("server.query",
            {{"kind", static_cast<int>(request.kind)}});
-  obs::ScopedLatency latency(&RequestLatency());
+  obs::ScopedLatency latency(&Metrics().request_us);
 
   auto expired = [&] {
     return request.deadline_ms != 0 &&
@@ -341,11 +295,11 @@ Response Server::ServeQuery(const Request& request,
   // pin releases on every return path, so refused requests leave the
   // reclamation counters balanced).
   if (request.cancel != nullptr && request.cancel->cancelled()) {
-    CancelledCounter().Add(1);
+    Metrics().cancelled.Add(1);
     return Refuse(StatusCode::kCancelled, "cancelled before pin");
   }
   if (expired()) {
-    DeadlineExhaustedCounter().Add(1);
+    Metrics().deadline_exhausted.Add(1);
     return Refuse(StatusCode::kBudgetExhausted, "deadline before pin");
   }
 
@@ -354,11 +308,11 @@ Response Server::ServeQuery(const Request& request,
     return Refuse(StatusCode::kInternal, "no snapshot published");
   }
   if (request.cancel != nullptr && request.cancel->cancelled()) {
-    CancelledCounter().Add(1);
+    Metrics().cancelled.Add(1);
     return Refuse(StatusCode::kCancelled, "cancelled at pinned snapshot");
   }
   if (expired()) {
-    DeadlineExhaustedCounter().Add(1);
+    Metrics().deadline_exhausted.Add(1);
     return Refuse(StatusCode::kBudgetExhausted,
                   "deadline at pinned snapshot");
   }
@@ -395,35 +349,25 @@ void Server::Start() {
   if (started_) return;
   started_ = true;
   {
-    std::lock_guard<std::mutex> l1(mu_);
-    std::lock_guard<std::mutex> l2(jobs_mu_);
+    std::lock_guard<std::mutex> l(mu_);
     stopping_ = false;
   }
   writer_thread_ = std::thread([this] { WriterLoop(); });
-  reader_threads_.reserve(static_cast<size_t>(options_.num_readers));
-  for (int i = 0; i < options_.num_readers; ++i) {
-    reader_threads_.emplace_back([this] { ReaderLoop(); });
-  }
 }
 
 void Server::Stop() {
   std::lock_guard<std::mutex> lock(threads_mu_);
   if (!started_) return;
   {
-    std::lock_guard<std::mutex> l1(mu_);
-    std::lock_guard<std::mutex> l2(jobs_mu_);
+    std::lock_guard<std::mutex> l(mu_);
     stopping_ = true;
   }
   writer_cv_.notify_all();
-  jobs_cv_.notify_all();
   if (writer_thread_.joinable()) writer_thread_.join();
-  for (std::thread& t : reader_threads_) {
-    if (t.joinable()) t.join();
-  }
-  reader_threads_.clear();
   // Unblock connection pumps stuck in ReadFrame, then join them. Their
-  // in-flight Calls have already settled: pre-stop work was drained
-  // above, post-stop work is refused at enqueue.
+  // in-flight updates have already settled (the writer drained every
+  // queued batch above), a read in flight finishes on its pump, and
+  // post-stop Calls are refused.
   for (const std::unique_ptr<ByteChannel>& channel : conn_channels_) {
     channel->Close();
   }
@@ -446,28 +390,7 @@ void Server::WriterLoop() {
   }
 }
 
-void Server::ReaderLoop() {
-  for (;;) {
-    QueryJob* job = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(jobs_mu_);
-      jobs_cv_.wait(lock, [&] { return stopping_ || !jobs_.empty(); });
-      if (jobs_.empty()) return;  // stopping and drained
-      job = jobs_.front();
-      jobs_.pop_front();
-    }
-    Response response = ServeQuery(job->request, job->admit);
-    {
-      std::lock_guard<std::mutex> lock(jobs_mu_);
-      job->response = std::move(response);
-      job->done = true;
-    }
-    jobs_done_cv_.notify_all();
-  }
-}
-
 Response Server::Call(const Request& request) {
-  const Clock::time_point admit = Clock::now();
   if (request.kind == Request::Kind::kUpdate) {
     Result<int64_t> ticket = SubmitUpdate(request.text);
     if (!ticket.ok()) {
@@ -485,23 +408,8 @@ Response Server::Call(const Request& request) {
   if (request.kind == Request::Kind::kClose) {
     return Refuse(StatusCode::kInvalidProgram, "close is not callable");
   }
-
-  QueryJob job;
-  job.request = request;
-  job.admit = admit;
-  {
-    std::lock_guard<std::mutex> lock(jobs_mu_);
-    // Same enqueue-or-refuse discipline as SubmitUpdate: a job pushed
-    // while !stopping_ is drained by the reader pool before it exits.
-    if (stopping_) {
-      return Refuse(StatusCode::kCancelled, "server stopping");
-    }
-    jobs_.push_back(&job);
-  }
-  jobs_cv_.notify_one();
-  std::unique_lock<std::mutex> lock(jobs_mu_);
-  jobs_done_cv_.wait(lock, [&] { return job.done; });
-  return std::move(job.response);
+  if (stopping_) return Refuse(StatusCode::kCancelled, "server stopping");
+  return ServeQuery(request);
 }
 
 void Server::Serve(ByteChannel* channel) {
@@ -531,11 +439,6 @@ void Server::ServeListener(SocketListener* listener) {
     conn_channels_.push_back(std::move(channel));
     conn_threads_.emplace_back([this, raw] { Serve(raw); });
   }
-}
-
-std::vector<CommitRecord> Server::CommitLog() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return commit_log_;
 }
 
 IncrementalView::Stats Server::view_stats() const {

@@ -4,12 +4,12 @@
 // A long-lived concurrent Datalog service (docs/server.md): one writer
 // drains a mutation op-queue through IncrementalView::ApplyBatch and
 // publishes an immutable epoch-versioned snapshot after every batch,
-// re-encoding only the relations the batch changed; N readers answer
-// queries by pinning the current snapshot and serving its frozen chunks
-// — MVCC snapshot reads with epoch-based reclamation (snapshot.h).
-// Per-request budgets reuse EvalOptions::deadline_ms / CancelToken
-// semantics; `server.*` metrics and spans plug into the observability
-// layer (docs/observability.md).
+// re-encoding only the relations the batch changed; every read is served
+// on the thread that made it, by pinning the current snapshot and
+// serving its frozen chunks — MVCC snapshot reads with epoch-based
+// reclamation (snapshot.h). Per-request budgets reuse
+// EvalOptions::deadline_ms / CancelToken semantics; `server.*` metrics
+// and spans plug into the observability layer (docs/observability.md).
 //
 // The class has two driving modes sharing one engine room:
 //
@@ -17,10 +17,11 @@
 //     ServeQuery expose each writer and reader step as an explicit call,
 //     which is what the deterministic virtual-clock scheduler
 //     (scheduler.h) and oracle pair #10 interleave and replay.
-//   * Threaded: Start() spawns the writer thread and a reader pool;
-//     Call() is the thread-safe blocking client surface, and
-//     Serve/ServeListener pump wire frames (wire.h) from in-process or
-//     socket channels (dist/transport.h) into Call.
+//   * Threaded: Start() spawns the writer thread; Call() is the
+//     thread-safe blocking client surface, and Serve/ServeListener pump
+//     wire frames (wire.h) from in-process or socket channels
+//     (dist/transport.h) into Call, so a socket read is served on its
+//     connection's pump thread.
 //
 // Consistency contract (what pair #10 checks): the bytes published for
 // epoch e are byte-identical to a sequential IncrementalView replay of
@@ -29,7 +30,8 @@
 // many batches commit meanwhile; and at quiescence no pins are held and
 // every retired snapshot has been reclaimed.
 
-#include <chrono>
+#include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -39,7 +41,6 @@
 #include <thread>
 #include <unordered_map>
 #include <vector>
-#include <condition_variable>
 
 #include "ast/ast.h"
 #include "base/result.h"
@@ -56,13 +57,9 @@ class SocketListener;
 namespace server {
 
 struct ServerOptions {
-  /// Reader threads in threaded mode (>= 1). The scheduler-driven mode
-  /// has no threads at all.
-  int num_readers = 2;
-  /// Evaluation options of the underlying IncrementalView (storage
-  /// backend, thread pool for the initial evaluation, ...). The
-  /// per-request deadline/cancel fields are ignored here — budgets ride
-  /// the requests.
+  /// Options of the underlying IncrementalView's initial evaluation (its
+  /// round and fact budgets). The view evaluates on one thread whatever
+  /// `num_threads` says. Request budgets ride the requests.
   EvalOptions eval;
   /// Durability (docs/durability.md). When `durability.dir` is non-empty
   /// Create recovers from that directory (snapshot + WAL replay) before
@@ -75,8 +72,8 @@ struct ServerOptions {
 };
 
 /// One applied mutation batch: `epoch` is the snapshot it produced.
-/// Commit order is publication order; replaying the log against a fresh
-/// IncrementalView reproduces every epoch's bytes.
+/// Commit order is publication order; replaying the records in order
+/// against a fresh IncrementalView reproduces every epoch's bytes.
 struct CommitRecord {
   int64_t epoch = 0;
   std::vector<FactUpdate> batch;
@@ -107,7 +104,7 @@ class Server {
   Result<int64_t> SubmitUpdate(const std::string& tokens);
 
   /// One writer step: applies the oldest queued batch through the view,
-  /// publishes the next epoch, appends the commit record and settles the
+  /// publishes the next epoch, runs the publish hook and settles the
   /// ticket. False if the queue was empty.
   bool ApplyOneQueued();
 
@@ -118,25 +115,29 @@ class Server {
   int64_t pending_updates() const;
 
   /// One reader step: serves a read request against the currently
-  /// published snapshot. Budget/cancellation are checked before pinning
-  /// and again between pin and payload serialization; a refused request
-  /// holds no pin on return. `admit` is the budget's start point —
-  /// threaded mode passes the moment the request entered the server.
+  /// published snapshot, on the calling thread; the registry's pin
+  /// bookkeeping is the only lock it takes. Budget/cancellation are
+  /// checked before pinning and again between pin and payload
+  /// serialization; the deadline runs from the call. A refused request
+  /// holds no pin on return.
   Response ServeQuery(const Request& request);
-  Response ServeQuery(const Request& request,
-                      std::chrono::steady_clock::time_point admit);
 
   // -- Threaded mode ----------------------------------------------------
 
-  /// Spawns the writer thread and `num_readers` reader threads. Idempotent.
+  /// Spawns the writer thread. Idempotent.
   void Start();
-  /// Drains nothing: pending updates stay queued, in-flight Calls are
-  /// completed, then threads exit. Idempotent; called by the destructor.
+  /// Refuses every later Call with kCancelled, lets the writer apply
+  /// every queued batch (so every accepted update settles) and joins it,
+  /// then closes and joins every connection pump, so no socket read is in
+  /// flight on return. A read made by a direct caller of Call finishes on
+  /// that caller's thread. Idempotent and restartable; called by the
+  /// destructor.
   void Stop();
 
-  /// Thread-safe blocking request: updates wait for their commit (their
-  /// response carries the created epoch), reads are dispatched to the
-  /// reader pool. Requires Start().
+  /// Thread-safe blocking request: an update waits for its commit (its
+  /// response carries the created epoch); a read is served on the calling
+  /// thread (ServeQuery). Refused with kCancelled once Stop has begun.
+  /// Requires Start().
   Response Call(const Request& request);
 
   /// Pumps frames from one connection until kClose, EOF, or a malformed
@@ -155,8 +156,8 @@ class Server {
   struct RecoveryInfo {
     /// True when Create ran recovery (durability.dir was non-empty).
     bool ran = false;
-    /// Epoch recovered to — the first publish and the base the commit
-    /// log continues from. CommitLog() only holds post-recovery commits.
+    /// Epoch recovered to — the first publish. The publish hook sees
+    /// only post-recovery commits, from epoch + 1 on.
     int64_t epoch = 0;
     int64_t replayed = 0;
     bool from_snapshot = false;
@@ -177,20 +178,19 @@ class Server {
   int64_t epoch() const { return registry_.current_epoch(); }
   const SnapshotRegistry& snapshots() const { return registry_; }
   const Catalog& catalog() const { return *catalog_; }
-  /// Copy of the commit log (publication order).
-  std::vector<CommitRecord> CommitLog() const;
   /// The underlying view's deterministic maintenance counters. Only
   /// meaningful at quiescence (the writer thread mutates them).
   IncrementalView::Stats view_stats() const;
 
-  /// Writer-side hook, invoked after each publish with the new epoch and
-  /// its canonical model bytes — the virtual scheduler and tests capture
-  /// the per-epoch byte stream here. The bytes are assembled for the
-  /// hook, an O(model) copy per publish that runs only while one is set.
+  /// Writer-side hook, run after each commit's publish with the commit
+  /// record and the snapshot that was published for it — the virtual
+  /// scheduler, the tests and the tools keep their commit logs and
+  /// per-epoch bytes here. A hook that needs bytes calls
+  /// snapshot.ModelBytes(); the reference is valid only during the call.
   /// Runs on the writer('s thread); must not call back into the server.
   /// Set before any writer step.
-  using PublishHook =
-      std::function<void(int64_t epoch, const std::string& bytes)>;
+  using PublishHook = std::function<void(const CommitRecord& commit,
+                                         const Snapshot& snapshot)>;
   void set_on_publish(PublishHook hook) { on_publish_ = std::move(hook); }
 
  private:
@@ -202,29 +202,21 @@ class Server {
     bool done = false;
     Response response;
   };
-  /// One read request waiting for (or on) a reader thread.
-  struct QueryJob {
-    Request request;
-    std::chrono::steady_clock::time_point admit;
-    Response response;
-    bool done = false;
-  };
 
   Server(std::unique_ptr<IncrementalView> view, const Catalog* catalog,
-         SymbolTable* symbols, const ServerOptions& options);
+         SymbolTable* symbols);
 
-  /// Publishes `chunks` as `epoch`. Writer only.
-  void Publish(int64_t epoch, SnapshotChunks chunks);
+  /// Publishes `chunks` as `epoch` and returns the published snapshot,
+  /// which stays alive until the next Publish. Writer only.
+  const Snapshot& Publish(int64_t epoch, SnapshotChunks chunks);
   /// Applies, logs and publishes one batch; the response to settle its
   /// ticket with. Writer only.
   Response Commit(std::vector<FactUpdate> batch);
 
   void WriterLoop();
-  void ReaderLoop();
 
   const Catalog* catalog_;
   SymbolTable* symbols_;
-  ServerOptions options_;
   /// Mutated only by the writer (thread or ApplyOneQueued caller).
   std::unique_ptr<IncrementalView> view_;
   /// Durable commit path (null = in-memory). Writer-only, like view_;
@@ -238,26 +230,20 @@ class Server {
   SnapshotRegistry registry_;
   PublishHook on_publish_;
 
-  /// Guards the writer queue, tickets and commit log.
+  /// Guards the writer queue and tickets.
   mutable std::mutex mu_;
   std::condition_variable writer_cv_;   // queue non-empty or stopping
   std::condition_variable tickets_cv_;  // a ticket settled
   std::deque<PendingUpdate> queue_;
   std::unordered_map<int64_t, TicketState> tickets_;
-  std::vector<CommitRecord> commit_log_;
   int64_t next_ticket_ = 1;
-
-  /// Guards the reader job queue.
-  std::mutex jobs_mu_;
-  std::condition_variable jobs_cv_;       // job available or stopping
-  std::condition_variable jobs_done_cv_;  // a job finished
-  std::deque<QueryJob*> jobs_;
 
   std::mutex threads_mu_;  // guards the thread containers + started_
   bool started_ = false;
-  bool stopping_ = false;  // written under mu_ AND jobs_mu_ when set
+  /// Written under mu_, so the writer and SubmitUpdate see it in step
+  /// with the queue; a read loads it without taking a lock.
+  std::atomic<bool> stopping_{false};
   std::thread writer_thread_;
-  std::vector<std::thread> reader_threads_;
   std::vector<std::thread> conn_threads_;
   /// Accepted connections, owned here so Stop can Close them to unblock
   /// their pump threads.

@@ -9,24 +9,16 @@ namespace server {
 
 namespace {
 
-obs::GaugeHandle& LiveGauge() {
-  static obs::GaugeHandle g("server.snapshot.live");
-  return g;
-}
+struct SnapshotMetrics {
+  obs::GaugeHandle live{"server.snapshot.live"};
+  obs::GaugeHandle pinned{"server.snapshot.pinned"};
+  obs::CounterHandle published{"server.snapshot.published"};
+  obs::CounterHandle reclaimed{"server.snapshot.reclaimed"};
+};
 
-obs::GaugeHandle& PinnedGauge() {
-  static obs::GaugeHandle g("server.snapshot.pinned");
-  return g;
-}
-
-obs::CounterHandle& PublishedCounter() {
-  static obs::CounterHandle c("server.snapshot.published");
-  return c;
-}
-
-obs::CounterHandle& ReclaimedCounter() {
-  static obs::CounterHandle c("server.snapshot.reclaimed");
-  return c;
+SnapshotMetrics& Metrics() {
+  static SnapshotMetrics metrics;
+  return metrics;
 }
 
 }  // namespace
@@ -76,8 +68,8 @@ void SnapshotRegistry::Publish(std::unique_ptr<Snapshot> snapshot) {
   entry->snapshot = std::move(snapshot);
   entries_.push_back(std::move(entry));
   ++counters_.published;
-  PublishedCounter().Add(1);
-  LiveGauge().Set(static_cast<int64_t>(entries_.size()));
+  Metrics().published.Add(1);
+  Metrics().live.Set(static_cast<int64_t>(entries_.size()));
 }
 
 SnapshotPin SnapshotRegistry::Pin() {
@@ -86,7 +78,7 @@ SnapshotPin SnapshotRegistry::Pin() {
   Entry* current = entries_.back().get();
   ++current->pins;
   ++counters_.pins;
-  PinnedGauge().Set(counters_.pins - counters_.unpins);
+  Metrics().pinned.Set(counters_.pins - counters_.unpins);
   return SnapshotPin(this, current->snapshot.get());
 }
 
@@ -98,7 +90,7 @@ void SnapshotRegistry::Unpin(const Snapshot* snapshot) {
     assert(e->pins > 0);
     --e->pins;
     ++counters_.unpins;
-    PinnedGauge().Set(counters_.pins - counters_.unpins);
+    Metrics().pinned.Set(counters_.pins - counters_.unpins);
     if (e->retired && e->pins == 0) ReclaimLocked(i);
     return;
   }
@@ -108,8 +100,8 @@ void SnapshotRegistry::Unpin(const Snapshot* snapshot) {
 void SnapshotRegistry::ReclaimLocked(size_t i) {
   entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(i));
   ++counters_.reclaimed;
-  ReclaimedCounter().Add(1);
-  LiveGauge().Set(static_cast<int64_t>(entries_.size()));
+  Metrics().reclaimed.Add(1);
+  Metrics().live.Set(static_cast<int64_t>(entries_.size()));
 }
 
 int64_t SnapshotRegistry::current_epoch() const {

@@ -3,9 +3,10 @@
 // epoch-based reclamation, the deterministic virtual-clock scheduler,
 // oracle pair #10 (server-vs-library) with its planted torn-read bug and
 // session shrinking, and the threaded mode — including snapshot-isolation
-// invariants under real reader/writer concurrency at 1, 2 and 8 threads,
-// and malformed wire input (truncated frames, unknown request kinds,
-// over-cap frame lengths) answered cleanly without leaking snapshot pins.
+// invariants under real reader/writer concurrency at 1, 2 and 8 client
+// reader threads, reads served on the calling thread, and malformed wire
+// input (truncated frames, unknown request kinds, over-cap frame lengths)
+// answered cleanly without leaking snapshot pins.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +22,7 @@
 #include "eval/incremental.h"
 #include "eval/test_hooks.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "server/scheduler.h"
 #include "server/server.h"
 #include "server/session.h"
@@ -278,6 +280,15 @@ class ServerTest : public ::testing::Test {
     return std::move(*server);
   }
 
+  /// Makes `server` append every commit to `log` through its publish
+  /// hook. Install before any writer step; read `log` at quiescence.
+  static void LogCommits(Server* server, std::vector<CommitRecord>* log) {
+    server->set_on_publish(
+        [log](const CommitRecord& commit, const Snapshot&) {
+          log->push_back(commit);
+        });
+  }
+
   /// Replays `log` against a fresh IncrementalView of the same base and
   /// returns the serialized model after all batches.
   std::string ReplayAll(const std::string& facts_text,
@@ -311,6 +322,8 @@ TEST_F(ServerTest, EpochZeroIsPublishedByCreate) {
 
 TEST_F(ServerTest, UpdateCommitAdvancesTheEpoch) {
   auto server = MustCreate(kTcProgram, "e1(0, 1).");
+  std::vector<CommitRecord> log;
+  LogCommits(server.get(), &log);
   Result<int64_t> ticket = server->SubmitUpdate("+e1(1,2)");
   ASSERT_TRUE(ticket.ok());
   Response pending;
@@ -329,7 +342,6 @@ TEST_F(ServerTest, UpdateCommitAdvancesTheEpoch) {
   Response r = server->ServeQuery(Request{Request::Kind::kQuery, "t", 0,
                                           nullptr});
   ASSERT_EQ(r.status, StatusCode::kOk);
-  const std::vector<CommitRecord> log = server->CommitLog();
   ASSERT_EQ(log.size(), 1u);
   EXPECT_EQ(log[0].epoch, 1);
   // Served bytes match the sequential replay, restricted to t.
@@ -364,6 +376,8 @@ TEST_F(ServerTest, PublishReencodesOnlyTouchedChunks) {
   metrics.SetEnabled(true);
   auto server = MustCreate(
       "t(X, Y) :- e(X, Y).\nt(X, Z) :- t(X, Y), e(Y, Z).\n", kFacts);
+  std::vector<CommitRecord> log;
+  LogCommits(server.get(), &log);
   auto chunks_encoded = [&](const std::string& tokens) {
     const int64_t before = metrics.Value("server.publish_chunks_encoded");
     Result<int64_t> ticket = server->SubmitUpdate(tokens);
@@ -384,8 +398,7 @@ TEST_F(ServerTest, PublishReencodesOnlyTouchedChunks) {
 
   Request snapshot;
   snapshot.kind = Request::Kind::kSnapshotQuery;
-  EXPECT_EQ(server->ServeQuery(snapshot).body,
-            ReplayAll(kFacts, server->CommitLog()));
+  EXPECT_EQ(server->ServeQuery(snapshot).body, ReplayAll(kFacts, log));
 }
 
 TEST_F(ServerTest, CancelledAndExpiredRequestsLeaveNoPins) {
@@ -604,12 +617,12 @@ class ServerThreadedTest : public ServerTest {
  protected:
   /// Runs `writers` mutator clients and `readers` query clients against a
   /// Start()ed server, then checks the snapshot-isolation invariants and
-  /// the commit-log replay. Thread counts deliberately exceed
-  /// num_readers so jobs queue up.
-  void RunMixedLoad(int num_readers, int writers, int readers) {
-    ServerOptions options;
-    options.num_readers = num_readers;
-    auto server = MustCreate(kTcProgram, "e1(0, 1). e1(1, 2).", options);
+  /// the replay of the commit log the publish hook collected. Each read
+  /// is served on its client's thread while the writer publishes.
+  void RunMixedLoad(int writers, int readers) {
+    auto server = MustCreate(kTcProgram, "e1(0, 1). e1(1, 2).");
+    std::vector<CommitRecord> log;
+    LogCommits(server.get(), &log);
     server->Start();
 
     std::atomic<int> bad{0};
@@ -650,8 +663,7 @@ class ServerThreadedTest : public ServerTest {
     Response final_snapshot = server->ServeQuery(
         Request{Request::Kind::kSnapshotQuery, "", 0, nullptr});
     ASSERT_EQ(final_snapshot.status, StatusCode::kOk);
-    EXPECT_EQ(final_snapshot.body,
-              ReplayAll("e1(0, 1). e1(1, 2).", server->CommitLog()));
+    EXPECT_EQ(final_snapshot.body, ReplayAll("e1(0, 1). e1(1, 2).", log));
 
     // Quiescent reclamation: one live snapshot, no pins, balanced
     // counters.
@@ -666,15 +678,62 @@ class ServerThreadedTest : public ServerTest {
 };
 
 TEST_F(ServerThreadedTest, MixedLoadOneReaderThread) {
-  RunMixedLoad(/*num_readers=*/1, /*writers=*/2, /*readers=*/2);
+  RunMixedLoad(/*writers=*/2, /*readers=*/1);
 }
 
 TEST_F(ServerThreadedTest, MixedLoadTwoReaderThreads) {
-  RunMixedLoad(/*num_readers=*/2, /*writers=*/2, /*readers=*/4);
+  RunMixedLoad(/*writers=*/2, /*readers=*/2);
 }
 
 TEST_F(ServerThreadedTest, MixedLoadEightReaderThreads) {
-  RunMixedLoad(/*num_readers=*/8, /*writers=*/3, /*readers=*/8);
+  RunMixedLoad(/*writers=*/3, /*readers=*/8);
+}
+
+// A read Call is served on the thread that makes it: its server.query
+// span nests inside the caller's own span, on the caller's trace thread.
+TEST_F(ServerThreadedTest, ReadIsServedOnTheCallingThread) {
+  auto server = MustCreate(kTcProgram, "e1(0, 1).");
+  server->Start();
+  obs::Tracer& tracer = obs::Tracer::Get();
+  tracer.Enable();
+  std::thread client([&server] {
+    OBS_SPAN("test.client");
+    EXPECT_EQ(server->Call(Request{Request::Kind::kQuery, "t", 0, nullptr})
+                  .status,
+              StatusCode::kOk);
+  });
+  client.join();
+  tracer.Disable();
+  server->Stop();
+
+  const obs::TraceEvent* caller = nullptr;
+  const obs::TraceEvent* query = nullptr;
+  const std::vector<obs::TraceEvent> events = tracer.Snapshot();
+  for (const obs::TraceEvent& e : events) {
+    if (std::string(e.name) == "test.client") caller = &e;
+    if (std::string(e.name) == "server.query") query = &e;
+  }
+  ASSERT_NE(caller, nullptr);
+  ASSERT_NE(query, nullptr);
+  EXPECT_EQ(query->tid, caller->tid);
+  EXPECT_EQ(query->depth, 1u);
+}
+
+// Stop lets the writer apply every batch queued before it, so every
+// accepted update settles.
+TEST_F(ServerThreadedTest, StopDrainsQueuedUpdates) {
+  auto server = MustCreate(kTcProgram, "e1(0, 1).");
+  constexpr int kBatches = 5;
+  for (int i = 1; i <= kBatches; ++i) {
+    ASSERT_TRUE(server
+                    ->SubmitUpdate("+e1(" + std::to_string(i) + "," +
+                                   std::to_string(i + 1) + ")")
+                    .ok());
+  }
+  server->Start();
+  server->Stop();
+  EXPECT_EQ(server->pending_updates(), 0);
+  EXPECT_EQ(server->epoch(), kBatches);
 }
 
 TEST_F(ServerThreadedTest, StartStopIsIdempotentAndRestartable) {
@@ -709,9 +768,7 @@ TEST_F(ServerThreadedTest, CallAfterStopIsRefusedNotHung) {
 }
 
 TEST_F(ServerThreadedTest, DeadlineStormLeavesNoPinnedSnapshots) {
-  ServerOptions options;
-  options.num_readers = 2;
-  auto server = MustCreate(kTcProgram, "e1(0, 1).", options);
+  auto server = MustCreate(kTcProgram, "e1(0, 1).");
   server->Start();
 
   CancelToken cancel;
@@ -886,6 +943,8 @@ TEST_F(ServerThreadedTest, OverCapFrameLengthClosesWithoutAResponse) {
 
 TEST_F(ServerThreadedTest, ServesOverLocalhostSockets) {
   auto server = MustCreate(kTcProgram, "e1(0, 1).");
+  std::vector<CommitRecord> log;
+  LogCommits(server.get(), &log);
   server->Start();
 
   Result<std::unique_ptr<SocketListener>> listener = SocketListener::Listen(0);
@@ -917,12 +976,12 @@ TEST_F(ServerThreadedTest, ServesOverLocalhostSockets) {
   ASSERT_TRUE(ReadFrame(client.get(), &payload));
   ASSERT_TRUE(DecodeResponse(payload, &response));
   EXPECT_EQ(response.status, StatusCode::kOk);
-  EXPECT_EQ(response.body, ReplayAll("e1(0, 1).", server->CommitLog()));
 
   client->Close();
   (*listener)->Close();
   accept_loop.join();
   server->Stop();
+  EXPECT_EQ(response.body, ReplayAll("e1(0, 1).", log));
 }
 
 }  // namespace

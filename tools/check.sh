@@ -108,17 +108,6 @@ server_smoke() {
     --artifacts="${build_dir}/fuzz-artifacts-server"
 }
 
-# Mixed-load server bench (docs/server.md): reader/writer clients against
-# the threaded Server; every row self-checks the final served snapshot
-# byte-identical to a sequential commit-log replay and reclamation
-# quiescence.
-bench_server() {
-  local build_dir="$1"
-  echo "==> bench-server ${build_dir}"
-  "${build_dir}/bench/server_throughput" \
-    --json="${build_dir}/BENCH_server.json" >/dev/null
-}
-
 # Durability smoke (docs/durability.md): a focused crash-recover-vs-replay
 # sweep (oracle pair #11) — every generated case carries a seeded crash
 # schedule, and recovery must land in the bounded-loss window with bytes
@@ -206,7 +195,6 @@ durability_smoke "${repo}/build"
 trace_check "${repo}/build"
 bench_peer_faults "${repo}/build"
 bench_incremental "${repo}/build"
-bench_server "${repo}/build"
 bench_wal "${repo}/build"
 kill_recover_smoke "${repo}/build"
 perfbench_selftest "${repo}/build"
@@ -240,8 +228,10 @@ if [[ "${tsan}" -eq 1 ]]; then
   # and the erase-journal index replay (the IncrementalRandomSweep drives
   # its scratch reference engines at 1/2/8 threads);
   # Server/Session/Epoch/Reclaim covers the concurrent Datalog server
-  # (docs/server.md) — the writer thread, reader pools at 1/2/8 threads,
-  # MVCC snapshot pin/unpin reclamation, and the wire/session parsers;
+  # (docs/server.md) — the writer thread, reads served on 1/2/8 client
+  # threads and on connection pumps while the writer publishes and Stop
+  # closes the pumps, MVCC snapshot pin/unpin reclamation, and the
+  # wire/session parsers;
   # Wal/Snapshotter/Recover/Durab covers the durability layer
   # (docs/durability.md) — the writer-thread WAL appends and compaction
   # against concurrent readers, and the restart/recovery paths;

@@ -3,7 +3,7 @@
 // Usage:
 //   unchained_serve --program=FILE --facts=FILE
 //                   [--script=FILE --seed=S [--cancel-prob=P]]
-//                   [--port=N] [--readers=N] [--socket-smoke] [--metrics]
+//                   [--port=N] [--socket-smoke] [--metrics]
 //                   [--wal=DIR [--sync-every=S] [--snap-every=M]]
 //                   [--kill-smoke]
 //
@@ -20,7 +20,8 @@
 //   --socket-smoke  End-to-end self-test: serve on an ephemeral port,
 //                   connect a client socket, run an update + queries and
 //                   verify the served bytes against a sequential replay
-//                   of the commit log. Exits 0 on success.
+//                   of the commits, which the smoke logs through the
+//                   server's publish hook. Exits 0 on success.
 //   --kill-smoke    Real crash-recovery self-test (docs/durability.md):
 //                   fork a child that serves durably into --wal's
 //                   directory with real fsyncs, pump updates over a
@@ -96,8 +97,7 @@ int Usage() {
                "usage: unchained_serve --program=FILE --facts=FILE\n"
                "                       [--script=FILE --seed=S"
                " [--cancel-prob=P]]\n"
-               "                       [--port=N] [--readers=N]"
-               " [--socket-smoke]\n"
+               "                       [--port=N] [--socket-smoke]\n"
                "                       [--wal=DIR [--sync-every=S]"
                " [--snap-every=M]]\n"
                "                       [--kill-smoke] [--metrics]\n");
@@ -149,6 +149,11 @@ int RunScript(server::Server* srv, const std::string& script_text,
 
 int RunSocketSmoke(server::Server* srv, Engine* engine,
                    const Program& program, const std::string& facts_text) {
+  std::vector<server::CommitRecord> commits;
+  srv->set_on_publish([&commits](const server::CommitRecord& commit,
+                                 const server::Snapshot&) {
+    commits.push_back(commit);
+  });
   srv->Start();
   Result<std::unique_ptr<SocketListener>> listener = SocketListener::Listen(0);
   if (!listener.ok()) {
@@ -158,6 +163,7 @@ int RunSocketSmoke(server::Server* srv, Engine* engine,
       [srv, l = listener->get()] { srv->ServeListener(l); });
 
   int failures = 0;
+  std::string served;
   {
     Result<std::unique_ptr<ByteChannel>> client =
         SocketConnect((*listener)->port());
@@ -188,22 +194,7 @@ int RunSocketSmoke(server::Server* srv, Engine* engine,
         response.status != StatusCode::kOk) {
       ++failures;
     }
-    // Byte-identity self-check: the served snapshot equals a sequential
-    // replay of the commit log against a fresh view.
-    Instance base(&engine->catalog());
-    if (!engine->AddFacts(facts_text, &base).ok()) ++failures;
-    auto view =
-        datalog::IncrementalView::Create(program, engine->catalog(), base);
-    if (!view.ok()) {
-      ++failures;
-    } else {
-      for (const server::CommitRecord& commit : srv->CommitLog()) {
-        if (!(*view)->ApplyBatch(commit.batch).ok()) ++failures;
-      }
-      if (response.body != (*view)->model().SerializeSnapshot()) {
-        ++failures;
-      }
-    }
+    served = response.body;
     server::WriteFrame(client->get(),
                        server::EncodeRequest(server::Request{
                            server::Request::Kind::kClose, "", 0, nullptr}));
@@ -211,6 +202,22 @@ int RunSocketSmoke(server::Server* srv, Engine* engine,
   (*listener)->Close();
   accept_loop.join();
   srv->Stop();
+  srv->set_on_publish(nullptr);
+
+  // Byte-identity self-check: the served snapshot equals a sequential
+  // replay of the logged commits against a fresh view.
+  Instance base(&engine->catalog());
+  if (!engine->AddFacts(facts_text, &base).ok()) ++failures;
+  auto view =
+      datalog::IncrementalView::Create(program, engine->catalog(), base);
+  if (!view.ok()) {
+    ++failures;
+  } else {
+    for (const server::CommitRecord& commit : commits) {
+      if (!(*view)->ApplyBatch(commit.batch).ok()) ++failures;
+    }
+    if (served != (*view)->model().SerializeSnapshot()) ++failures;
+  }
   if (failures != 0) {
     return Fail("socket smoke: " + std::to_string(failures) + " failures");
   }
@@ -414,7 +421,6 @@ int main(int argc, char** argv) {
   uint64_t seed = 0;
   double cancel_prob = 0.0;
   int port = -1;
-  int readers = 2;
   bool socket_smoke = false;
   bool kill_smoke = false;
   bool metrics = false;
@@ -434,8 +440,6 @@ int main(int argc, char** argv) {
       cancel_prob = std::atof(value.c_str());
     } else if (ParseArg(arg, "port", &value)) {
       port = std::atoi(value.c_str());
-    } else if (ParseArg(arg, "readers", &value)) {
-      readers = std::atoi(value.c_str());
     } else if (ParseArg(arg, "wal", &wal_dir)) {
     } else if (ParseArg(arg, "sync-every", &value)) {
       sync_every = std::atoi(value.c_str());
@@ -453,7 +457,6 @@ int main(int argc, char** argv) {
     }
   }
   if (program_path.empty() || facts_path.empty()) return Usage();
-  if (readers < 1) return Usage();
 
   std::string program_text;
   std::string facts_text;
@@ -478,7 +481,6 @@ int main(int argc, char** argv) {
   }
 
   server::ServerOptions options;
-  options.num_readers = readers;
   if (!wal_dir.empty()) {
     options.durability.dir = wal_dir;
     options.durability.sync_every = sync_every;
