@@ -305,24 +305,6 @@ int64_t DeltaEngine::Round(const Program& program, Instance* db,
   const std::vector<Value>* adom = nullptr;
   DbView view{db, db};
 
-  // Delta relations for fallback rules, materialized from the flat rows
-  // at most once per (pred, round).
-  std::unordered_map<PredId, Relation> fallback_delta;
-  const auto FallbackDeltaRel = [&](PredId p) -> const Relation* {
-    auto it = fallback_delta.find(p);
-    if (it == fallback_delta.end()) {
-      const FlatDelta& fd = delta_.at(p);
-      Relation rel(fd.arity);
-      const size_t stride = static_cast<size_t>(fd.arity);
-      for (size_t r = 0; r < fd.rows; ++r) {
-        const Value* base = fd.values.data() + r * stride;
-        rel.Insert(Tuple(base, base + stride));
-      }
-      it = fallback_delta.emplace(p, std::move(rel)).first;
-    }
-    return &it->second;
-  };
-
   // Phase A: enumerate every match, buffering candidate head rows per
   // rule. Nothing is inserted yet, so every probe below sees the
   // round-start database — exactly what the hash path's per-match
@@ -347,11 +329,13 @@ int64_t DeltaEngine::Round(const Program& program, Instance* db,
         const Literal& lit = rule.body[li];
         if (lit.kind != Literal::Kind::kRelational || lit.negative) continue;
         if (recursive_.count(lit.atom.pred) == 0) continue;
-        if (delta_.find(lit.atom.pred) == delta_.end()) continue;
+        auto dit = delta_.find(lit.atom.pred);
+        if (dit == delta_.end()) continue;
         if (adom == nullptr) adom = &ctx->Adom(program, *db);
         (*matchers_)[i].ForEachMatch(view, *adom, &ctx->index,
                                      static_cast<int>(li),
-                                     FallbackDeltaRel(lit.atom.pred), sink);
+                                     dit->second.values.data(),
+                                     dit->second.rows, sink);
       }
     } else {
       val.assign(static_cast<size_t>(rule.num_vars), kUnboundValue);

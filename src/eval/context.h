@@ -77,13 +77,6 @@ class EvalContext {
   /// options.provenance; kept as a member so engines no longer thread a
   /// third parameter around).
   DerivationLog* provenance = nullptr;
-  /// When set, the semi-naive sinks invoke this for every fact the moment
-  /// it is first derived (rule index, head predicate, instantiated head
-  /// tuple) — the seeding hook IncrementalView uses to collect per-fact
-  /// derivation counts during the initial evaluation. Only honored on the
-  /// generic path (attach provenance to force it); the columnar delta
-  /// rounds ignore it.
-  std::function<void(size_t, PredId, const Tuple&)> on_derivation;
   /// Whether this context publishes its final stats to the global
   /// obs::MetricsRegistry on destruction (when metrics collection is
   /// enabled). Sub-contexts whose counters are merged into a parent —

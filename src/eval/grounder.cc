@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <memory>
 #include <set>
 
 namespace datalog {
@@ -43,21 +44,23 @@ void InstantiateInto(const Atom& atom, const Valuation& val, Tuple* out) {
 
 /// Everything one ForEachMatch call mutates. The scratch stacks are
 /// shared by the whole backtracking search and unwound to a mark, so
-/// nothing is allocated per tried tuple or per check pass.
+/// nothing is allocated per tried tuple or per check pass; the state
+/// itself is recycled across calls (StateLease).
 struct RuleMatcher::MatchState {
-  const DbView* view;
-  const std::vector<Value>* adom;
-  IndexManager* index;
-  int delta_literal;
-  const Relation* delta;
-  /// When non-null, the delta literal iterates this tuple span instead of
-  /// `*delta`.
+  const DbView* view = nullptr;
+  const std::vector<Value>* adom = nullptr;
+  IndexManager* index = nullptr;
+  int delta_literal = -1;
+  /// What the delta literal iterates: the `delta_count` tuples at
+  /// `delta_tuples`, or — when that is null — as many flat rows at
+  /// `delta_values` (null for arity 0).
+  const Value* delta_values = nullptr;
   const Tuple* const* delta_tuples = nullptr;
   size_t delta_count = 0;
-  const std::function<bool(const Valuation&)>* cb;
+  const std::function<bool(const Valuation&)>* cb = nullptr;
   Valuation val;
   std::vector<bool> literal_done;  // indexed like rule_->body
-  int positives_remaining;
+  int positives_remaining = 0;
   bool aborted = false;
   /// Variables bound by unifying positive literals with tuples.
   std::vector<int> trail;
@@ -209,17 +212,18 @@ bool RuleMatcher::MatchPositives(MatchState* state) const {
   state->literal_done[Slot(best)] = true;
   --state->positives_remaining;
 
-  // Unifies `tuple` with the atom under the current valuation; on success
-  // recurses. Returns false to stop all matching (callback said stop).
-  auto try_tuple = [&](const Tuple& tuple) -> bool {
+  // Unifies `row` (`arity` values) with the atom under the current
+  // valuation; on success recurses. Returns false to stop all matching
+  // (callback said stop).
+  auto try_row = [&](const Value* row) -> bool {
     const size_t trail_mark = state->trail.size();
     bool match = true;
     for (size_t c = 0; c < arity; ++c) {
       const Term& term = atom.terms[c];
       Value bound_value = TermValue(term, state->val);
       if (bound_value == kUnboundValue) {
-        state->Bind(term.var, tuple[c]);
-      } else if (bound_value != tuple[c]) {
+        state->Bind(term.var, row[c]);
+      } else if (bound_value != row[c]) {
         match = false;
         break;
       }
@@ -231,19 +235,13 @@ bool RuleMatcher::MatchPositives(MatchState* state) const {
   };
 
   if (best == state->delta_literal) {
-    if (state->delta_tuples != nullptr) {
-      for (size_t i = 0; i < state->delta_count; ++i) {
-        if (!try_tuple(*state->delta_tuples[i])) {
-          keep_going = false;
-          break;
-        }
-      }
-    } else {
-      for (const Tuple& t : *state->delta) {
-        if (!try_tuple(t)) {
-          keep_going = false;
-          break;
-        }
+    for (size_t i = 0; i < state->delta_count; ++i) {
+      const Value* row = state->delta_tuples != nullptr
+                             ? state->delta_tuples[i]->data()
+                             : state->delta_values + i * arity;
+      if (!try_row(row)) {
+        keep_going = false;
+        break;
       }
     }
   } else {
@@ -264,7 +262,7 @@ bool RuleMatcher::MatchPositives(MatchState* state) const {
           *state->view->positives, atom.pred, best_mask, key);
       if (bucket != nullptr) {
         for (const Tuple* t : *bucket) {
-          if (!try_tuple(*t)) {
+          if (!try_row(t->data())) {
             keep_going = false;
             break;
           }
@@ -368,32 +366,72 @@ bool RuleMatcher::MatchForall(
   return enum_free(0);
 }
 
-void RuleMatcher::Match(MatchState* state) const {
+/// A MatchState leased from the calling thread's free list for one call
+/// and returned on exit. A warm call reuses a state's vectors and so
+/// allocates nothing; a callback that re-enters the matcher leases
+/// another state; states never cross threads, and a thread's list is
+/// freed when the thread exits.
+class RuleMatcher::StateLease {
+ public:
+  StateLease() {
+    std::vector<std::unique_ptr<MatchState>>& free = FreeList();
+    if (free.empty()) {
+      // Room to take back every state this thread owns, so that the
+      // destructor never allocates.
+      free.reserve(free.capacity() + 1);
+      state_ = std::make_unique<MatchState>();
+    } else {
+      state_ = std::move(free.back());
+      free.pop_back();
+    }
+  }
+  ~StateLease() { FreeList().push_back(std::move(state_)); }
+  StateLease(const StateLease&) = delete;
+  StateLease& operator=(const StateLease&) = delete;
+
+  MatchState* get() const { return state_.get(); }
+
+ private:
+  static std::vector<std::unique_ptr<MatchState>>& FreeList() {
+    thread_local std::vector<std::unique_ptr<MatchState>> free;
+    return free;
+  }
+
+  std::unique_ptr<MatchState> state_;
+};
+
+void RuleMatcher::Match(const DbView& view, const std::vector<Value>& adom,
+                        IndexManager* index, int delta_literal,
+                        const Value* delta_values,
+                        const Tuple* const* delta_tuples, size_t delta_count,
+                        const std::function<bool(const Valuation&)>& cb) const {
+  StateLease lease;
+  MatchState* state = lease.get();
+  state->view = &view;
+  state->adom = &adom;
+  state->index = index;
+  state->delta_literal = delta_literal;
+  state->delta_values = delta_values;
+  state->delta_tuples = delta_tuples;
+  state->delta_count = delta_count;
+  state->cb = &cb;
   state->val.assign(Slot(rule_->num_vars), kUnboundValue);
   state->literal_done.assign(rule_->body.size(), false);
   state->positives_remaining = static_cast<int>(positive_literals_.size());
-  state->trail.reserve(Slot(rule_->num_vars));
-  state->applied.reserve(2 * check_literals_.size());
+  state->aborted = false;
+  state->trail.clear();
+  state->applied.clear();
   MatchPositives(state);
 }
 
 void RuleMatcher::ForEachMatch(
     const DbView& view, const std::vector<Value>& adom, IndexManager* index,
-    int delta_literal, const Relation* delta,
+    int delta_literal, const Value* delta_values, size_t delta_rows,
     const std::function<bool(const Valuation&)>& cb) const {
-  if (is_forall_) {
-    assert(delta_literal < 0 && "semi-naive deltas unsupported for ∀ rules");
-    MatchForall(view, adom, cb);
-    return;
-  }
-  MatchState state;
-  state.view = &view;
-  state.adom = &adom;
-  state.index = index;
-  state.delta_literal = delta_literal;
-  state.delta = delta;
-  state.cb = &cb;
-  Match(&state);
+  assert(!is_forall_ && "semi-naive deltas unsupported for ∀ rules");
+  assert(delta_literal >= 0);
+  Match(view, adom, index, delta_literal, delta_values, nullptr, delta_rows,
+        cb);
 }
 
 void RuleMatcher::ForEachMatch(
@@ -402,22 +440,18 @@ void RuleMatcher::ForEachMatch(
     const std::function<bool(const Valuation&)>& cb) const {
   assert(!is_forall_ && "semi-naive deltas unsupported for ∀ rules");
   assert(delta_literal >= 0);
-  MatchState state;
-  state.view = &view;
-  state.adom = &adom;
-  state.index = index;
-  state.delta_literal = delta_literal;
-  state.delta = nullptr;
-  state.delta_tuples = delta_tuples;
-  state.delta_count = delta_count;
-  state.cb = &cb;
-  Match(&state);
+  Match(view, adom, index, delta_literal, nullptr, delta_tuples, delta_count,
+        cb);
 }
 
 void RuleMatcher::ForEachMatch(
     const DbView& view, const std::vector<Value>& adom, IndexManager* index,
     const std::function<bool(const Valuation&)>& cb) const {
-  ForEachMatch(view, adom, index, /*delta_literal=*/-1, /*delta=*/nullptr, cb);
+  if (is_forall_) {
+    MatchForall(view, adom, cb);
+    return;
+  }
+  Match(view, adom, index, /*delta_literal=*/-1, nullptr, nullptr, 0, cb);
 }
 
 Tuple InstantiateAtom(const Atom& atom, const Valuation& val) {

@@ -54,21 +54,23 @@ class RuleMatcher {
 
   const Rule& rule() const { return *rule_; }
 
-  /// Invokes `cb` once per satisfying valuation. If `delta_literal` >= 0,
-  /// that body literal (which must be positive relational) is matched
-  /// against `*delta` instead of the view — the semi-naive rewriting.
-  /// Matching stops early if `cb` returns false. Every mutable piece of
-  /// a match lives in the call, so threads may share a matcher and `cb`
-  /// may call ForEachMatch again; a call allocates O(1) times, never per
-  /// tried tuple.
+  /// Semi-naive entry: invokes `cb` once per satisfying valuation in
+  /// which body literal `delta_literal` (positive relational) is matched
+  /// against the `delta_rows` flat rows at `delta_values` — row-major,
+  /// the literal's arity values each (a RowSet's rows, or one tuple's
+  /// `data()` with a count of 1) — instead of the view. Matching stops
+  /// early if `cb` returns false. Every mutable piece of a match lives in
+  /// a state leased from the calling thread's free list, so threads may
+  /// share a matcher, `cb` may call ForEachMatch again, and a warm call
+  /// allocates nothing.
   void ForEachMatch(const DbView& view, const std::vector<Value>& adom,
                     IndexManager* index, int delta_literal,
-                    const Relation* delta,
+                    const Value* delta_values, size_t delta_rows,
                     const std::function<bool(const Valuation&)>& cb) const;
 
-  /// Pointer-list semi-naive entry: like the Relation* overload, but the
+  /// Pointer-list semi-naive entry: like the flat-row overload, but the
   /// delta literal ranges over the `delta_count` tuples at `delta_tuples`
-  /// (a round's delta flattened once, or a single bound tuple).
+  /// (a round's delta flattened once).
   void ForEachMatch(const DbView& view, const std::vector<Value>& adom,
                     IndexManager* index, int delta_literal,
                     const Tuple* const* delta_tuples, size_t delta_count,
@@ -81,8 +83,14 @@ class RuleMatcher {
 
  private:
   struct MatchState;
+  class StateLease;
 
-  void Match(MatchState* state) const;
+  /// Leases a state, sets it up for one call and runs the search.
+  void Match(const DbView& view, const std::vector<Value>& adom,
+             IndexManager* index, int delta_literal,
+             const Value* delta_values, const Tuple* const* delta_tuples,
+             size_t delta_count,
+             const std::function<bool(const Valuation&)>& cb) const;
   bool MatchPositives(MatchState* state) const;
   bool EnumerateFree(MatchState* state, size_t next_var) const;
   bool ApplyPendingChecks(MatchState* state) const;

@@ -1,8 +1,8 @@
 #include "eval/incremental.h"
 
 #include <algorithm>
-#include <map>
 #include <set>
+#include <tuple>
 #include <utility>
 
 #include "eval/context.h"
@@ -123,17 +123,12 @@ Status IncrementalView::InitialEvaluate(const EvalOptions& options) {
   OBS_SPAN("incremental.initial");
   EvalOptions opts = options;
   // The maintenance algorithms are index-driven; pinning the initial run
-  // to the hash path (provenance attached forces the generic sinks that
-  // honor on_derivation) makes the view's state — model, counts,
-  // provenance, stats — byte-identical across storage backends.
+  // to the hash path makes the view's state — model, provenance, stats —
+  // byte-identical across storage backends.
   opts.storage = storage::StorageBackend::kHash;
   opts.provenance = &provenance_;
   EvalContext ctx(opts);
   ctx.publish_metrics = false;
-  ctx.on_derivation = [this](size_t, PredId pred, const Tuple& t) {
-    const int s = strat_.stratum_of_pred[static_cast<size_t>(pred)];
-    if (flat_[static_cast<size_t>(s)]) ++counts_[FactKey{pred, t}];
-  };
   Result<Instance> result =
       StratifiedSemantics(*program_, *catalog_, base_, &ctx);
   if (!result.ok()) return result.status();
@@ -144,19 +139,29 @@ Status IncrementalView::InitialEvaluate(const EvalOptions& options) {
   return Status::OK();
 }
 
-void IncrementalView::AddTo(DeltaMap* m, PredId p, const Tuple& t) const {
-  auto it = m->find(p);
-  if (it == m->end()) {
-    it = m->emplace(p, Relation(catalog_->ArityOf(p))).first;
+void IncrementalView::MatchDelta(
+    const RuleMatcher& matcher, bool old, int dl, const Value* values,
+    size_t rows, const std::function<bool(const Valuation&)>& cb) {
+  Instance* db = old ? &shadow_ : &model_;
+  matcher.ForEachMatch(DbView{db, db}, kNoAdom, old ? &shadow_index_ : &index_,
+                       dl, values, rows, cb);
+}
+
+void IncrementalView::MatchDelta(
+    const RuleMatcher& matcher, bool old, int dl,
+    const storage::FactSet& delta,
+    const std::function<bool(const Valuation&)>& cb) {
+  const PredId q = matcher.rule().body[static_cast<size_t>(dl)].atom.pred;
+  if (const storage::RowSet* rows = delta.Find(q)) {
+    MatchDelta(matcher, old, dl, rows->data(), rows->rows(), cb);
   }
-  it->second.Insert(t);
 }
 
 Status IncrementalView::ApplyBatch(const std::vector<FactUpdate>& updates) {
   OBS_SPAN("incremental.batch",
            {{"updates", static_cast<int64_t>(updates.size())}});
-  added_.clear();
-  removed_.clear();
+  added_.Reset();
+  removed_.Reset();
   for (const FactUpdate& u : updates) {
     if (u.pred < 0 || u.pred >= static_cast<PredId>(catalog_->size())) {
       return Status::SchemaError("fact update names an unknown predicate");
@@ -168,11 +173,13 @@ Status IncrementalView::ApplyBatch(const std::vector<FactUpdate>& updates) {
   }
   ++stats_.batches;
 
-  // Apply the batch to the base in order, remembering each touched fact's
-  // presence before its first effective change so the *net* effect of the
-  // batch falls out (an insert+retract pair of the same fact cancels).
-  std::map<std::pair<PredId, Tuple>, bool> first_touch;
-  for (const FactUpdate& u : updates) {
+  // Apply the batch to the base in order. Sorted by (fact, position),
+  // the effective updates give each touched fact's first change, and so
+  // its presence before the batch; the *net* effect of the batch falls
+  // out (an insert+retract pair of the same fact cancels).
+  std::vector<size_t> touched;
+  for (size_t i = 0; i < updates.size(); ++i) {
+    const FactUpdate& u = updates[i];
     const bool changed = u.insert ? base_.Insert(u.pred, u.tuple)
                                   : base_.Erase(u.pred, u.tuple);
     if (!changed) {
@@ -184,74 +191,65 @@ Status IncrementalView::ApplyBatch(const std::vector<FactUpdate>& updates) {
     } else {
       ++stats_.retracts;
     }
-    first_touch.emplace(std::make_pair(u.pred, u.tuple), !u.insert);
+    touched.push_back(i);
   }
-
-  DeltaMap base_added;
-  DeltaMap base_removed;
-  for (const auto& [key, was_present] : first_touch) {
-    const bool now_present = base_.Contains(key.first, key.second);
-    if (now_present == was_present) continue;
-    AddTo(now_present ? &base_added : &base_removed, key.first, key.second);
+  std::sort(touched.begin(), touched.end(), [&](size_t a, size_t b) {
+    return std::tie(updates[a].pred, updates[a].tuple, a) <
+           std::tie(updates[b].pred, updates[b].tuple, b);
+  });
+  base_added_.Reset();
+  base_removed_.Reset();
+  for (size_t k = 0; k < touched.size(); ++k) {
+    const FactUpdate& u = updates[touched[k]];
+    if (k > 0) {
+      const FactUpdate& prev = updates[touched[k - 1]];
+      if (prev.pred == u.pred && prev.tuple == u.tuple) continue;
+    }
+    const bool was_present = !u.insert;
+    if (base_.Contains(u.pred, u.tuple) == was_present) continue;
+    (was_present ? base_removed_ : base_added_).Insert(u.pred, u.tuple);
   }
-  if (base_added.empty() && base_removed.empty()) return Status::OK();
+  if (base_added_.empty() && base_removed_.empty()) return Status::OK();
 
   // Retractions and negation are the two ways a derivation can be *lost*;
   // only then do the lost-support passes consult the pre-batch model.
   // That old state is `shadow_` — a persistent replica resynced by each
   // batch's net delta (see the member comment) — so even retraction
   // batches touch O(delta) state, not an O(model) copy.
-  const bool have_old = !base_removed.empty() || has_negation_;
-  const DbView new_view{&model_, &model_};
-  const DbView old_view{&shadow_, &shadow_};
+  const bool have_old = !base_removed_.empty() || has_negation_;
 
   // Predicates no rule defines change exactly as their base relations do.
-  for (const auto& [p, rel] : base_added) {
-    if (program_->IsIdb(p)) continue;
-    for (const Tuple& t : rel) {
-      if (model_.Insert(p, t)) {
-        AddTo(&added_, p, t);
-        ++stats_.facts_added;
-      }
+  base_added_.ForEach([&](PredId p, const Tuple& t) {
+    if (!program_->IsIdb(p) && model_.Insert(p, t)) {
+      added_.Insert(p, t);
+      ++stats_.facts_added;
     }
-  }
-  for (const auto& [p, rel] : base_removed) {
-    if (program_->IsIdb(p)) continue;
-    for (const Tuple& t : rel) {
-      if (model_.Erase(p, t)) {
-        AddTo(&removed_, p, t);
-        ++stats_.facts_removed;
-      }
+  });
+  base_removed_.ForEach([&](PredId p, const Tuple& t) {
+    if (!program_->IsIdb(p) && model_.Erase(p, t)) {
+      removed_.Insert(p, t);
+      ++stats_.facts_removed;
     }
-  }
+  });
 
   for (int s = 0; s < strat_.num_strata; ++s) {
     if (strat_.rules_by_stratum[static_cast<size_t>(s)].empty()) continue;
     if (flat_[static_cast<size_t>(s)]) {
-      MaintainCounting(s, new_view, old_view, have_old, &shadow_index_,
-                       base_added, base_removed, &added_, &removed_);
+      MaintainCounting(s, have_old);
     } else {
-      MaintainDred(s, new_view, old_view, have_old, &shadow_index_,
-                   base_added, base_removed, &added_, &removed_);
+      MaintainDred(s, have_old);
     }
   }
 
   // Re-sync the shadow by the batch's net model delta: `added_`/
   // `removed_` are exactly diff(model after, model before), so after this
   // replay the shadow is the old state the *next* batch needs.
-  for (const auto& [p, rel] : added_) {
-    for (const Tuple& t : rel) shadow_.Insert(p, t);
-  }
-  for (const auto& [p, rel] : removed_) {
-    for (const Tuple& t : rel) shadow_.Erase(p, t);
-  }
+  added_.ForEach([&](PredId p, const Tuple& t) { shadow_.Insert(p, t); });
+  removed_.ForEach([&](PredId p, const Tuple& t) { shadow_.Erase(p, t); });
   return Status::OK();
 }
 
-void IncrementalView::MaintainCounting(
-    int s, const DbView& new_view, const DbView& old_view, bool have_old,
-    IndexManager* old_index, const DeltaMap& base_added,
-    const DeltaMap& base_removed, DeltaMap* added, DeltaMap* removed) {
+void IncrementalView::MaintainCounting(int s, bool have_old) {
   OBS_SPAN("incremental.counting", {{"stratum", s}});
   const std::vector<int>& rule_idxs =
       strat_.rules_by_stratum[static_cast<size_t>(s)];
@@ -263,56 +261,36 @@ void IncrementalView::MaintainCounting(
   // literals positive to range over their changes) cover every
   // candidate. Sorted and deduplicated below: the recount runs in order.
   std::vector<std::pair<PredId, Tuple>> candidates;
+  const Atom* head = nullptr;
+  const std::function<bool(const Valuation&)> collect =
+      [&](const Valuation& val) {
+        ++stats_.instantiations;
+        candidates.emplace_back(head->pred, InstantiateAtom(*head, val));
+        return true;
+      };
   for (int ri : rule_idxs) {
-    PreparedRule& pr = prepared_[static_cast<size_t>(ri)];
-    const Atom& head = pr.rule->heads[0].atom;
-    auto collect = [&](const Valuation& val) -> bool {
-      ++stats_.instantiations;
-      candidates.emplace_back(head.pred, InstantiateAtom(head, val));
-      return true;
-    };
+    const PreparedRule& pr = prepared_[static_cast<size_t>(ri)];
+    head = &pr.rule->heads[0].atom;
     for (size_t li = 0; li < pr.rule->body.size(); ++li) {
       const Literal& lit = pr.rule->body[li];
       if (lit.kind != Literal::Kind::kRelational) continue;
-      const PredId q = lit.atom.pred;
       const int dl = static_cast<int>(li);
       if (!lit.negative) {
-        if (auto it = added->find(q);
-            it != added->end() && !it->second.empty()) {
-          pr.matcher->ForEachMatch(new_view, kNoAdom, &index_, dl,
-                                   &it->second, collect);
-        }
-        if (have_old) {
-          if (auto it = removed->find(q);
-              it != removed->end() && !it->second.empty()) {
-            pr.matcher->ForEachMatch(old_view, kNoAdom, old_index, dl,
-                                     &it->second, collect);
-          }
-        }
+        MatchDelta(*pr.matcher, false, dl, added_, collect);
+        if (have_old) MatchDelta(*pr.matcher, true, dl, removed_, collect);
       } else {
-        if (auto it = removed->find(q);
-            it != removed->end() && !it->second.empty()) {
-          pr.flipped_matchers[li]->ForEachMatch(new_view, kNoAdom, &index_,
-                                                dl, &it->second, collect);
-        }
-        if (have_old) {
-          if (auto it = added->find(q);
-              it != added->end() && !it->second.empty()) {
-            pr.flipped_matchers[li]->ForEachMatch(old_view, kNoAdom,
-                                                  old_index, dl, &it->second,
-                                                  collect);
-          }
-        }
+        const RuleMatcher& flipped = *pr.flipped_matchers[li];
+        MatchDelta(flipped, false, dl, removed_, collect);
+        if (have_old) MatchDelta(flipped, true, dl, added_, collect);
       }
     }
   }
   // Base edits of this stratum's predicates change presence directly.
-  for (const DeltaMap* base_delta : {&base_added, &base_removed}) {
-    for (const auto& [p, rel] : *base_delta) {
-      if (!SameStratum(p, s)) continue;
-      for (const Tuple& t : rel) candidates.emplace_back(p, t);
-    }
-  }
+  const auto add_candidate = [&](PredId p, const Tuple& t) {
+    if (SameStratum(p, s)) candidates.emplace_back(p, t);
+  };
+  base_added_.ForEach(add_candidate);
+  base_removed_.ForEach(add_candidate);
   std::sort(candidates.begin(), candidates.end());
   candidates.erase(std::unique(candidates.begin(), candidates.end()),
                    candidates.end());
@@ -321,133 +299,102 @@ void IncrementalView::MaintainCounting(
   // head atom bound to the candidate enumerates precisely the body
   // valuations deriving it. Flat strata never consume stratum-s
   // predicates, so recounts are independent of the presence flips below.
+  int64_t count = 0;
+  const std::function<bool(const Valuation&)> count_match =
+      [&](const Valuation&) {
+        ++stats_.instantiations;
+        ++count;
+        return true;
+      };
   for (const auto& [p, t] : candidates) {
     ++stats_.recounted;
-    int64_t count = 0;
-    const Tuple* one = &t;
+    count = 0;
     for (int ri : rule_idxs) {
-      PreparedRule& pr = prepared_[static_cast<size_t>(ri)];
+      const PreparedRule& pr = prepared_[static_cast<size_t>(ri)];
       if (pr.rule->heads[0].atom.pred != p) continue;
-      pr.head_matcher->ForEachMatch(new_view, kNoAdom, &index_, 0, &one, 1,
-                                    [&](const Valuation&) -> bool {
-                                      ++stats_.instantiations;
-                                      ++count;
-                                      return true;
-                                    });
-    }
-    const FactKey key{p, t};
-    if (count > 0) {
-      counts_[key] = count;
-    } else {
-      counts_.erase(key);
+      MatchDelta(*pr.head_matcher, false, 0, t.data(), 1, count_match);
     }
     const bool present_old = model_.Contains(p, t);
     const bool present_new = count > 0 || base_.Contains(p, t);
     if (present_new && !present_old) {
       model_.Insert(p, t);
-      AddTo(added, p, t);
+      added_.Insert(p, t);
       ++stats_.facts_added;
     } else if (!present_new && present_old) {
       model_.Erase(p, t);
-      AddTo(removed, p, t);
+      removed_.Insert(p, t);
       ++stats_.facts_removed;
     }
   }
 }
 
-void IncrementalView::MaintainDred(int s, const DbView& new_view,
-                                   const DbView& old_view, bool have_old,
-                                   IndexManager* old_index,
-                                   const DeltaMap& base_added,
-                                   const DeltaMap& base_removed,
-                                   DeltaMap* added, DeltaMap* removed) {
+void IncrementalView::MaintainDred(int s, bool have_old) {
   OBS_SPAN("incremental.dred", {{"stratum", s}});
   const std::vector<int>& rule_idxs =
       strat_.rules_by_stratum[static_cast<size_t>(s)];
+  const Atom* head = nullptr;
 
   // -- Overdeletion fixpoint (against the pre-batch model) --------------
   // Everything a lost support could reach is deleted; the rederivation
   // pass restores what an independent derivation still grounds.
-  DeltaMap over;
+  over_.Reset();
   std::vector<std::pair<PredId, Tuple>> over_queue;
   auto overdelete = [&](PredId p, const Tuple& t) {
-    if (!model_.Contains(p, t)) return;
-    auto it = over.find(p);
-    if (it == over.end()) {
-      it = over.emplace(p, Relation(catalog_->ArityOf(p))).first;
-    }
-    if (it->second.Insert(t)) {
+    if (model_.Contains(p, t) && over_.Insert(p, t)) {
       over_queue.emplace_back(p, t);
       ++stats_.overdeleted;
     }
   };
+  const std::function<bool(const Valuation&)> overdelete_head =
+      [&](const Valuation& val) {
+        ++stats_.instantiations;
+        overdelete(head->pred, InstantiateAtom(*head, val));
+        return true;
+      };
   if (have_old) {
     // Seeds: rule instantiations valid pre-batch that used a lost lower-
     // stratum fact (or a gained fact under negation), plus base
     // retractions of this stratum's predicates.
     for (int ri : rule_idxs) {
-      PreparedRule& pr = prepared_[static_cast<size_t>(ri)];
-      const Atom& head = pr.rule->heads[0].atom;
-      auto collect = [&](const Valuation& val) -> bool {
-        ++stats_.instantiations;
-        overdelete(head.pred, InstantiateAtom(head, val));
-        return true;
-      };
+      const PreparedRule& pr = prepared_[static_cast<size_t>(ri)];
+      head = &pr.rule->heads[0].atom;
       for (size_t li = 0; li < pr.rule->body.size(); ++li) {
         const Literal& lit = pr.rule->body[li];
         if (lit.kind != Literal::Kind::kRelational) continue;
-        const PredId q = lit.atom.pred;
         const int dl = static_cast<int>(li);
         if (!lit.negative) {
-          if (SameStratum(q, s)) continue;  // fixpoint loop below
-          if (auto it = removed->find(q);
-              it != removed->end() && !it->second.empty()) {
-            pr.matcher->ForEachMatch(old_view, kNoAdom, old_index, dl,
-                                     &it->second, collect);
-          }
+          if (SameStratum(lit.atom.pred, s)) continue;  // fixpoint below
+          MatchDelta(*pr.matcher, true, dl, removed_, overdelete_head);
         } else {
-          if (auto it = added->find(q);
-              it != added->end() && !it->second.empty()) {
-            pr.flipped_matchers[li]->ForEachMatch(old_view, kNoAdom,
-                                                  old_index, dl, &it->second,
-                                                  collect);
-          }
+          MatchDelta(*pr.flipped_matchers[li], true, dl, added_,
+                     overdelete_head);
         }
       }
     }
-    for (const auto& [p, rel] : base_removed) {
-      if (!SameStratum(p, s)) continue;
-      for (const Tuple& t : rel) overdelete(p, t);
-    }
+    base_removed_.ForEach([&](PredId p, const Tuple& t) {
+      if (SameStratum(p, s)) overdelete(p, t);
+    });
     // Same-stratum consumption: derivations through an overdeleted fact
     // are themselves overdeleted, to fixpoint.
     for (size_t qi = 0; qi < over_queue.size(); ++qi) {
       // A copy: the callbacks below may grow the queue.
       const std::pair<PredId, Tuple> item = over_queue[qi];
-      const Tuple* one = &item.second;
       for (int ri : rule_idxs) {
-        PreparedRule& pr = prepared_[static_cast<size_t>(ri)];
-        const Atom& head = pr.rule->heads[0].atom;
+        const PreparedRule& pr = prepared_[static_cast<size_t>(ri)];
+        head = &pr.rule->heads[0].atom;
         for (size_t li = 0; li < pr.rule->body.size(); ++li) {
           const Literal& lit = pr.rule->body[li];
-          if (lit.kind != Literal::Kind::kRelational || lit.negative) {
+          if (lit.kind != Literal::Kind::kRelational || lit.negative ||
+              lit.atom.pred != item.first) {
             continue;
           }
-          if (lit.atom.pred != item.first) continue;
-          pr.matcher->ForEachMatch(
-              old_view, kNoAdom, old_index, static_cast<int>(li), &one, 1,
-              [&](const Valuation& val) -> bool {
-                ++stats_.instantiations;
-                overdelete(head.pred, InstantiateAtom(head, val));
-                return true;
-              });
+          MatchDelta(*pr.matcher, true, static_cast<int>(li),
+                     item.second.data(), 1, overdelete_head);
         }
       }
     }
   }
-  for (const auto& [p, rel] : over) {
-    for (const Tuple& t : rel) model_.Erase(p, t);
-  }
+  over_.ForEach([&](PredId p, const Tuple& t) { model_.Erase(p, t); });
 
   // -- Rederivation ------------------------------------------------------
   // In sorted order: an overdeleted fact survives if it is still in the
@@ -455,13 +402,19 @@ void IncrementalView::MaintainDred(int s, const DbView& new_view,
   // a derivability query (head-append variant, early exit) succeeds.
   // Facts not overdeleted kept an untouched derivation, so a positive
   // premise that is *present* here is grounded — which is what makes the
-  // provenance check sound.
-  std::vector<std::pair<PredId, Tuple>> sorted_over = over_queue;
-  std::sort(sorted_over.begin(), sorted_over.end());
-  DeltaMap rederived;
+  // provenance check sound. The survivors open the first insertion round.
+  std::sort(over_queue.begin(), over_queue.end());
+  cur_.Reset();
+  bool derivable = false;
+  const std::function<bool(const Valuation&)> derives =
+      [&](const Valuation&) {
+        ++stats_.instantiations;
+        derivable = true;
+        return false;
+      };
   if (!internal::g_dred_skip_rederive) {
-    for (const auto& [p, t] : sorted_over) {
-      bool derivable = false;
+    for (const auto& [p, t] : over_queue) {
+      derivable = false;
       if (base_.Contains(p, t)) {
         derivable = true;
         ++stats_.rederived_base;
@@ -479,26 +432,15 @@ void IncrementalView::MaintainDred(int s, const DbView& new_view,
           ++stats_.rederived_provenance;
         }
       }
-      if (!derivable) {
-        const Tuple* one = &t;
-        for (int ri : rule_idxs) {
-          PreparedRule& pr = prepared_[static_cast<size_t>(ri)];
-          if (pr.rule->heads[0].atom.pred != p) continue;
-          pr.head_matcher->ForEachMatch(new_view, kNoAdom, &index_, 0, &one,
-                                        1, [&](const Valuation&) -> bool {
-                                          ++stats_.instantiations;
-                                          derivable = true;
-                                          return false;
-                                        });
-          if (derivable) {
-            ++stats_.rederived_query;
-            break;
-          }
-        }
+      for (size_t k = 0; !derivable && k < rule_idxs.size(); ++k) {
+        const PreparedRule& pr = prepared_[static_cast<size_t>(rule_idxs[k])];
+        if (pr.rule->heads[0].atom.pred != p) continue;
+        MatchDelta(*pr.head_matcher, false, 0, t.data(), 1, derives);
+        if (derivable) ++stats_.rederived_query;
       }
       if (derivable) {
         model_.Insert(p, t);
-        AddTo(&rederived, p, t);
+        cur_.Insert(p, t);
       }
     }
   }
@@ -506,97 +448,61 @@ void IncrementalView::MaintainDred(int s, const DbView& new_view,
   // -- Insertion propagation (semi-naive within the stratum) ------------
   // First round: lower-stratum gains (and losses under negation) plus the
   // same-stratum delta of rederived and base-inserted facts; later
-  // rounds: only the previous round's new facts. Productions are staged
-  // per round — never mutate a relation a matcher is reading.
-  auto in_over = [&](PredId p, const Tuple& t) {
-    auto it = over.find(p);
-    return it != over.end() && it->second.Contains(t);
-  };
-  DeltaMap cur = rederived;
-  for (const auto& [p, rel] : base_added) {
-    if (!SameStratum(p, s)) continue;
-    for (const Tuple& t : rel) {
-      if (model_.Contains(p, t)) continue;
-      model_.Insert(p, t);
-      AddTo(&cur, p, t);
-      if (!in_over(p, t)) {
-        AddTo(added, p, t);
-        ++stats_.facts_added;
-      }
+  // rounds: only the previous round's new facts. A round reads `cur_`
+  // and stages its productions in `staged_` — never mutating a set or
+  // relation a matcher is reading — and the two swap after it.
+  const auto gain = [&](PredId p, const Tuple& t) {
+    model_.Insert(p, t);
+    if (!over_.Contains(p, t)) {
+      added_.Insert(p, t);
+      ++stats_.facts_added;
     }
-  }
-  bool first = true;
-  while (true) {
-    DeltaMap staged;
-    auto stage = [&](PredId hp, const Tuple& t) {
-      if (model_.Contains(hp, t)) return;
-      auto it = staged.find(hp);
-      if (it == staged.end()) {
-        it = staged.emplace(hp, Relation(catalog_->ArityOf(hp))).first;
-      }
-      it->second.Insert(t);
-    };
-    for (int ri : rule_idxs) {
-      PreparedRule& pr = prepared_[static_cast<size_t>(ri)];
-      const Atom& head = pr.rule->heads[0].atom;
-      auto produce = [&](const Valuation& val) -> bool {
+  };
+  base_added_.ForEach([&](PredId p, const Tuple& t) {
+    if (!SameStratum(p, s) || model_.Contains(p, t)) return;
+    cur_.Insert(p, t);
+    gain(p, t);
+  });
+  const std::function<bool(const Valuation&)> produce =
+      [&](const Valuation& val) {
         ++stats_.instantiations;
-        stage(head.pred, InstantiateAtom(head, val));
+        Tuple t = InstantiateAtom(*head, val);
+        if (!model_.Contains(head->pred, t)) staged_.Insert(head->pred, t);
         return true;
       };
+  for (bool first = true;; first = false) {
+    staged_.Reset();
+    for (int ri : rule_idxs) {
+      const PreparedRule& pr = prepared_[static_cast<size_t>(ri)];
+      head = &pr.rule->heads[0].atom;
       for (size_t li = 0; li < pr.rule->body.size(); ++li) {
         const Literal& lit = pr.rule->body[li];
         if (lit.kind != Literal::Kind::kRelational) continue;
-        const PredId q = lit.atom.pred;
         const int dl = static_cast<int>(li);
         if (lit.negative) {
-          if (!first) continue;
-          if (auto it = removed->find(q);
-              it != removed->end() && !it->second.empty()) {
-            pr.flipped_matchers[li]->ForEachMatch(new_view, kNoAdom, &index_,
-                                                  dl, &it->second, produce);
+          if (first) {
+            MatchDelta(*pr.flipped_matchers[li], false, dl, removed_,
+                       produce);
           }
-          continue;
-        }
-        if (SameStratum(q, s)) {
-          if (auto it = cur.find(q);
-              it != cur.end() && !it->second.empty()) {
-            pr.matcher->ForEachMatch(new_view, kNoAdom, &index_, dl,
-                                     &it->second, produce);
-          }
+        } else if (SameStratum(lit.atom.pred, s)) {
+          MatchDelta(*pr.matcher, false, dl, cur_, produce);
         } else if (first) {
-          if (auto it = added->find(q);
-              it != added->end() && !it->second.empty()) {
-            pr.matcher->ForEachMatch(new_view, kNoAdom, &index_, dl,
-                                     &it->second, produce);
-          }
+          MatchDelta(*pr.matcher, false, dl, added_, produce);
         }
       }
     }
-    first = false;
-    cur.clear();
-    for (const auto& [p, rel] : staged) {
-      for (const Tuple& t : rel) {
-        model_.Insert(p, t);
-        AddTo(&cur, p, t);
-        if (!in_over(p, t)) {
-          AddTo(added, p, t);
-          ++stats_.facts_added;
-        }
-      }
-    }
-    if (cur.empty()) break;
+    std::swap(cur_, staged_);
+    if (cur_.empty()) break;
+    cur_.ForEach(gain);
   }
 
   // Net losses: overdeleted facts that neither rederivation nor the
   // insertion rounds brought back.
-  for (const auto& [p, rel] : over) {
-    for (const Tuple& t : rel) {
-      if (model_.Contains(p, t)) continue;
-      AddTo(removed, p, t);
-      ++stats_.facts_removed;
-    }
-  }
+  over_.ForEach([&](PredId p, const Tuple& t) {
+    if (model_.Contains(p, t)) return;
+    removed_.Insert(p, t);
+    ++stats_.facts_removed;
+  });
 }
 
 }  // namespace datalog

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "analysis/stratify.h"
@@ -18,6 +17,7 @@
 #include "ra/index.h"
 #include "ra/instance.h"
 #include "ra/relation.h"
+#include "ra/storage/row_set.h"
 
 namespace datalog {
 
@@ -96,8 +96,7 @@ class IncrementalView {
   };
 
   /// Validates `program`, runs the initial from-scratch stratified
-  /// evaluation of `base` (sequentially, recording why-provenance and
-  /// seeding per-fact derivation counts for the counting strata), and
+  /// evaluation of `base` (sequentially, recording why-provenance), and
   /// returns the materialized view.
   static Result<std::unique_ptr<IncrementalView>> Create(
       const Program& program, const Catalog& catalog, const Instance& base,
@@ -121,34 +120,13 @@ class IncrementalView {
   const EvalStats& initial_stats() const { return initial_stats_; }
   const Stats& stats() const { return stats_; }
 
-  /// Per-predicate delta sets (net added / net removed facts).
-  using DeltaMap = std::unordered_map<PredId, Relation>;
-
-  /// The net model delta of the last ApplyBatch: exactly diff(model
-  /// after, model before), so the two are disjoint. Empty after a batch
-  /// that changed nothing or was rejected.
-  const DeltaMap& last_added() const { return added_; }
-  const DeltaMap& last_removed() const { return removed_; }
+  /// The net model delta of the last ApplyBatch, per predicate: exactly
+  /// diff(model after, model before), so the two are disjoint. Empty after
+  /// a batch that changed nothing or was rejected.
+  const storage::FactSet& last_added() const { return added_; }
+  const storage::FactSet& last_removed() const { return removed_; }
 
  private:
-  struct FactKey {
-    PredId pred;
-    Tuple tuple;
-    bool operator==(const FactKey& o) const {
-      return pred == o.pred && tuple == o.tuple;
-    }
-  };
-  struct FactKeyHash {
-    size_t operator()(const FactKey& k) const {
-      constexpr size_t kMix = static_cast<size_t>(0x9e3779b97f4a7c15ULL);
-      size_t h = static_cast<size_t>(k.pred) * kMix;
-      for (Value v : k.tuple) {
-        h ^= static_cast<size_t>(v) + kMix + (h << 6) + (h >> 2);
-      }
-      return h;
-    }
-  };
-
   /// Per-rule matching machinery, prepared once at Create. The rule
   /// variants are heap-allocated so their RuleMatchers stay valid as the
   /// containing vector moves.
@@ -180,19 +158,23 @@ class IncrementalView {
     return program_->IsIdb(p) &&
            strat_.stratum_of_pred[static_cast<size_t>(p)] == s;
   }
-  void AddTo(DeltaMap* m, PredId p, const Tuple& t) const;
+
+  /// Runs `matcher` against the current model — or the pre-batch state
+  /// when `old` — with body literal `dl` ranging over the `rows` flat rows
+  /// at `values`.
+  void MatchDelta(const RuleMatcher& matcher, bool old, int dl,
+                  const Value* values, size_t rows,
+                  const std::function<bool(const Valuation&)>& cb);
+  /// The same over the rows `delta` holds for that literal's predicate;
+  /// a no-op when it holds none.
+  void MatchDelta(const RuleMatcher& matcher, bool old, int dl,
+                  const storage::FactSet& delta,
+                  const std::function<bool(const Valuation&)>& cb);
 
   /// Counting maintenance of flat stratum `s` (see class comment).
-  void MaintainCounting(int s, const DbView& new_view, const DbView& old_view,
-                        bool have_old, IndexManager* old_index,
-                        const DeltaMap& base_added,
-                        const DeltaMap& base_removed, DeltaMap* added,
-                        DeltaMap* removed);
+  void MaintainCounting(int s, bool have_old);
   /// DRed maintenance of stratum `s` (see class comment).
-  void MaintainDred(int s, const DbView& new_view, const DbView& old_view,
-                    bool have_old, IndexManager* old_index,
-                    const DeltaMap& base_added, const DeltaMap& base_removed,
-                    DeltaMap* added, DeltaMap* removed);
+  void MaintainDred(int s, bool have_old);
 
   const Program* program_;
   const Catalog* catalog_;
@@ -207,9 +189,6 @@ class IncrementalView {
   /// Why-provenance of the initial evaluation — the rederivation fast
   /// path.
   DerivationLog provenance_;
-  /// Derivation counts for facts of counting strata, seeded by the
-  /// initial run's on_derivation hook and refreshed by exact recounts.
-  std::unordered_map<FactKey, int64_t, FactKeyHash> counts_;
   /// Persistent indexes over `model_`; maintained incrementally through
   /// the relations' insert and erase journals across batches.
   IndexManager index_;
@@ -225,8 +204,17 @@ class IncrementalView {
   /// Net per-predicate gains/losses of *present* facts in the current (or
   /// last) batch, accumulated from the base edits and every maintained
   /// stratum in stratum order.
-  DeltaMap added_;
-  DeltaMap removed_;
+  storage::FactSet added_;
+  storage::FactSet removed_;
+  /// The batch's net base edits.
+  storage::FactSet base_added_;
+  storage::FactSet base_removed_;
+  /// DRed's per-stratum state: the overdeleted facts, and the facts new
+  /// in the current insertion round and in the next. A matcher reads
+  /// `cur_` while a round writes `staged_`; the two swap between rounds.
+  storage::FactSet over_;
+  storage::FactSet cur_;
+  storage::FactSet staged_;
   EvalStats initial_stats_;
   Stats stats_;
 };

@@ -67,9 +67,6 @@ Result<int64_t> SemiNaiveStep(const Program& program,
                               InstantiateBodyPremises(*rules[unit.matcher],
                                                       val));
     }
-    if (ctx->on_derivation) {
-      ctx->on_derivation(static_cast<size_t>(unit.rule_index), head.pred, t);
-    }
     out->Fire(head.pred, std::move(t));
     return true;
   };

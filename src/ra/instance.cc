@@ -189,61 +189,82 @@ char* PutChunkHeader(char* out, PredId p, int arity, size_t count) {
   return out + kChunkHeaderBytes;
 }
 
-/// Writes one row at `out`; returns the end of the row.
-char* PutRow(const Tuple& t, char* out) {
-  for (Value v : t) {
-    PutU32(out, static_cast<uint32_t>(v));
+/// Writes one row of `arity` values at `out`; returns the end of the row.
+char* PutRow(const Value* row, size_t arity, char* out) {
+  for (size_t c = 0; c < arity; ++c) {
+    PutU32(out, static_cast<uint32_t>(row[c]));
     out += kWordBytes;
   }
   return out;
 }
 
-/// True when the encoded row at `row` sorts before `t` in Tuple order
-/// (signed, lexicographic).
-bool RowLess(const char* row, const Tuple& t) {
-  for (Value v : t) {
+/// True when the encoded row at `row` sorts before the `arity` values at
+/// `t` in Tuple order (signed, lexicographic).
+bool RowLess(const char* row, const Value* t, size_t arity) {
+  for (size_t c = 0; c < arity; ++c) {
     const Value r = static_cast<Value>(GetU32(row));
-    if (r != v) return r < v;
+    if (r != t[c]) return r < t[c];
     row += kWordBytes;
   }
   return false;
 }
 
+/// `rows` (pointers to rows of `arity` values) sorted into Tuple order.
+void SortRows(size_t arity, std::vector<const Value*>* rows) {
+  std::sort(rows->begin(), rows->end(),
+            [arity](const Value* a, const Value* b) {
+              return std::lexicographical_compare(a, a + arity, b, b + arity);
+            });
+}
+
 /// The rows of `rel` in Tuple order, by pointer.
-std::vector<const Tuple*> SortedRows(const Relation& rel) {
-  std::vector<const Tuple*> rows;
+std::vector<const Value*> SortedRows(const Relation& rel) {
+  std::vector<const Value*> rows;
   rows.reserve(rel.size());
-  for (const Tuple& t : rel) rows.push_back(&t);
-  std::sort(rows.begin(), rows.end(),
-            [](const Tuple* a, const Tuple* b) { return *a < *b; });
+  for (const Tuple& t : rel) rows.push_back(t.data());
+  SortRows(static_cast<size_t>(rel.arity()), &rows);
+  return rows;
+}
+
+/// The rows of `set` (null: none) in Tuple order, by pointer.
+std::vector<const Value*> SortedRows(const storage::RowSet* set) {
+  std::vector<const Value*> rows;
+  if (set == nullptr) return rows;
+  const size_t arity = static_cast<size_t>(set->arity());
+  rows.reserve(set->rows());
+  for (size_t r = 0; r < set->rows(); ++r) {
+    rows.push_back(set->data() + r * arity);
+  }
+  SortRows(arity, &rows);
   return rows;
 }
 
 /// Appends the chunk of relation `p` to `out`.
 void AppendChunk(PredId p, const Relation& rel, std::string* out) {
-  const std::vector<const Tuple*> rows = SortedRows(rel);
+  const std::vector<const Value*> rows = SortedRows(rel);
+  const size_t arity = static_cast<size_t>(rel.arity());
   const size_t start = out->size();
   out->resize(start + ChunkBytes(rel.arity(), rows.size()));
   char* w = PutChunkHeader(out->data() + start, p, rel.arity(), rows.size());
-  for (const Tuple* t : rows) w = PutRow(*t, w);
+  for (const Value* row : rows) w = PutRow(row, arity, w);
 }
 
 /// `old` (null: the relation was empty) with the rows of `removed` cut out
 /// and those of `added` spliced in, copying the untouched runs between
 /// splice points whole; null when no row remains.
 SnapshotChunk MergeChunk(PredId p, int arity, const std::string* old,
-                         const Relation* added, const Relation* removed) {
-  const std::vector<const Tuple*> ins =
-      added != nullptr ? SortedRows(*added) : std::vector<const Tuple*>();
-  const std::vector<const Tuple*> del =
-      removed != nullptr ? SortedRows(*removed) : std::vector<const Tuple*>();
+                         const storage::RowSet* added,
+                         const storage::RowSet* removed) {
+  const std::vector<const Value*> ins = SortedRows(added);
+  const std::vector<const Value*> del = SortedRows(removed);
   const size_t old_count =
       old != nullptr ? GetU32(old->data() + 2 * kWordBytes) : 0;
   assert(del.size() <= old_count);
   const size_t count = old_count + ins.size() - del.size();
   if (count == 0) return nullptr;
 
-  const size_t row_bytes = static_cast<size_t>(arity) * kWordBytes;
+  const size_t width = static_cast<size_t>(arity);
+  const size_t row_bytes = width * kWordBytes;
   const char* rows = old != nullptr ? old->data() + kChunkHeaderBytes : nullptr;
   std::string out(ChunkBytes(arity, count), '\0');
   char* w = PutChunkHeader(out.data(), p, arity, count);
@@ -255,12 +276,12 @@ SnapshotChunk MergeChunk(PredId p, int arity, const std::string* old,
     }
     pos = end;
   };
-  auto splice_point = [&](const Tuple& t) {  // first old row >= t
+  auto splice_point = [&](const Value* t) {  // first old row >= t
     size_t lo = pos;
     size_t hi = old_count;
     while (lo < hi) {
       const size_t mid = lo + (hi - lo) / 2;
-      if (RowLess(rows + mid * row_bytes, t)) {
+      if (RowLess(rows + mid * row_bytes, t, width)) {
         lo = mid + 1;
       } else {
         hi = mid;
@@ -272,11 +293,13 @@ SnapshotChunk MergeChunk(PredId p, int arity, const std::string* old,
   size_t j = 0;
   while (i < ins.size() || j < del.size()) {
     const bool insert =
-        j == del.size() || (i < ins.size() && *ins[i] < *del[j]);
-    const Tuple& t = insert ? *ins[i++] : *del[j++];
+        j == del.size() ||
+        (i < ins.size() && std::lexicographical_compare(
+                               ins[i], ins[i] + width, del[j], del[j] + width));
+    const Value* t = insert ? ins[i++] : del[j++];
     copy_to(splice_point(t));
     if (insert) {
-      w = PutRow(t, w);
+      w = PutRow(t, width, w);
     } else {
       assert(pos < old_count);
       ++pos;  // cut the removed row
@@ -318,28 +341,23 @@ SnapshotChunks Instance::EncodeSnapshotChunks() const {
   return chunks;
 }
 
-int MergeSnapshotDelta(const std::unordered_map<PredId, Relation>& added,
-                       const std::unordered_map<PredId, Relation>& removed,
+int MergeSnapshotDelta(const storage::FactSet& added,
+                       const storage::FactSet& removed,
                        SnapshotChunks* chunks) {
-  auto find = [](const std::unordered_map<PredId, Relation>& delta,
-                 PredId p) -> const Relation* {
-    auto it = delta.find(p);
-    return it == delta.end() || it->second.empty() ? nullptr : &it->second;
-  };
   int merged = 0;
-  auto merge = [&](PredId p, int arity) {
+  auto merge = [&](PredId p) {
+    const storage::RowSet* ins = added.Find(p);
+    const storage::RowSet* del = removed.Find(p);
     const size_t i = static_cast<size_t>(p);
     if (i >= chunks->size()) chunks->resize(i + 1);
     SnapshotChunk& chunk = (*chunks)[i];
-    chunk = MergeChunk(p, arity, chunk.get(), find(added, p),
-                       find(removed, p));
+    chunk = MergeChunk(p, (ins != nullptr ? ins : del)->arity(), chunk.get(),
+                       ins, del);
     ++merged;
   };
-  for (const auto& [p, rel] : added) {
-    if (!rel.empty()) merge(p, rel.arity());
-  }
-  for (const auto& [p, rel] : removed) {
-    if (!rel.empty() && find(added, p) == nullptr) merge(p, rel.arity());
+  for (PredId p : added.preds()) merge(p);
+  for (PredId p : removed.preds()) {
+    if (added.Find(p) == nullptr) merge(p);
   }
   return merged;
 }

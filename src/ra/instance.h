@@ -13,6 +13,7 @@
 #include "base/symbols.h"
 #include "ra/catalog.h"
 #include "ra/relation.h"
+#include "ra/storage/row_set.h"
 
 namespace datalog {
 
@@ -134,8 +135,8 @@ class Instance {
 /// relations are re-encoded, each in one linear copy-and-splice pass over
 /// its old chunk; a relation left empty drops its chunk. Returns how many
 /// chunks were re-encoded.
-int MergeSnapshotDelta(const std::unordered_map<PredId, Relation>& added,
-                       const std::unordered_map<PredId, Relation>& removed,
+int MergeSnapshotDelta(const storage::FactSet& added,
+                       const storage::FactSet& removed,
                        SnapshotChunks* chunks);
 
 /// A snapshot in the SerializeSnapshot format built from `chunks` in

@@ -1,5 +1,6 @@
 #include "ra/storage/row_set.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "ra/relation.h"
@@ -9,6 +10,9 @@ namespace storage {
 
 namespace {
 
+/// The smallest table a set allocates.
+constexpr size_t kMinSlots = 16;
+
 bool SameRow(const Value* a, const Value* b, size_t arity) {
   for (size_t c = 0; c < arity; ++c) {
     if (a[c] != b[c]) return false;
@@ -16,15 +20,18 @@ bool SameRow(const Value* a, const Value* b, size_t arity) {
   return true;
 }
 
+/// Slots for `rows` rows at most half full.
+size_t SlotsFor(size_t rows) {
+  size_t cap = kMinSlots;
+  while (cap < 2 * rows) cap <<= 1;
+  return cap;
+}
+
 }  // namespace
 
 void RowSet::Init(const Relation& rel) {
-  assert(rel.arity() >= 1);
-  arity_ = static_cast<size_t>(rel.arity());
-  rows_ = 0;
-  log_.clear();
-  size_t cap = 16;
-  while (cap < 2 * (rel.size() + 16)) cap <<= 1;
+  *this = RowSet(rel.arity());
+  const size_t cap = SlotsFor(rel.size() + 16);
   slots_.assign(cap, 0);
   mask_ = cap - 1;
   log_.reserve(rel.size() * arity_);
@@ -42,6 +49,7 @@ uint64_t RowSet::HashRow(const Value* row) const {
 }
 
 bool RowSet::Contains(const Value* row) const {
+  if (rows_ == 0) return false;
   size_t s = static_cast<size_t>(HashRow(row)) & mask_;
   while (true) {
     const uint32_t e = slots_[s];
@@ -73,8 +81,26 @@ bool RowSet::Insert(const Value* row) {
   }
 }
 
+void RowSet::Reset() {
+  if (rows_ * 8 < slots_.size() && slots_.size() > kMinSlots) {
+    // Used under a quarter of the capacity: shrink to what it needed.
+    const size_t cap = SlotsFor(rows_);
+    std::vector<uint32_t>(cap, 0).swap(slots_);
+    mask_ = cap - 1;
+    std::vector<Value> log;
+    log.reserve(rows_ * arity_);
+    log_.swap(log);
+  } else {
+    // At least an eighth full (or minimal), so clearing every slot costs
+    // O(rows held).
+    std::fill(slots_.begin(), slots_.end(), 0);
+    log_.clear();
+  }
+  rows_ = 0;
+}
+
 void RowSet::Grow() {
-  const size_t cap = slots_.empty() ? 16 : slots_.size() * 2;
+  const size_t cap = slots_.empty() ? kMinSlots : slots_.size() * 2;
   std::vector<uint32_t> fresh(cap, 0);
   const size_t mask = cap - 1;
   for (size_t r = 0; r < rows_; ++r) {
@@ -85,6 +111,29 @@ void RowSet::Grow() {
   }
   slots_ = std::move(fresh);
   mask_ = mask;
+}
+
+bool FactSet::Insert(PredId p, const Tuple& t) {
+  const size_t i = static_cast<size_t>(p);
+  if (i >= sets_.size()) sets_.resize(i + 1);
+  std::unique_ptr<RowSet>& set = sets_[i];
+  if (set == nullptr) {
+    set = std::make_unique<RowSet>(static_cast<int>(t.size()));
+  }
+  assert(static_cast<int>(t.size()) == set->arity());
+  if (!set->Insert(t.data())) return false;
+  if (set->rows() == 1) preds_.push_back(p);
+  return true;
+}
+
+bool FactSet::Contains(PredId p, const Tuple& t) const {
+  const RowSet* set = Find(p);
+  return set != nullptr && set->Contains(t.data());
+}
+
+void FactSet::Reset() {
+  for (PredId p : preds_) sets_[static_cast<size_t>(p)]->Reset();
+  preds_.clear();
 }
 
 }  // namespace storage

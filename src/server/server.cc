@@ -130,15 +130,20 @@ Result<int64_t> Server::SubmitUpdate(const std::string& tokens) {
   // The whole submission — including the parse — runs under mu_:
   // ParseUpdateTokens interns values into the shared SymbolTable, which
   // is not thread-safe, and concurrent clients reach here from their own
-  // threads. Nothing else server-side mutates the table (readers serve
-  // frozen chunks; ApplyBatch consumes already-interned values), so mu_
-  // is the table's sole writer gate.
+  // threads. Every server-side use of the table holds mu_: this parse,
+  // the WAL record formatted below, and the compaction's spelling copy
+  // (readers serve frozen chunks; ApplyBatch consumes already-interned
+  // values).
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<FactUpdate> batch;
-  if (!ParseUpdateTokens(tokens, *catalog_, symbols_, &batch) ||
-      batch.empty()) {
+  PendingUpdate pending;
+  if (!ParseUpdateTokens(tokens, *catalog_, symbols_, &pending.batch) ||
+      pending.batch.empty()) {
     return Status(StatusCode::kSchemaError,
                   "malformed update batch: " + tokens);
+  }
+  if (store_ != nullptr) {
+    pending.wal_tokens =
+        FormatUpdateTokens(pending.batch, *catalog_, *symbols_);
   }
   // Enqueue-or-refuse under the lock Stop sets `stopping_` under: a
   // batch queued here is guaranteed to be drained by the writer before
@@ -147,7 +152,8 @@ Result<int64_t> Server::SubmitUpdate(const std::string& tokens) {
     return Status(StatusCode::kCancelled, "server stopping");
   }
   const int64_t ticket = next_ticket_++;
-  queue_.push_back(PendingUpdate{ticket, std::move(batch)});
+  pending.ticket = ticket;
+  queue_.push_back(std::move(pending));
   tickets_.emplace(ticket, TicketState{});
   writer_cv_.notify_one();
   return ticket;
@@ -165,7 +171,7 @@ bool Server::ApplyOneQueued() {
   OBS_SPAN("server.apply_batch",
            {{"updates", static_cast<int>(pending.batch.size())}});
   obs::ScopedLatency latency(&Metrics().apply_us);
-  Response response = Commit(std::move(pending.batch));
+  Response response = Commit(std::move(pending.batch), pending.wal_tokens);
   {
     std::lock_guard<std::mutex> lock(mu_);
     TicketState& ticket = tickets_[pending.ticket];
@@ -176,7 +182,8 @@ bool Server::ApplyOneQueued() {
   return true;
 }
 
-Response Server::Commit(std::vector<FactUpdate> batch) {
+Response Server::Commit(std::vector<FactUpdate> batch,
+                        const std::string& wal_tokens) {
   // A crashed store refuses all further writes without touching the
   // view: the view may already hold a batch whose WAL append failed, and
   // that dirty state must never be published or extended.
@@ -184,16 +191,12 @@ Response Server::Commit(std::vector<FactUpdate> batch) {
     Metrics().wal_refused.Add(1);
     return Refuse(StatusCode::kInternal, "store crashed (commit refused)");
   }
-  // The WAL record is formatted before the view sees the batch, so a
-  // batch too big to log is refused with the view untouched.
-  std::string tokens;
-  if (store_ != nullptr) {
-    tokens = FormatUpdateTokens(batch, *catalog_, *symbols_);
-    if (!store::WalRecordFits(tokens)) {
-      Metrics().wal_refused.Add(1);
-      return Refuse(StatusCode::kBudgetExhausted,
-                    "update batch over the wal record size cap");
-    }
+  // The WAL record was formatted at submission, so a batch too big to
+  // log is refused here with the view untouched.
+  if (store_ != nullptr && !store::WalRecordFits(wal_tokens)) {
+    Metrics().wal_refused.Add(1);
+    return Refuse(StatusCode::kBudgetExhausted,
+                  "update batch over the wal record size cap");
   }
 
   const int64_t syncs_before =
@@ -221,7 +224,7 @@ Response Server::Commit(std::vector<FactUpdate> batch) {
   // the dirty state private forever.
   if (store_ != nullptr) {
     OBS_SPAN("server.wal_append", {{"epoch", static_cast<int>(epoch)}});
-    const Status append = store_->AppendCommit(epoch, tokens);
+    const Status append = store_->AppendCommit(epoch, wal_tokens);
     if (!append.ok()) {
       Metrics().wal_refused.Add(1);
       return Refuse(append.code(), append.message());
@@ -243,11 +246,15 @@ Response Server::Commit(std::vector<FactUpdate> batch) {
     OBS_SPAN("server.compact", {{"epoch", static_cast<int>(epoch)}});
     // The snapshot's raw value words are only decodable with this
     // writer's interning order, so the full spelling table rides along
-    // (snapshotter.h).
+    // (snapshotter.h). Copied under mu_: submissions intern into the
+    // table concurrently.
     std::vector<std::string> spellings;
-    spellings.reserve(static_cast<size_t>(symbols_->size()));
-    for (int v = 0; v < symbols_->size(); ++v) {
-      spellings.push_back(symbols_->NameOf(static_cast<Value>(v)));
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      spellings.reserve(static_cast<size_t>(symbols_->size()));
+      for (int v = 0; v < symbols_->size(); ++v) {
+        spellings.push_back(symbols_->NameOf(static_cast<Value>(v)));
+      }
     }
     const int64_t before = store_->snapshots();
     (void)store_->MaybeCompact(epoch, view_->base().SerializeSnapshot(),

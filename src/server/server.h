@@ -197,6 +197,9 @@ class Server {
   struct PendingUpdate {
     int64_t ticket = 0;
     std::vector<FactUpdate> batch;
+    /// The batch's WAL record body when a store is open, formatted at
+    /// submission under mu_ (the SymbolTable's lock).
+    std::string wal_tokens;
   };
   struct TicketState {
     bool done = false;
@@ -209,9 +212,10 @@ class Server {
   /// Publishes `chunks` as `epoch` and returns the published snapshot,
   /// which stays alive until the next Publish. Writer only.
   const Snapshot& Publish(int64_t epoch, SnapshotChunks chunks);
-  /// Applies, logs and publishes one batch; the response to settle its
-  /// ticket with. Writer only.
-  Response Commit(std::vector<FactUpdate> batch);
+  /// Applies, logs (as `wal_tokens`) and publishes one batch; the
+  /// response to settle its ticket with. Writer only.
+  Response Commit(std::vector<FactUpdate> batch,
+                  const std::string& wal_tokens);
 
   void WriterLoop();
 
@@ -230,7 +234,8 @@ class Server {
   SnapshotRegistry registry_;
   PublishHook on_publish_;
 
-  /// Guards the writer queue and tickets.
+  /// Guards the writer queue, the tickets and every server-side use of
+  /// the shared SymbolTable.
   mutable std::mutex mu_;
   std::condition_variable writer_cv_;   // queue non-empty or stopping
   std::condition_variable tickets_cv_;  // a ticket settled

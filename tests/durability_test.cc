@@ -11,10 +11,13 @@
 #include <stdlib.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/engine.h"
@@ -885,6 +888,88 @@ TEST(ServerDurabilityTest, OversizedBatchIsRefusedBeforeItReachesTheView) {
       IncrementalView::Create(*program, engine.catalog(), expected_base);
   ASSERT_TRUE(expected.ok());
   EXPECT_EQ(snapshot.body, (*expected)->model().SerializeSnapshot());
+}
+
+// Three client threads commit batches of fresh integer values through
+// Call while the writer formats WAL records and compacts every 4 commits:
+// the clients intern into the shared SymbolTable as the writer reads it,
+// so every server-side use of the table must hold the server's lock (the
+// ThreadSanitizer lane runs this test). Recovery of the directory must
+// equal a replay of the acked commits in epoch order.
+TEST(ServerDurabilityTest, FreshValuesFromConcurrentWriters) {
+  constexpr int kThreads = 3;
+  constexpr int kBatches = 300;
+  ScratchDir dir;
+  server::ServerOptions options;
+  options.durability.dir = dir.path();
+  // Real fsyncs: they hold the writer in Commit long enough for the
+  // clients' submissions to overlap its reads of the table.
+  options.durability.snapshot_every = 4;
+
+  std::vector<std::pair<int64_t, std::string>> acked;  // (epoch, tokens)
+  {
+    Engine engine;
+    Result<Program> program = engine.Parse(kTcProgram);
+    ASSERT_TRUE(program.ok());
+    Instance base(&engine.catalog());
+    ASSERT_TRUE(engine.AddFacts("e1(0, 1).", &base).ok());
+    auto server = server::Server::Create(*program, &engine.catalog(),
+                                         &engine.symbols(), base, options);
+    ASSERT_TRUE(server.ok()) << server.status().ToString();
+    (*server)->Start();
+    std::vector<std::vector<std::pair<int64_t, std::string>>> per_thread(
+        kThreads);
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kThreads; ++c) {
+      clients.emplace_back([&, c] {
+        for (int i = 0; i < kBatches; ++i) {
+          const int v = 1000000 * (c + 1) + 2 * i;  // never seen before
+          const std::string tokens = "+e1(" + std::to_string(v) + "," +
+                                     std::to_string(v + 1) + ")";
+          const server::Response r = (*server)->Call(server::Request{
+              server::Request::Kind::kUpdate, tokens, 0, nullptr});
+          if (r.status == StatusCode::kOk) {
+            per_thread[static_cast<size_t>(c)].emplace_back(r.epoch, tokens);
+          }
+        }
+      });
+    }
+    for (std::thread& t : clients) t.join();
+    (*server)->Stop();
+    ASSERT_TRUE((*server)->FlushStore().ok());
+    for (const auto& commits : per_thread) {
+      EXPECT_EQ(commits.size(), static_cast<size_t>(kBatches));
+      acked.insert(acked.end(), commits.begin(), commits.end());
+    }
+  }
+  std::sort(acked.begin(), acked.end());
+
+  // A fresh engine recovers the directory (its interning order comes
+  // from the snapshot's spelling table and the WAL tail).
+  Engine engine;
+  Result<Program> program = engine.Parse(kTcProgram);
+  ASSERT_TRUE(program.ok());
+  Instance base(&engine.catalog());
+  ASSERT_TRUE(engine.AddFacts("e1(0, 1).", &base).ok());
+  auto server = server::Server::Create(*program, &engine.catalog(),
+                                       &engine.symbols(), base, options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  EXPECT_EQ((*server)->recovery().epoch, kThreads * kBatches);
+  const server::Response snapshot = (*server)->ServeQuery(server::Request{
+      server::Request::Kind::kSnapshotQuery, "", 0, nullptr});
+  ASSERT_EQ(snapshot.status, StatusCode::kOk);
+
+  auto view = IncrementalView::Create(*program, engine.catalog(), base);
+  ASSERT_TRUE(view.ok());
+  int64_t epoch = 0;
+  for (const auto& [acked_epoch, tokens] : acked) {
+    EXPECT_EQ(acked_epoch, ++epoch);
+    std::vector<FactUpdate> batch;
+    ASSERT_TRUE(server::ParseUpdateTokens(tokens, engine.catalog(),
+                                          &engine.symbols(), &batch));
+    ASSERT_TRUE((*view)->ApplyBatch(batch).ok());
+  }
+  EXPECT_EQ(snapshot.body, (*view)->model().SerializeSnapshot());
 }
 
 }  // namespace

@@ -122,14 +122,13 @@ TEST_F(GrounderTest, DeltaBoundLiteralRestrictsMatching) {
   db_.Insert(e, {2, 3});
   db_.Insert(e, {3, 4});
   // Delta = {(2,3)} bound to the FIRST body literal: only X=2,Z=3,Y=4.
-  Relation delta(2);
-  delta.Insert({2, 3});
+  const Value delta[] = {2, 3};  // one flat row
   RuleMatcher matcher(&rule);
   IndexManager cache;
   DbView view{&db_, &db_};
   std::vector<Value> adom = ActiveDomain(program_, db_);
   std::vector<Valuation> matches;
-  matcher.ForEachMatch(view, adom, &cache, /*delta_literal=*/0, &delta,
+  matcher.ForEachMatch(view, adom, &cache, /*delta_literal=*/0, delta, 1,
                        [&](const Valuation& val) {
                          matches.push_back(val);
                          return true;
@@ -139,7 +138,7 @@ TEST_F(GrounderTest, DeltaBoundLiteralRestrictsMatching) {
 
   // Same delta bound to the SECOND literal: X=1,Z=2,Y=3.
   matches.clear();
-  matcher.ForEachMatch(view, adom, &cache, /*delta_literal=*/1, &delta,
+  matcher.ForEachMatch(view, adom, &cache, /*delta_literal=*/1, delta, 1,
                        [&](const Valuation& val) {
                          matches.push_back(val);
                          return true;

@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/engine.h"
@@ -225,6 +227,50 @@ TEST_F(IncrementalTest, DuplicateAndCancellingUpdatesAreNoops) {
   ASSERT_TRUE(view->ApplyBatch({Del("e", edge), Ins("e", edge)}).ok());
   EXPECT_EQ(view->model().SerializeSnapshot(), before);
   ExpectMatchesScratch(p, *view);
+}
+
+// A batch's net effect on a fact is decided by its presence before the
+// batch's first effective update of it.
+TEST_F(IncrementalTest, InsertThenRetractOfAnAbsentFactLeavesNoDelta) {
+  Program p = MustParse(kTc);
+  GraphBuilder graphs(&engine_.catalog(), &engine_.symbols(), "e");
+  auto view = MustCreate(p, graphs.Chain(3));
+  const std::string before = view->model().SerializeSnapshot();
+  const Tuple absent{graphs.Node(2), graphs.Node(0)};
+  ASSERT_TRUE(view->ApplyBatch({Ins("e", absent), Del("e", absent)}).ok());
+  EXPECT_EQ(view->model().SerializeSnapshot(), before);
+  EXPECT_TRUE(view->last_added().empty());
+  EXPECT_TRUE(view->last_removed().empty());
+  EXPECT_EQ(view->stats().inserts, 1);
+  EXPECT_EQ(view->stats().retracts, 1);
+}
+
+TEST_F(IncrementalTest, RetractInsertRetractOfAPresentFactIsOneRetraction) {
+  Program p = MustParse(kTc);
+  GraphBuilder graphs(&engine_.catalog(), &engine_.symbols(), "e");
+  const PredId e = engine_.catalog().Find("e");
+  const Tuple edge{graphs.Node(1), graphs.Node(2)};
+  auto single = MustCreate(p, graphs.Chain(3));
+  ASSERT_TRUE(single->ApplyBatch({Del("e", edge)}).ok());
+
+  auto view = MustCreate(p, graphs.Chain(3));
+  ASSERT_TRUE(
+      view->ApplyBatch({Del("e", edge), Ins("e", edge), Del("e", edge)}).ok());
+  ExpectMatchesScratch(p, *view);
+  EXPECT_FALSE(view->base().Contains(e, edge));
+  EXPECT_EQ(view->model().SerializeSnapshot(),
+            single->model().SerializeSnapshot());
+  // The same net delta as the lone retraction: e(1,2), t(1,2), t(0,2).
+  auto facts = [](const storage::FactSet& set) {
+    std::vector<std::pair<PredId, Tuple>> out;
+    set.ForEach([&](PredId q, const Tuple& t) { out.emplace_back(q, t); });
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  EXPECT_TRUE(view->last_added().empty());
+  EXPECT_TRUE(view->last_removed().Contains(e, edge));
+  EXPECT_EQ(facts(view->last_removed()).size(), 3u);
+  EXPECT_EQ(facts(view->last_removed()), facts(single->last_removed()));
 }
 
 TEST_F(IncrementalTest, MaintenanceStatsGolden) {

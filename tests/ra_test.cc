@@ -15,6 +15,7 @@
 #include "ra/expr.h"
 #include "ra/instance.h"
 #include "ra/relation.h"
+#include "ra/storage/row_set.h"
 #include "ra/tuple.h"
 
 namespace datalog {
@@ -228,6 +229,8 @@ TEST(SnapshotChunkTest, MergedChunksMatchAFreshEncodeUnderRandomBatches) {
     Rng rng(seed);
     Instance db(&catalog);
     SnapshotChunks chunks = db.EncodeSnapshotChunks();
+    storage::FactSet added;
+    storage::FactSet removed;
     for (int batch = 0; batch < 60; ++batch) {
       const Instance before = db;
       if (batch % 15 == 14) {
@@ -246,21 +249,21 @@ TEST(SnapshotChunkTest, MergedChunksMatchAFreshEncodeUnderRandomBatches) {
           }
         }
       }
-      // The net delta: facts of `to` missing from `from`, per predicate.
-      auto diff = [&](const Instance& to, const Instance& from) {
-        std::unordered_map<PredId, Relation> delta;
+      // The net delta: facts of `to` missing from `from`, per predicate,
+      // in flat sets reused across batches as IncrementalView reuses its.
+      auto diff = [&](const Instance& to, const Instance& from,
+                      storage::FactSet* delta) {
+        delta->Reset();
         for (PredId p : preds) {
           for (const Tuple& t : to.Rel(p)) {
-            if (from.Contains(p, t)) continue;
-            delta.try_emplace(p, catalog.ArityOf(p)).first->second.Insert(t);
+            if (!from.Contains(p, t)) delta->Insert(p, t);
           }
         }
-        return delta;
       };
-      const auto added = diff(db, before);
-      const auto removed = diff(before, db);
-      size_t touched = added.size();
-      for (const auto& [p, rel] : removed) touched += added.count(p) == 0;
+      diff(db, before, &added);
+      diff(before, db, &removed);
+      size_t touched = added.preds().size();
+      for (PredId p : removed.preds()) touched += added.Find(p) == nullptr;
       EXPECT_EQ(MergeSnapshotDelta(added, removed, &chunks),
                 static_cast<int>(touched));
 
@@ -271,7 +274,9 @@ TEST(SnapshotChunkTest, MergedChunksMatchAFreshEncodeUnderRandomBatches) {
         SCOPED_TRACE("seed " + std::to_string(seed) + " batch " +
                      std::to_string(batch) + " pred " + std::to_string(p));
         ASSERT_EQ(chunks[i] == nullptr, db.Rel(p).empty());
-        if (chunks[i] != nullptr) EXPECT_EQ(*chunks[i], *fresh[i]);
+        if (chunks[i] != nullptr) {
+          EXPECT_EQ(*chunks[i], *fresh[i]);
+        }
         EXPECT_EQ(AssembleSnapshot(std::span(chunks).subspan(i, 1)),
                   db.Restrict({p}).SerializeSnapshot());
       }

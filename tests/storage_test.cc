@@ -372,10 +372,10 @@ TEST(RowSetTest, SeedInsertContains) {
   EXPECT_TRUE(set.Insert(miss));
   EXPECT_TRUE(set.Contains(miss));
   EXPECT_EQ(set.rows(), 11u);
-  // The log records insertion order, row-major.
-  ASSERT_EQ(set.log().size(), 22u);
-  EXPECT_EQ(set.log()[20], 3);
-  EXPECT_EQ(set.log()[21], 5);
+  // The rows keep insertion order, row-major.
+  EXPECT_EQ(set.data()[20], 3);
+  EXPECT_EQ(set.data()[21], 5);
+  EXPECT_EQ(set.Row(10), (Tuple{3, 5}));
 }
 
 TEST(RowSetTest, RandomizedAgainstReferenceSetAcrossGrowth) {
@@ -397,6 +397,108 @@ TEST(RowSetTest, RandomizedAgainstReferenceSetAcrossGrowth) {
     const Value row[] = {value(rng), value(rng)};
     EXPECT_EQ(set.Contains(row), ref.count({row[0], row[1]}) > 0);
   }
+}
+
+TEST(RowSetTest, ResetKeepsCapacityAndReleasesItAfterASmallUse) {
+  storage::RowSet set(2);
+  for (Value v = 0; v < 1000; ++v) {
+    const Value row[] = {v, -v};
+    ASSERT_TRUE(set.Insert(row));
+  }
+  const size_t large = set.capacity();
+  ASSERT_GE(large, 1000u);
+
+  // A reset after a large use keeps the table and the log's storage; the
+  // set is empty and refills without growing.
+  set.Reset();
+  EXPECT_EQ(set.rows(), 0u);
+  EXPECT_EQ(set.capacity(), large);
+  const Value first[] = {0, 0};
+  EXPECT_FALSE(set.Contains(first));
+  for (Value v = 0; v < 10; ++v) {
+    const Value row[] = {v, v};
+    EXPECT_TRUE(set.Insert(row));
+    EXPECT_TRUE(set.Contains(row));
+  }
+  EXPECT_EQ(set.capacity(), large);
+
+  // That use took under a quarter of the capacity, so this reset gives
+  // the rest back: the set keeps room for what it held.
+  set.Reset();
+  EXPECT_EQ(set.rows(), 0u);
+  EXPECT_GE(set.capacity(), 10u);
+  EXPECT_LT(set.capacity(), large / 4);
+  const Value again[] = {5, 5};
+  EXPECT_FALSE(set.Contains(again));
+  EXPECT_TRUE(set.Insert(again));
+  EXPECT_EQ(set.rows(), 1u);
+}
+
+TEST(RowSetTest, ArityZeroHoldsAtMostTheEmptyRow) {
+  storage::RowSet set(0);
+  EXPECT_FALSE(set.Contains(nullptr));
+  EXPECT_TRUE(set.Insert(nullptr));
+  EXPECT_FALSE(set.Insert(nullptr));
+  EXPECT_TRUE(set.Contains(nullptr));
+  EXPECT_EQ(set.rows(), 1u);
+  EXPECT_EQ(set.Row(0), Tuple{});
+  set.Reset();
+  EXPECT_EQ(set.rows(), 0u);
+  EXPECT_FALSE(set.Contains(nullptr));
+}
+
+// ---- FactSet -------------------------------------------------------------
+
+TEST(FactSetTest, DeduplicatesAndOrdersPredicatesByFirstInsert) {
+  storage::FactSet facts;
+  EXPECT_TRUE(facts.empty());
+  EXPECT_TRUE(facts.Insert(5, Tuple{1, 2}));
+  EXPECT_TRUE(facts.Insert(2, Tuple{7}));
+  EXPECT_FALSE(facts.Insert(5, Tuple{1, 2}));  // duplicate
+  EXPECT_TRUE(facts.Insert(5, Tuple{2, 1}));
+  EXPECT_TRUE(facts.Insert(0, Tuple{}));  // arity 0
+  EXPECT_FALSE(facts.Insert(0, Tuple{}));
+  EXPECT_EQ(facts.preds(), (std::vector<PredId>{5, 2, 0}));
+  EXPECT_TRUE(facts.Contains(5, Tuple{2, 1}));
+  EXPECT_FALSE(facts.Contains(5, Tuple{2, 2}));
+  EXPECT_FALSE(facts.Contains(3, Tuple{7}));  // never inserted
+  EXPECT_TRUE(facts.Contains(0, Tuple{}));
+  ASSERT_NE(facts.Find(5), nullptr);
+  EXPECT_EQ(facts.Find(5)->rows(), 2u);
+  EXPECT_EQ(facts.Find(5)->arity(), 2);
+  EXPECT_EQ(facts.Find(3), nullptr);
+
+  // ForEach walks predicates in first-insert order, rows in insert order.
+  std::vector<std::pair<PredId, Tuple>> seen;
+  facts.ForEach([&](PredId p, const Tuple& t) { seen.emplace_back(p, t); });
+  EXPECT_EQ(seen, (std::vector<std::pair<PredId, Tuple>>{
+                      {5, Tuple{1, 2}}, {5, Tuple{2, 1}}, {2, Tuple{7}},
+                      {0, Tuple{}}}));
+
+  // A reset empties every predicate; the order restarts from scratch.
+  facts.Reset();
+  EXPECT_TRUE(facts.empty());
+  EXPECT_EQ(facts.Find(5), nullptr);
+  EXPECT_FALSE(facts.Contains(0, Tuple{}));
+  EXPECT_TRUE(facts.Insert(2, Tuple{8}));
+  EXPECT_TRUE(facts.Insert(5, Tuple{1, 2}));
+  EXPECT_EQ(facts.preds(), (std::vector<PredId>{2, 5}));
+}
+
+TEST(FactSetTest, ResetKeepsEachPredicatesCapacity) {
+  storage::FactSet facts;
+  for (Value v = 0; v < 100; ++v) facts.Insert(1, Tuple{v});
+  const size_t capacity = facts.Find(1)->capacity();
+  const storage::RowSet* rows = facts.Find(1);
+  facts.Reset();
+  facts.Insert(1, Tuple{42});
+  // The same RowSet, with its table intact: inserting another predicate
+  // never moves it.
+  EXPECT_EQ(facts.Find(1), rows);
+  EXPECT_EQ(facts.Find(1)->capacity(), capacity);
+  for (PredId p = 2; p < 40; ++p) facts.Insert(p, Tuple{p});
+  EXPECT_EQ(facts.Find(1), rows);
+  EXPECT_EQ(rows->Row(0), Tuple{42});
 }
 
 // ---- Relation columnar staging -------------------------------------------

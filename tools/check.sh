@@ -234,10 +234,11 @@ if [[ "${tsan}" -eq 1 ]]; then
   # wire/session parsers;
   # Wal/Snapshotter/Recover/Durab covers the durability layer
   # (docs/durability.md) — the writer-thread WAL appends and compaction
-  # against concurrent readers, and the restart/recovery paths;
+  # against concurrent readers and against clients interning fresh values
+  # into the shared symbol table, and the restart/recovery paths;
   # Tuple|Matcher covers the inline-storage Tuple and the rule matcher's
-  # per-call scratch, which the stable-model workers run concurrently
-  # over one shared input instance.
+  # match states, recycled through per-thread free lists, which the
+  # stable-model workers run concurrently over one shared input instance.
   run_suite "${repo}/build-tsan" \
     "--tests-regex=Tuple|Matcher|Parallel|Datalog|Stratified|WellFounded|Inflationary|NonInflationary|Stable|Engine|SemiNaive|Naive|RandomProgram|Trace|Obs|Metrics|Tracer|Peer|Dist|Deadline|Cancel|Fault|Snapshot|Columnar|Storage|ColumnStore|Bitmap|RowSet|RelationStaging|Incremental|Retract|Dred|Counting|Server|Session|Epoch|Reclaim|Wal|Snapshotter|Recover|Durab" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DUNCHAINED_TSAN=ON
