@@ -4,6 +4,7 @@
 #include <cassert>
 #include <memory>
 #include <set>
+#include <span>
 
 namespace datalog {
 
@@ -38,6 +39,19 @@ void InstantiateInto(const Atom& atom, const Valuation& val, Tuple* out) {
     assert(v != kUnboundValue && "atom instantiated under partial valuation");
     out->push_back(v);
   }
+}
+
+/// The rows `set` holds for `p`, or null (also when `set` is).
+const storage::RowSet* OverlayRows(const storage::FactSet* set, PredId p) {
+  return set != nullptr ? set->Find(p) : nullptr;
+}
+
+/// Whether p(t) is in `db` as the view's overlay shows it.
+bool OverlayContains(const DbView& view, const Instance& db, PredId p,
+                     const Tuple& t) {
+  if (view.extra != nullptr && view.extra->Contains(p, t)) return true;
+  if (view.hidden != nullptr && view.hidden->Contains(p, t)) return false;
+  return db.Contains(p, t);
 }
 
 }  // namespace
@@ -94,6 +108,7 @@ struct RuleMatcher::MatchState {
   }
 };
 
+template <bool kOverlay>
 bool RuleMatcher::CheckLiteral(const Literal& lit, const Valuation& val,
                                const DbView& view, Tuple* probe) const {
   switch (lit.kind) {
@@ -106,6 +121,10 @@ bool RuleMatcher::CheckLiteral(const Literal& lit, const Valuation& val,
     case Literal::Kind::kRelational: {
       InstantiateInto(lit.atom, val, probe);
       const Instance* db = lit.negative ? view.negatives : view.positives;
+      if constexpr (kOverlay) {
+        return OverlayContains(view, *db, lit.atom.pred, *probe) !=
+               lit.negative;
+      }
       return db->Contains(lit.atom.pred, *probe) != lit.negative;
     }
     case Literal::Kind::kBottom:
@@ -119,6 +138,7 @@ bool RuleMatcher::CheckLiteral(const Literal& lit, const Valuation& val,
 /// equalities with exactly one unbound side *bind* it. Pushes what it did
 /// onto `state->applied`, which the caller unwinds to its mark whatever
 /// the outcome. Returns false if some check fails (branch dies).
+template <bool kOverlay>
 bool RuleMatcher::ApplyPendingChecks(MatchState* state) const {
   Valuation& val = state->val;
   bool progress = true;
@@ -150,7 +170,7 @@ bool RuleMatcher::ApplyPendingChecks(MatchState* state) const {
           }
         }
         if (!all_bound) continue;
-        if (!CheckLiteral(lit, val, *state->view, &state->probe)) {
+        if (!CheckLiteral<kOverlay>(lit, val, *state->view, &state->probe)) {
           return false;
         }
       }
@@ -162,15 +182,16 @@ bool RuleMatcher::ApplyPendingChecks(MatchState* state) const {
   return true;
 }
 
+template <bool kOverlay>
 bool RuleMatcher::MatchPositives(MatchState* state) const {
   const size_t applied_mark = state->applied.size();
-  if (!ApplyPendingChecks(state)) {
+  if (!ApplyPendingChecks<kOverlay>(state)) {
     state->UnwindApplied(applied_mark);
     return true;  // this branch fails; continue exploring others
   }
   bool keep_going = true;
   if (state->positives_remaining == 0) {
-    keep_going = EnumerateFree(state, 0);
+    keep_going = EnumerateFree<kOverlay>(state, 0);
     state->UnwindApplied(applied_mark);
     return keep_going;
   }
@@ -198,6 +219,14 @@ bool RuleMatcher::MatchPositives(MatchState* state) const {
       }
     }
     size_t size = state->view->positives->Rel(lit.atom.pred).size();
+    if constexpr (kOverlay) {
+      const storage::RowSet* hidden =
+          OverlayRows(state->view->hidden, lit.atom.pred);
+      const storage::RowSet* extra =
+          OverlayRows(state->view->extra, lit.atom.pred);
+      if (hidden != nullptr) size -= std::min(size, hidden->rows());
+      if (extra != nullptr) size += extra->rows();
+    }
     if (bound > best_bound || (bound == best_bound && size < best_size)) {
       best = li;
       best_mask = mask;
@@ -229,7 +258,7 @@ bool RuleMatcher::MatchPositives(MatchState* state) const {
       }
     }
     bool cont = true;
-    if (match) cont = MatchPositives(state);
+    if (match) cont = MatchPositives<kOverlay>(state);
     state->UnwindTrail(trail_mark);
     return cont;
   };
@@ -254,13 +283,38 @@ bool RuleMatcher::MatchPositives(MatchState* state) const {
       if (v != kUnboundValue) key.push_back(v);
     }
     if (key.size() == arity) {
-      if (state->view->positives->Contains(atom.pred, key)) {
-        keep_going = MatchPositives(state);
+      bool present;
+      if constexpr (kOverlay) {
+        present = OverlayContains(*state->view, *state->view->positives,
+                                  atom.pred, key);
+      } else {
+        present = state->view->positives->Contains(atom.pred, key);
       }
+      if (present) keep_going = MatchPositives<kOverlay>(state);
     } else {
       const IndexManager::Bucket* bucket = state->index->Lookup(
           *state->view->positives, atom.pred, best_mask, key);
-      if (bucket != nullptr) {
+      if constexpr (kOverlay) {
+        // The bucket minus the hidden rows, then the extra rows with the
+        // same key, found first: the recursion below reuses `key`.
+        const storage::RowSet* hidden =
+            OverlayRows(state->view->hidden, atom.pred);
+        const storage::RowSet* extra =
+            OverlayRows(state->view->extra, atom.pred);
+        const std::span<const uint32_t> extra_rows =
+            extra != nullptr ? extra->RowsMatching(best_mask, key)
+                             : std::span<const uint32_t>();
+        if (bucket != nullptr) {
+          for (const Tuple* t : *bucket) {
+            if (hidden != nullptr && hidden->Contains(t->data())) continue;
+            keep_going = try_row(t->data());
+            if (!keep_going) break;
+          }
+        }
+        for (size_t i = 0; keep_going && i < extra_rows.size(); ++i) {
+          keep_going = try_row(extra->data() + extra_rows[i] * arity);
+        }
+      } else if (bucket != nullptr) {
         for (const Tuple* t : *bucket) {
           if (!try_row(t->data())) {
             keep_going = false;
@@ -277,6 +331,7 @@ bool RuleMatcher::MatchPositives(MatchState* state) const {
   return keep_going;
 }
 
+template <bool kOverlay>
 bool RuleMatcher::EnumerateFree(MatchState* state, size_t next_var) const {
   while (next_var < enumerable_vars_.size() &&
          state->val[Slot(enumerable_vars_[next_var])] != kUnboundValue) {
@@ -285,7 +340,7 @@ bool RuleMatcher::EnumerateFree(MatchState* state, size_t next_var) const {
   if (next_var == enumerable_vars_.size()) {
     // Everything bound: apply remaining checks, then emit.
     const size_t mark = state->applied.size();
-    if (ApplyPendingChecks(state)) {
+    if (ApplyPendingChecks<kOverlay>(state)) {
       // All checks must have been applicable now.
       for (int li : check_literals_) {
         (void)li;
@@ -302,7 +357,9 @@ bool RuleMatcher::EnumerateFree(MatchState* state, size_t next_var) const {
     // Prune eagerly: checks that became decidable may already fail.
     const size_t mark = state->applied.size();
     bool cont = true;
-    if (ApplyPendingChecks(state)) cont = EnumerateFree(state, next_var + 1);
+    if (ApplyPendingChecks<kOverlay>(state)) {
+      cont = EnumerateFree<kOverlay>(state, next_var + 1);
+    }
     state->UnwindApplied(mark);
     state->val[var] = kUnboundValue;
     if (!cont) return false;
@@ -313,7 +370,7 @@ bool RuleMatcher::EnumerateFree(MatchState* state, size_t next_var) const {
 bool RuleMatcher::BodyHolds(const Valuation& val, const DbView& view,
                             Tuple* probe) const {
   for (const Literal& lit : rule_->body) {
-    if (!CheckLiteral(lit, val, view, probe)) return false;
+    if (!CheckLiteral<false>(lit, val, view, probe)) return false;
   }
   return true;
 }
@@ -421,7 +478,11 @@ void RuleMatcher::Match(const DbView& view, const std::vector<Value>& adom,
   state->aborted = false;
   state->trail.clear();
   state->applied.clear();
-  MatchPositives(state);
+  if (view.has_overlay()) {
+    MatchPositives<true>(state);
+  } else {
+    MatchPositives<false>(state);
+  }
 }
 
 void RuleMatcher::ForEachMatch(
@@ -448,6 +509,7 @@ void RuleMatcher::ForEachMatch(
     const DbView& view, const std::vector<Value>& adom, IndexManager* index,
     const std::function<bool(const Valuation&)>& cb) const {
   if (is_forall_) {
+    assert(!view.has_overlay() && "∀ rules read no overlay");
     MatchForall(view, adom, cb);
     return;
   }

@@ -10,6 +10,7 @@
 #include "ast/ast.h"
 #include "ra/index.h"
 #include "ra/instance.h"
+#include "ra/storage/row_set.h"
 
 namespace datalog {
 
@@ -26,10 +27,22 @@ using Valuation = std::vector<Value>;
 /// there, negative idb literals are checked against a *fixed* instance
 /// while positive ones see the growing one. All other engines pass the same
 /// instance for both.
+///
+/// An optional overlay changes what both instances read as: a fact of
+/// `hidden` reads as absent and a fact of `extra` as present, so matching
+/// sees `instance − hidden + extra` without it being built. `extra` must
+/// hold no fact the instance holds outside `hidden`, or a match through
+/// it would be found twice. The incremental view reads its pre-batch
+/// model this way (docs/incremental.md). Forward-chaining engines leave
+/// both null and run the matcher's plain code.
 struct DbView {
   const Instance* positives;
   /// ¬A holds iff A ∉ *negatives.
   const Instance* negatives;
+  const storage::FactSet* hidden = nullptr;
+  const storage::FactSet* extra = nullptr;
+
+  bool has_overlay() const { return hidden != nullptr || extra != nullptr; }
 };
 
 /// Matches one rule's body against a database view, enumerating every
@@ -85,15 +98,22 @@ class RuleMatcher {
   struct MatchState;
   class StateLease;
 
-  /// Leases a state, sets it up for one call and runs the search.
+  /// Leases a state, sets it up for one call and runs the search,
+  /// choosing the overlay instantiation once.
   void Match(const DbView& view, const std::vector<Value>& adom,
              IndexManager* index, int delta_literal,
              const Value* delta_values, const Tuple* const* delta_tuples,
              size_t delta_count,
              const std::function<bool(const Valuation&)>& cb) const;
+  /// The search, instantiated with and without the view's overlay, so
+  /// the engines' plain matches pay nothing for it.
+  template <bool kOverlay>
   bool MatchPositives(MatchState* state) const;
+  template <bool kOverlay>
   bool EnumerateFree(MatchState* state, size_t next_var) const;
+  template <bool kOverlay>
   bool ApplyPendingChecks(MatchState* state) const;
+  template <bool kOverlay>
   bool CheckLiteral(const Literal& lit, const Valuation& val,
                     const DbView& view, Tuple* probe) const;
   bool MatchForall(const DbView& view, const std::vector<Value>& adom,

@@ -1,6 +1,7 @@
 #include "eval/incremental.h"
 
 #include <algorithm>
+#include <cassert>
 #include <set>
 #include <tuple>
 #include <utility>
@@ -23,6 +24,8 @@ namespace {
 /// never fall back to active-domain enumeration.
 const std::vector<Value> kNoAdom;
 
+size_t Slot(int index) { return static_cast<size_t>(index); }
+
 }  // namespace
 
 IncrementalView::IncrementalView(const Program& program,
@@ -30,8 +33,7 @@ IncrementalView::IncrementalView(const Program& program,
     : program_(&program),
       catalog_(&catalog),
       base_(base),
-      model_(&catalog),
-      shadow_(&catalog) {}
+      model_(&catalog) {}
 
 Result<std::unique_ptr<IncrementalView>> IncrementalView::Create(
     const Program& program, const Catalog& catalog, const Instance& base,
@@ -133,7 +135,6 @@ Status IncrementalView::InitialEvaluate(const EvalOptions& options) {
       StratifiedSemantics(*program_, *catalog_, base_, &ctx);
   if (!result.ok()) return result.status();
   model_ = std::move(*result);
-  shadow_ = model_;
   ctx.Finalize();
   initial_stats_ = ctx.stats;
   return Status::OK();
@@ -142,9 +143,11 @@ Status IncrementalView::InitialEvaluate(const EvalOptions& options) {
 void IncrementalView::MatchDelta(
     const RuleMatcher& matcher, bool old, int dl, const Value* values,
     size_t rows, const std::function<bool(const Valuation&)>& cb) {
-  Instance* db = old ? &shadow_ : &model_;
-  matcher.ForEachMatch(DbView{db, db}, kNoAdom, old ? &shadow_index_ : &index_,
-                       dl, values, rows, cb);
+  assert((!old || pre_batch_readable_) &&
+         "a stratum reads the pre-batch state after writing the model");
+  const DbView view = old ? DbView{&model_, &model_, &added_, &removed_}
+                          : DbView{&model_, &model_};
+  matcher.ForEachMatch(view, kNoAdom, &index_, dl, values, rows, cb);
 }
 
 void IncrementalView::MatchDelta(
@@ -212,10 +215,8 @@ Status IncrementalView::ApplyBatch(const std::vector<FactUpdate>& updates) {
   if (base_added_.empty() && base_removed_.empty()) return Status::OK();
 
   // Retractions and negation are the two ways a derivation can be *lost*;
-  // only then do the lost-support passes consult the pre-batch model.
-  // That old state is `shadow_` — a persistent replica resynced by each
-  // batch's net delta (see the member comment) — so even retraction
-  // batches touch O(delta) state, not an O(model) copy.
+  // only then do the lost-support passes consult the pre-batch model,
+  // read as `model_` through the net delta (see MatchDelta's comment).
   const bool have_old = !base_removed_.empty() || has_negation_;
 
   // Predicates no rule defines change exactly as their base relations do.
@@ -234,18 +235,13 @@ Status IncrementalView::ApplyBatch(const std::vector<FactUpdate>& updates) {
 
   for (int s = 0; s < strat_.num_strata; ++s) {
     if (strat_.rules_by_stratum[static_cast<size_t>(s)].empty()) continue;
+    pre_batch_readable_ = true;
     if (flat_[static_cast<size_t>(s)]) {
       MaintainCounting(s, have_old);
     } else {
       MaintainDred(s, have_old);
     }
   }
-
-  // Re-sync the shadow by the batch's net model delta: `added_`/
-  // `removed_` are exactly diff(model after, model before), so after this
-  // replay the shadow is the old state the *next* batch needs.
-  added_.ForEach([&](PredId p, const Tuple& t) { shadow_.Insert(p, t); });
-  removed_.ForEach([&](PredId p, const Tuple& t) { shadow_.Erase(p, t); });
   return Status::OK();
 }
 
@@ -268,23 +264,17 @@ void IncrementalView::MaintainCounting(int s, bool have_old) {
         candidates.emplace_back(head->pred, InstantiateAtom(*head, val));
         return true;
       };
-  for (int ri : rule_idxs) {
-    const PreparedRule& pr = prepared_[static_cast<size_t>(ri)];
-    head = &pr.rule->heads[0].atom;
-    for (size_t li = 0; li < pr.rule->body.size(); ++li) {
-      const Literal& lit = pr.rule->body[li];
-      if (lit.kind != Literal::Kind::kRelational) continue;
-      const int dl = static_cast<int>(li);
-      if (!lit.negative) {
-        MatchDelta(*pr.matcher, false, dl, added_, collect);
-        if (have_old) MatchDelta(*pr.matcher, true, dl, removed_, collect);
-      } else {
-        const RuleMatcher& flipped = *pr.flipped_matchers[li];
-        MatchDelta(flipped, false, dl, removed_, collect);
-        if (have_old) MatchDelta(flipped, true, dl, added_, collect);
-      }
+  ForEachBodyLiteral(s, &head, [&](const PreparedRule& pr, int dl,
+                                   const Literal& lit) {
+    if (!lit.negative) {
+      MatchDelta(*pr.matcher, false, dl, added_, collect);
+      if (have_old) MatchDelta(*pr.matcher, true, dl, removed_, collect);
+    } else {
+      const RuleMatcher& flipped = *pr.flipped_matchers[Slot(dl)];
+      MatchDelta(flipped, false, dl, removed_, collect);
+      if (have_old) MatchDelta(flipped, true, dl, added_, collect);
     }
-  }
+  });
   // Base edits of this stratum's predicates change presence directly.
   const auto add_candidate = [&](PredId p, const Tuple& t) {
     if (SameStratum(p, s)) candidates.emplace_back(p, t);
@@ -299,6 +289,7 @@ void IncrementalView::MaintainCounting(int s, bool have_old) {
   // head atom bound to the candidate enumerates precisely the body
   // valuations deriving it. Flat strata never consume stratum-s
   // predicates, so recounts are independent of the presence flips below.
+  pre_batch_readable_ = false;  // the flips write the model
   int64_t count = 0;
   const std::function<bool(const Valuation&)> count_match =
       [&](const Valuation&) {
@@ -355,22 +346,16 @@ void IncrementalView::MaintainDred(int s, bool have_old) {
     // Seeds: rule instantiations valid pre-batch that used a lost lower-
     // stratum fact (or a gained fact under negation), plus base
     // retractions of this stratum's predicates.
-    for (int ri : rule_idxs) {
-      const PreparedRule& pr = prepared_[static_cast<size_t>(ri)];
-      head = &pr.rule->heads[0].atom;
-      for (size_t li = 0; li < pr.rule->body.size(); ++li) {
-        const Literal& lit = pr.rule->body[li];
-        if (lit.kind != Literal::Kind::kRelational) continue;
-        const int dl = static_cast<int>(li);
-        if (!lit.negative) {
-          if (SameStratum(lit.atom.pred, s)) continue;  // fixpoint below
-          MatchDelta(*pr.matcher, true, dl, removed_, overdelete_head);
-        } else {
-          MatchDelta(*pr.flipped_matchers[li], true, dl, added_,
-                     overdelete_head);
-        }
+    ForEachBodyLiteral(s, &head, [&](const PreparedRule& pr, int dl,
+                                     const Literal& lit) {
+      if (!lit.negative) {
+        if (SameStratum(lit.atom.pred, s)) return;  // fixpoint below
+        MatchDelta(*pr.matcher, true, dl, removed_, overdelete_head);
+      } else {
+        MatchDelta(*pr.flipped_matchers[Slot(dl)], true, dl, added_,
+                   overdelete_head);
       }
-    }
+    });
     base_removed_.ForEach([&](PredId p, const Tuple& t) {
       if (SameStratum(p, s)) overdelete(p, t);
     });
@@ -379,21 +364,15 @@ void IncrementalView::MaintainDred(int s, bool have_old) {
     for (size_t qi = 0; qi < over_queue.size(); ++qi) {
       // A copy: the callbacks below may grow the queue.
       const std::pair<PredId, Tuple> item = over_queue[qi];
-      for (int ri : rule_idxs) {
-        const PreparedRule& pr = prepared_[static_cast<size_t>(ri)];
-        head = &pr.rule->heads[0].atom;
-        for (size_t li = 0; li < pr.rule->body.size(); ++li) {
-          const Literal& lit = pr.rule->body[li];
-          if (lit.kind != Literal::Kind::kRelational || lit.negative ||
-              lit.atom.pred != item.first) {
-            continue;
-          }
-          MatchDelta(*pr.matcher, true, static_cast<int>(li),
-                     item.second.data(), 1, overdelete_head);
-        }
-      }
+      ForEachBodyLiteral(s, &head, [&](const PreparedRule& pr, int dl,
+                                       const Literal& lit) {
+        if (lit.negative || lit.atom.pred != item.first) return;
+        MatchDelta(*pr.matcher, true, dl, item.second.data(), 1,
+                   overdelete_head);
+      });
     }
   }
+  pre_batch_readable_ = false;  // the stratum's first model write
   over_.ForEach([&](PredId p, const Tuple& t) { model_.Erase(p, t); });
 
   // -- Rederivation ------------------------------------------------------
@@ -472,25 +451,19 @@ void IncrementalView::MaintainDred(int s, bool have_old) {
       };
   for (bool first = true;; first = false) {
     staged_.Reset();
-    for (int ri : rule_idxs) {
-      const PreparedRule& pr = prepared_[static_cast<size_t>(ri)];
-      head = &pr.rule->heads[0].atom;
-      for (size_t li = 0; li < pr.rule->body.size(); ++li) {
-        const Literal& lit = pr.rule->body[li];
-        if (lit.kind != Literal::Kind::kRelational) continue;
-        const int dl = static_cast<int>(li);
-        if (lit.negative) {
-          if (first) {
-            MatchDelta(*pr.flipped_matchers[li], false, dl, removed_,
-                       produce);
-          }
-        } else if (SameStratum(lit.atom.pred, s)) {
-          MatchDelta(*pr.matcher, false, dl, cur_, produce);
-        } else if (first) {
-          MatchDelta(*pr.matcher, false, dl, added_, produce);
+    ForEachBodyLiteral(s, &head, [&](const PreparedRule& pr, int dl,
+                                     const Literal& lit) {
+      if (lit.negative) {
+        if (first) {
+          MatchDelta(*pr.flipped_matchers[Slot(dl)], false, dl, removed_,
+                     produce);
         }
+      } else if (SameStratum(lit.atom.pred, s)) {
+        MatchDelta(*pr.matcher, false, dl, cur_, produce);
+      } else if (first) {
+        MatchDelta(*pr.matcher, false, dl, added_, produce);
       }
-    }
+    });
     std::swap(cur_, staged_);
     if (cur_.empty()) break;
     cur_.ForEach(gain);

@@ -48,6 +48,9 @@ struct FactUpdate {
 ///    the initial run first, falling back to a bound derivability query),
 ///    and a semi-naive insertion pass propagates the gains.
 ///
+/// The lost-support passes read the pre-batch model through the batch's
+/// net delta (MatchDelta): the view holds one model and one IndexManager.
+///
 /// The maintenance is sequential and storage-agnostic by construction:
 /// results, serialized snapshots and the deterministic stats counters are
 /// byte-identical across thread counts and --storage backends (oracle
@@ -159,9 +162,38 @@ class IncrementalView {
            strat_.stratum_of_pred[static_cast<size_t>(p)] == s;
   }
 
-  /// Runs `matcher` against the current model — or the pre-batch state
-  /// when `old` — with body literal `dl` ranging over the `rows` flat rows
-  /// at `values`.
+  /// Calls `fn(prepared rule, dl, literal)` for each relational body
+  /// literal `dl` of stratum `s`'s rules, in rule and body order, with
+  /// `*head` pointing at the literal's rule head.
+  template <typename Fn>
+  void ForEachBodyLiteral(int s, const Atom** head, Fn&& fn) const {
+    for (int ri : strat_.rules_by_stratum[static_cast<size_t>(s)]) {
+      const PreparedRule& pr = prepared_[static_cast<size_t>(ri)];
+      *head = &pr.rule->heads[0].atom;
+      for (size_t li = 0; li < pr.rule->body.size(); ++li) {
+        const Literal& lit = pr.rule->body[li];
+        if (lit.kind == Literal::Kind::kRelational) {
+          fn(pr, static_cast<int>(li), lit);
+        }
+      }
+    }
+  }
+
+  /// Runs `matcher` with body literal `dl` ranging over the `rows` flat
+  /// rows at `values`, against the current model or, when `old`, against
+  /// the pre-batch model: `model_` read with `added_` hidden and
+  /// `removed_` shown (DbView's overlay). That is exact because strata
+  /// are maintained in order and each writes its net delta only after its
+  /// own pre-batch reads (counting in its recount loop, DRed its gains in
+  /// the insertion rounds and its losses at the end). At any pre-batch
+  /// read, the predicates maintained so far (those no rule defines and
+  /// those of lower strata) hold their final net delta in the two sets,
+  /// and no other predicate has changed. So for every predicate,
+  /// pre-batch = model_ − added_ + removed_, with added_ ⊆ model_ and
+  /// removed_ ∩ model_ = ∅. `pre_batch_readable_` asserts the order.
+  /// The callbacks of a pre-batch pass write only the counting
+  /// candidates, `over_` and the overdeletion queue, never the two sets
+  /// the matcher is reading.
   void MatchDelta(const RuleMatcher& matcher, bool old, int dl,
                   const Value* values, size_t rows,
                   const std::function<bool(const Valuation&)>& cb);
@@ -192,20 +224,13 @@ class IncrementalView {
   /// Persistent indexes over `model_`; maintained incrementally through
   /// the relations' insert and erase journals across batches.
   IndexManager index_;
-  /// The model as of the end of the last completed batch — the "old
-  /// state" the lost-support passes (overdeletion seeds, counting's lost
-  /// instantiations) match against. Kept current by replaying each
-  /// batch's net delta instead of copying the model per batch, with its
-  /// own incrementally maintained indexes, so a batch costs O(delta)
-  /// index work rather than O(model) copy + rebuild. The deliberate
-  /// trade: resident memory is twice the model.
-  Instance shadow_;
-  IndexManager shadow_index_;
   /// Net per-predicate gains/losses of *present* facts in the current (or
   /// last) batch, accumulated from the base edits and every maintained
   /// stratum in stratum order.
   storage::FactSet added_;
   storage::FactSet removed_;
+  /// From the start of a stratum's maintenance to its first model write.
+  bool pre_batch_readable_ = false;
   /// The batch's net base edits.
   storage::FactSet base_added_;
   storage::FactSet base_removed_;

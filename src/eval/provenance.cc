@@ -8,15 +8,28 @@ namespace datalog {
 
 void DerivationLog::Record(PredId pred, const Tuple& tuple, int rule_index,
                            int stage, std::vector<GroundFact> premises) {
-  FactKey key{pred, tuple};
-  entries_.try_emplace(std::move(key),
-                       Entry{rule_index, stage, std::move(premises)});
+  const size_t p = static_cast<size_t>(pred);
+  if (p >= preds_.size()) preds_.resize(p + 1);
+  PredLog& log = preds_[p];
+  if (log.entries.empty()) {
+    log.facts = storage::RowSet(static_cast<int>(tuple.size()));
+  }
+  if (!log.facts.Insert(tuple.data())) return;
+  log.entries.push_back(Entry{rule_index, stage, std::move(premises)});
+  ++size_;
 }
 
 const DerivationLog::Entry* DerivationLog::Lookup(PredId pred,
                                                   const Tuple& tuple) const {
-  auto it = entries_.find(FactKey{pred, tuple});
-  return it == entries_.end() ? nullptr : &it->second;
+  const size_t p = static_cast<size_t>(pred);
+  if (pred < 0 || p >= preds_.size()) return nullptr;
+  const PredLog& log = preds_[p];
+  if (log.entries.empty() ||
+      static_cast<int>(tuple.size()) != log.facts.arity()) {
+    return nullptr;
+  }
+  const size_t r = log.facts.Find(tuple.data());
+  return r == storage::RowSet::kAbsent ? nullptr : &log.entries[r];
 }
 
 namespace {
@@ -65,8 +78,9 @@ std::string DerivationLog::Explain(PredId pred, const Tuple& tuple,
         std::string rule_text =
             entry->rule_index >= 0 &&
                     entry->rule_index < static_cast<int>(program.rules.size())
-                ? RuleToString(program.rules[entry->rule_index], catalog,
-                               symbols)
+                ? RuleToString(
+                      program.rules[static_cast<size_t>(entry->rule_index)],
+                      catalog, symbols)
                 : "?";
         out += indent + "└─ rule #" + std::to_string(entry->rule_index + 1) +
                " [stage " + std::to_string(entry->stage) + "]: " + rule_text +

@@ -2,7 +2,6 @@
 #define UNCHAINED_EVAL_PROVENANCE_H_
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "ast/ast.h"
@@ -10,6 +9,7 @@
 #include "eval/grounder.h"
 #include "ra/catalog.h"
 #include "ra/instance.h"
+#include "ra/storage/row_set.h"
 
 namespace datalog {
 
@@ -50,10 +50,10 @@ class DerivationLog {
               std::vector<GroundFact> premises);
 
   /// Returns the entry for a derived fact, or nullptr for edb facts and
-  /// unknown facts.
+  /// unknown facts. Valid until the next Record.
   const Entry* Lookup(PredId pred, const Tuple& tuple) const;
 
-  size_t size() const { return entries_.size(); }
+  size_t size() const { return size_; }
 
   /// Renders the derivation tree of a fact, e.g.
   ///
@@ -71,20 +71,15 @@ class DerivationLog {
                       int max_depth = 16) const;
 
  private:
-  struct FactKey {
-    PredId pred;
-    Tuple tuple;
-    bool operator==(const FactKey& o) const {
-      return pred == o.pred && tuple == o.tuple;
-    }
-  };
-  struct FactKeyHash {
-    size_t operator()(const FactKey& k) const {
-      return TupleHash()(k.tuple) * 1000003u + static_cast<size_t>(k.pred);
-    }
+  /// One predicate's derived facts as flat rows, and their entries in
+  /// the same (insertion) order: `entries[r]` is row r's.
+  struct PredLog {
+    storage::RowSet facts;
+    std::vector<Entry> entries;
   };
 
-  std::unordered_map<FactKey, Entry, FactKeyHash> entries_;
+  std::vector<PredLog> preds_;  // indexed by PredId
+  size_t size_ = 0;
 };
 
 /// Instantiates every relational body literal of `rule` under a complete

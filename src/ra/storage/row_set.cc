@@ -48,21 +48,20 @@ uint64_t RowSet::HashRow(const Value* row) const {
   return h;
 }
 
-bool RowSet::Contains(const Value* row) const {
-  if (rows_ == 0) return false;
+size_t RowSet::Find(const Value* row) const {
+  if (rows_ == 0) return kAbsent;
   size_t s = static_cast<size_t>(HashRow(row)) & mask_;
   while (true) {
     const uint32_t e = slots_[s];
-    if (e == 0) return false;
-    if (SameRow(log_.data() + (static_cast<size_t>(e) - 1) * arity_, row,
-                arity_)) {
-      return true;
-    }
+    if (e == 0) return kAbsent;
+    const size_t r = static_cast<size_t>(e) - 1;
+    if (SameRow(log_.data() + r * arity_, row, arity_)) return r;
     s = (s + 1) & mask_;
   }
 }
 
 bool RowSet::Insert(const Value* row) {
+  assert(!Ordered() && "a RowsMatching order would miss the new row");
   if ((rows_ + 1) * 2 > slots_.size()) Grow();
   size_t s = static_cast<size_t>(HashRow(row)) & mask_;
   while (true) {
@@ -81,6 +80,60 @@ bool RowSet::Insert(const Value* row) {
   }
 }
 
+std::span<const uint32_t> RowSet::RowsMatching(uint32_t mask,
+                                               const Tuple& key) const {
+  Order* order = nullptr;
+  for (Order& o : orders_) {
+    if (o.mask == mask) {
+      order = &o;
+      break;
+    }
+  }
+  if (order == nullptr) {
+    orders_.push_back(Order{mask, false, {}});
+    order = &orders_.back();
+  }
+  std::vector<uint32_t>& rows = order->rows;
+  if (!order->built) {
+    rows.resize(rows_);
+    for (size_t r = 0; r < rows_; ++r) rows[r] = static_cast<uint32_t>(r);
+    // By the selected columns, ties by position: std::sort is not stable.
+    std::sort(rows.begin(), rows.end(), [&](uint32_t a, uint32_t b) {
+      const Value* x = log_.data() + static_cast<size_t>(a) * arity_;
+      const Value* y = log_.data() + static_cast<size_t>(b) * arity_;
+      for (size_t c = 0; c < arity_; ++c) {
+        if ((mask >> c & 1u) != 0 && x[c] != y[c]) return x[c] < y[c];
+      }
+      return a < b;
+    });
+    order->built = true;
+  }
+  // Row r's selected columns against `key`: negative, zero or positive.
+  const auto versus_key = [&](uint32_t r) {
+    const Value* row = log_.data() + static_cast<size_t>(r) * arity_;
+    size_t k = 0;
+    for (size_t c = 0; c < arity_; ++c) {
+      if ((mask >> c & 1u) == 0) continue;
+      if (row[c] != key[k]) return row[c] < key[k] ? -1 : 1;
+      ++k;
+    }
+    return 0;
+  };
+  const auto lo = std::partition_point(
+      rows.begin(), rows.end(), [&](uint32_t r) { return versus_key(r) < 0; });
+  const auto hi = std::partition_point(
+      lo, rows.end(), [&](uint32_t r) { return versus_key(r) == 0; });
+  return std::span<const uint32_t>(
+      rows.data() + (lo - rows.begin()), static_cast<size_t>(hi - lo));
+}
+
+bool RowSet::Ordered() const {
+  for (const Order& o : orders_) {
+    if (o.built) return true;
+  }
+  return false;
+}
+
 void RowSet::Reset() {
   if (rows_ * 8 < slots_.size() && slots_.size() > kMinSlots) {
     // Used under a quarter of the capacity: shrink to what it needed.
@@ -90,11 +143,16 @@ void RowSet::Reset() {
     std::vector<Value> log;
     log.reserve(rows_ * arity_);
     log_.swap(log);
+    std::vector<Order>().swap(orders_);
   } else {
     // At least an eighth full (or minimal), so clearing every slot costs
     // O(rows held).
     std::fill(slots_.begin(), slots_.end(), 0);
     log_.clear();
+    for (Order& o : orders_) {
+      o.built = false;
+      o.rows.clear();
+    }
   }
   rows_ = 0;
 }

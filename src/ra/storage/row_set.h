@@ -3,7 +3,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "ra/catalog.h"
@@ -25,6 +27,9 @@ namespace storage {
 /// one by one; `Reset` empties the set for reuse.
 class RowSet {
  public:
+  /// What Find returns for a row the set does not hold.
+  static constexpr size_t kAbsent = std::numeric_limits<size_t>::max();
+
   /// An empty set for rows of `arity` values. Arity 0 is allowed: the set
   /// then holds at most the empty row. Allocates nothing until an insert.
   explicit RowSet(int arity = 1) : arity_(static_cast<size_t>(arity)) {}
@@ -39,16 +44,28 @@ class RowSet {
   /// Rows the set holds before its table grows.
   size_t capacity() const { return slots_.size() / 2; }
 
-  /// `row` points at `arity` values.
-  bool Contains(const Value* row) const;
+  /// The position of `row` (`arity` values) in insertion order, or
+  /// kAbsent.
+  size_t Find(const Value* row) const;
+  bool Contains(const Value* row) const { return Find(row) != kAbsent; }
 
   /// Inserts the row if absent; returns true when it was new. May
-  /// reallocate the log, so never insert while reading `data()`.
+  /// reallocate the log, so never insert while reading `data()`. A set
+  /// that RowsMatching has ordered takes no more rows (asserted).
   bool Insert(const Value* row);
 
-  /// Empties the set in O(rows held), keeping its storage. When the rows
-  /// held used less than a quarter of the capacity, the storage shrinks
-  /// to what they needed, so one large use does not pin its memory.
+  /// The positions of the rows whose columns selected by `mask` (bit c =
+  /// column c) equal `key`, the selected values in column order. The
+  /// first call for a mask sorts the row positions by those columns;
+  /// later calls binary-search that order, so a probe costs O(log rows)
+  /// plus the rows it returns. The span stays valid until Reset, also
+  /// across calls for other masks. Not safe against concurrent calls.
+  std::span<const uint32_t> RowsMatching(uint32_t mask, const Tuple& key) const;
+
+  /// Empties the set in O(rows held), keeping its storage, and drops the
+  /// RowsMatching orders. When the rows held used less than a quarter of
+  /// the capacity, the storage shrinks to what they needed, so one large
+  /// use does not pin its memory.
   void Reset();
 
   /// Rows in insertion order, row-major — `rows() * arity` values.
@@ -60,8 +77,18 @@ class RowSet {
   }
 
  private:
+  /// The row positions sorted by the columns `mask` selects; `built`
+  /// is false until the first RowsMatching call for the mask since the
+  /// last Reset, and `rows` keeps its storage across Resets.
+  struct Order {
+    uint32_t mask = 0;
+    bool built = false;
+    std::vector<uint32_t> rows;
+  };
+
   uint64_t HashRow(const Value* row) const;
   void Grow();
+  bool Ordered() const;
 
   size_t arity_;
   size_t rows_ = 0;
@@ -70,6 +97,10 @@ class RowSet {
   /// marking an empty slot. Sized to a power of two at most half full.
   std::vector<uint32_t> slots_;
   size_t mask_ = 0;
+  /// One per mask RowsMatching was called with. Moving an Order keeps
+  /// its `rows` buffer, so the spans handed out survive this vector
+  /// growing.
+  mutable std::vector<Order> orders_;
 };
 
 /// A set of facts over many predicates: one RowSet per predicate, plus

@@ -39,6 +39,8 @@ struct ServerMetrics {
   obs::CounterHandle wal_snapshots{"server.wal_snapshots"};
   obs::GaugeHandle wal_bytes{"server.wal_bytes"};
   obs::CounterHandle publish_chunks_encoded{"server.publish_chunks_encoded"};
+  obs::CounterHandle update_waits{"server.update_waits"};
+  obs::CounterHandle update_wakes{"server.update_wakes"};
 };
 
 ServerMetrics& Metrics() {
@@ -154,7 +156,7 @@ Result<int64_t> Server::SubmitUpdate(const std::string& tokens) {
   const int64_t ticket = next_ticket_++;
   pending.ticket = ticket;
   queue_.push_back(std::move(pending));
-  tickets_.emplace(ticket, TicketState{});
+  tickets_.try_emplace(ticket);
   writer_cv_.notify_one();
   return ticket;
 }
@@ -172,13 +174,13 @@ bool Server::ApplyOneQueued() {
            {{"updates", static_cast<int>(pending.batch.size())}});
   obs::ScopedLatency latency(&Metrics().apply_us);
   Response response = Commit(std::move(pending.batch), pending.wal_tokens);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    TicketState& ticket = tickets_[pending.ticket];
-    ticket.done = true;
-    ticket.response = std::move(response);
-  }
-  tickets_cv_.notify_all();
+  std::lock_guard<std::mutex> lock(mu_);
+  TicketState& ticket = tickets_[pending.ticket];
+  ticket.done = true;
+  ticket.response = std::move(response);
+  // Under mu_: the ticket's Call erases it as soon as it sees `done`, so
+  // a notify after unlocking could touch a destroyed variable.
+  ticket.settled.notify_one();
   return true;
 }
 
@@ -404,11 +406,16 @@ Response Server::Call(const Request& request) {
       return Refuse(ticket.status().code(), ticket.status().message());
     }
     std::unique_lock<std::mutex> lock(mu_);
-    tickets_cv_.wait(lock, [&] {
-      auto it = tickets_.find(*ticket);
-      return it != tickets_.end() && it->second.done;
-    });
-    Response response = tickets_[*ticket].response;
+    // The map's nodes stay put while other tickets come and go.
+    TicketState& state = tickets_.at(*ticket);
+    if (!state.done) {
+      Metrics().update_waits.Add(1);
+      while (!state.done) {
+        state.settled.wait(lock);
+        Metrics().update_wakes.Add(1);
+      }
+    }
+    Response response = std::move(state.response);
     tickets_.erase(*ticket);  // settled tickets are single-reader
     return response;
   }

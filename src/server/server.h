@@ -204,6 +204,9 @@ class Server {
   struct TicketState {
     bool done = false;
     Response response;
+    /// Notified, under mu_, when the ticket settles. Only the ticket's
+    /// own Call waits on it, so a commit wakes no other session.
+    std::condition_variable settled;
   };
 
   Server(std::unique_ptr<IncrementalView> view, const Catalog* catalog,
@@ -237,8 +240,7 @@ class Server {
   /// Guards the writer queue, the tickets and every server-side use of
   /// the shared SymbolTable.
   mutable std::mutex mu_;
-  std::condition_variable writer_cv_;   // queue non-empty or stopping
-  std::condition_variable tickets_cv_;  // a ticket settled
+  std::condition_variable writer_cv_;  // queue non-empty or stopping
   std::deque<PendingUpdate> queue_;
   std::unordered_map<int64_t, TicketState> tickets_;
   int64_t next_ticket_ = 1;

@@ -4,13 +4,15 @@
 // oracle pair #10 (server-vs-library) with its planted torn-read bug and
 // session shrinking, and the threaded mode — including snapshot-isolation
 // invariants under real reader/writer concurrency at 1, 2 and 8 client
-// reader threads, reads served on the calling thread, and malformed wire
-// input (truncated frames, unknown request kinds, over-cap frame lengths)
-// answered cleanly without leaking snapshot pins.
+// reader threads, reads served on the calling thread, commits that wake
+// only their own writer, and malformed wire input (truncated frames,
+// unknown request kinds, over-cap frame lengths) answered cleanly without
+// leaking snapshot pins.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -734,6 +736,43 @@ TEST_F(ServerThreadedTest, StopDrainsQueuedUpdates) {
   server->Stop();
   EXPECT_EQ(server->pending_updates(), 0);
   EXPECT_EQ(server->epoch(), kBatches);
+}
+
+// A commit wakes only the session whose ticket it settled. N writers
+// block on N tickets before the writer thread starts; its N commits then
+// wake each of them exactly once. Waking every waiter on each commit
+// costs up to N(N+1)/2 wakes.
+TEST_F(ServerThreadedTest, EachCommitWakesOnlyItsOwnWriter) {
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Get();
+  metrics.Reset();
+  metrics.SetEnabled(true);
+  auto server = MustCreate(kTcProgram, "e1(0, 1).");
+  constexpr int kWriters = 6;
+  std::atomic<int> bad{0};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      const std::string tokens = "+e1(" + std::to_string(w + 1) + "," +
+                                 std::to_string(w + 2) + ")";
+      const Response r =
+          server->Call(Request{Request::Kind::kUpdate, tokens, 0, nullptr});
+      if (r.status != StatusCode::kOk) bad.fetch_add(1);
+    });
+  }
+  // A Call counts its wait under the lock it waits with, so once all N
+  // are counted, every commit finds its writer waiting.
+  while (metrics.Value("server.update_waits") < kWriters) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  server->Start();
+  for (std::thread& t : writers) t.join();
+  server->Stop();
+  metrics.SetEnabled(false);
+
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_EQ(server->epoch(), kWriters);
+  EXPECT_EQ(metrics.Value("server.update_waits"), kWriters);
+  EXPECT_EQ(metrics.Value("server.update_wakes"), kWriters);
 }
 
 TEST_F(ServerThreadedTest, StartStopIsIdempotentAndRestartable) {

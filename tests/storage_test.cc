@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <random>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -445,6 +447,49 @@ TEST(RowSetTest, ArityZeroHoldsAtMostTheEmptyRow) {
   set.Reset();
   EXPECT_EQ(set.rows(), 0u);
   EXPECT_FALSE(set.Contains(nullptr));
+}
+
+// Find gives a held row's insertion position. RowsMatching returns, for
+// every mask of an arity-3 set, exactly the rows a scan selects, in
+// position order among equal keys; the orders are dropped by Reset and
+// rebuilt from the refilled rows.
+TEST(RowSetTest, FindAndRowsMatchingAgreeWithAScan) {
+  storage::RowSet set(3);
+  std::mt19937 rng(20261019);
+  std::uniform_int_distribution<Value> value(0, 4);
+  for (int use = 0; use < 2; ++use) {
+    set.Reset();
+    std::vector<std::array<Value, 3>> rows;
+    for (int i = 0; i < 400; ++i) {
+      const std::array<Value, 3> row = {value(rng), value(rng), value(rng)};
+      if (set.Insert(row.data())) rows.push_back(row);
+    }
+    for (size_t r = 0; r < rows.size(); ++r) {
+      EXPECT_EQ(set.Find(rows[r].data()), r);
+    }
+    const Value absent[] = {9, 9, 9};
+    EXPECT_EQ(set.Find(absent), storage::RowSet::kAbsent);
+    for (uint32_t mask = 0; mask < 8; ++mask) {
+      for (int probe = 0; probe < 30; ++probe) {
+        const std::array<Value, 3> want = {value(rng), value(rng), value(rng)};
+        Tuple key;
+        for (size_t c = 0; c < 3; ++c) {
+          if ((mask >> c & 1u) != 0) key.push_back(want[c]);
+        }
+        std::vector<uint32_t> scan;
+        for (size_t r = 0; r < rows.size(); ++r) {
+          bool match = true;
+          for (size_t c = 0; c < 3; ++c) {
+            if ((mask >> c & 1u) != 0 && rows[r][c] != want[c]) match = false;
+          }
+          if (match) scan.push_back(static_cast<uint32_t>(r));
+        }
+        const std::span<const uint32_t> got = set.RowsMatching(mask, key);
+        EXPECT_EQ(std::vector<uint32_t>(got.begin(), got.end()), scan)
+            << "use " << use << ", mask " << mask;
+      }
+    }
+  }
 }
 
 // ---- FactSet -------------------------------------------------------------
