@@ -131,11 +131,10 @@ inline std::vector<storage::StorageBackend> StorageFromArgs(int argc,
 ///    "instantiations": ..., "index": {hits, builds, rebuilds, appended},
 ///    "per_rule": [{"rule": i, "matches": ..., "tuples_produced": ...}]}
 ///
-/// The threads-aware overload appends the worker-pool configuration and
+/// The threads-aware overload appends the requested thread count and
 /// the (nondeterministic, telemetry-only) per-worker activity:
 ///   ..., "threads": N,
-///   "per_worker": [{"worker": i, "busy_ms": ..., "chunks": ...,
-///                   "steals": ...}]
+///   "per_worker": [{"worker": i, "busy_ms": ..., "chunks": ...}]
 class JsonEmitter {
  public:
   explicit JsonEmitter(std::string path) : path_(std::move(path)) {}
@@ -152,7 +151,7 @@ class JsonEmitter {
     rows_.push_back(BaseRow(name, ms, stats) + "}");
   }
 
-  /// Threads-sweep row: records the requested thread count and the pool's
+  /// Threads-sweep row: records the requested thread count and the
   /// per-worker activity alongside the deterministic counters.
   void Row(const std::string& name, double ms, const EvalStats& stats,
            int threads) {
@@ -165,7 +164,6 @@ class JsonEmitter {
       row += "{\"worker\": " + std::to_string(i) +
              ", \"busy_ms\": " + FormatMs(stats.per_worker[i].busy_ms) +
              ", \"chunks\": " + std::to_string(stats.per_worker[i].chunks) +
-             ", \"steals\": " + std::to_string(stats.per_worker[i].steals) +
              "}";
     }
     row += "]}";

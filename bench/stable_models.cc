@@ -5,9 +5,9 @@
 // models, odd negative loops kill them all.
 //
 // Pass `--json=<path>` to also dump each row's EvalStats as a JSON array,
-// and `--threads=N[,N...]` to sweep the candidate checks over the
-// evaluation worker pool (labels and JSON row names gain a "/tN" suffix;
-// 0 means auto-size the pool).
+// and `--threads=N[,N...]` to sweep the candidate checks over N workers
+// (labels and JSON row names gain a "/tN" suffix; 0 means one per
+// hardware thread).
 
 #include <cstdio>
 #include <string>

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "base/parallel.h"
 #include "ra/storage/storage.h"
 
 namespace datalog {
@@ -15,7 +16,7 @@ class DerivationLog;
 /// Cooperative cancellation flag shared between an evaluation and the
 /// caller that may abort it (another thread, a signal handler, a driving
 /// event loop). Engines poll it at every round boundary, and the
-/// stable-model search at every candidate chunk; once set, the evaluation
+/// stable-model search before every candidate; once set, the evaluation
 /// returns kCancelled with finalized stats at the next check point. Tokens
 /// are sticky: there is deliberately no Reset — use a fresh token per run
 /// so a late cancel can never leak into the next evaluation.
@@ -93,20 +94,11 @@ struct EvalStats {
   int64_t storage_hits = 0;
 
   // -- Parallel execution ----------------------------------------------
-  /// Pool activity of one worker across the run's parallel regions.
-  struct WorkerActivity {
-    /// Wall-clock the worker spent inside parallel regions.
-    double busy_ms = 0;
-    /// Work chunks the worker executed.
-    int64_t chunks = 0;
-    /// Chunks the worker stole from another worker's span.
-    int64_t steals = 0;
-  };
-  /// Per-worker activity (index 0 = the evaluating thread), filled by
-  /// EvalContext::Finalize when the run created a worker pool — only a
-  /// stable-model search does; empty otherwise. Unlike every counter
-  /// above, this is scheduling telemetry and is NOT deterministic across
-  /// runs or thread counts.
+  /// Per-worker activity (index 0 = the evaluating thread), filled by a
+  /// stable-model search that checked its candidates on more than one
+  /// worker; empty otherwise. Unlike every counter above, this is
+  /// scheduling telemetry and is NOT deterministic across runs or thread
+  /// counts.
   std::vector<WorkerActivity> per_worker;
 
   // -- Timing ----------------------------------------------------------
@@ -166,10 +158,11 @@ struct EvalStats {
 struct EvalOptions {
   /// Worker threads for the stable-model search's candidate fan-out
   /// (StableModels): 0 = one per hardware thread, 1 = candidates checked
-  /// inline, N > 1 = a pool of N workers (the calling thread plus N-1
-  /// spawned ones). Every other engine fires its stages inline at any
-  /// setting. Results and all deterministic EvalStats counters are
-  /// byte-identical at every setting (see docs/execution.md).
+  /// inline, N > 1 = up to N workers for the search (the calling thread
+  /// plus up to N-1 spawned ones). Every other engine fires its stages
+  /// inline at any setting. Results and all deterministic EvalStats
+  /// counters are byte-identical at every setting (see
+  /// docs/execution.md).
   int num_threads = 0;
   /// Maximum number of stages/rounds before giving up (kBudgetExhausted).
   int64_t max_rounds = 1'000'000;
@@ -179,7 +172,7 @@ struct EvalOptions {
   int64_t max_invented = 1'000'000;
   /// Wall-clock deadline for the whole evaluation in milliseconds;
   /// <= 0 disables. Checked cooperatively at every round boundary (and
-  /// every stable-model candidate chunk), so overshoot is bounded by one
+  /// before every stable-model candidate), so overshoot is bounded by one
   /// round. An expired deadline returns kBudgetExhausted with finalized
   /// stats, exactly like the round budget. Note the check makes the
   /// *abort point* wall-clock dependent: results of deadline-exceeded

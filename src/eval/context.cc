@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <set>
 
-#include "base/thread_pool.h"
 #include "obs/metrics.h"
 
 namespace datalog {
@@ -13,8 +12,8 @@ namespace {
 /// Registry handles for the evaluation-level metrics (one registration
 /// for the process lifetime). These are the fold of EvalStats into the
 /// metrics registry: `eval.*` and `index.*` mirror the deterministic
-/// counters, `threadpool.*` the per-worker telemetry, and
-/// `eval.round_us` the per-round latency distribution.
+/// counters, `threadpool.*` the stable-model search's per-worker
+/// telemetry, and `eval.round_us` the per-round latency distribution.
 struct EvalMetrics {
   obs::CounterHandle runs{"eval.runs"};
   obs::CounterHandle rounds{"eval.rounds"};
@@ -38,7 +37,6 @@ struct EvalMetrics {
   obs::CounterHandle storage_compactions{"storage.compactions"};
   obs::CounterHandle storage_hits{"storage.hits"};
   obs::CounterHandle pool_chunks{"threadpool.chunks"};
-  obs::CounterHandle pool_steals{"threadpool.steals"};
   obs::CounterHandle pool_busy_us{"threadpool.busy_us"};
   obs::HistogramHandle round_us{"eval.round_us"};
 };
@@ -96,9 +94,8 @@ void EvalContext::PublishMetrics() {
   m.storage_rows_removed.Add(stats.storage_rows_removed);
   m.storage_compactions.Add(stats.storage_compactions);
   m.storage_hits.Add(stats.storage_hits);
-  for (const EvalStats::WorkerActivity& w : stats.per_worker) {
+  for (const WorkerActivity& w : stats.per_worker) {
     m.pool_chunks.Add(w.chunks);
-    m.pool_steals.Add(w.steals);
     m.pool_busy_us.Add(static_cast<int64_t>(w.busy_ms * 1000.0));
   }
   for (double ms : stats.round_ms) {
@@ -131,26 +128,6 @@ void EvalContext::Finalize() {
   stats.storage_compactions += s.compactions - fs.compactions;
   stats.storage_hits += s.hits - fs.hits;
   folded_storage_ = s;
-  FoldWorkerStats();
-}
-
-ThreadPool* EvalContext::pool() {
-  if (!pool_checked_) {
-    pool_checked_ = true;
-    int n = options.num_threads;
-    if (n <= 0) n = ThreadPool::DefaultWorkers();
-    if (n > 1) pool_ = std::make_unique<ThreadPool>(n);
-  }
-  return pool_.get();
-}
-
-void EvalContext::FoldWorkerStats() {
-  if (pool_ == nullptr) return;
-  stats.per_worker.clear();
-  for (const ThreadPool::WorkerStats& w : pool_->worker_stats()) {
-    stats.per_worker.push_back(
-        EvalStats::WorkerActivity{w.busy_ms, w.chunks, w.steals});
-  }
 }
 
 void AdomCache::Recompute(const Program& program, const Instance& instance) {

@@ -3,8 +3,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -17,8 +15,6 @@
 #include "ra/storage/column_store.h"
 
 namespace datalog {
-
-class ThreadPool;
 
 /// Incrementally maintained active domain adom(P, I): the sorted vector of
 /// every value in the instance plus every constant of the program
@@ -91,12 +87,6 @@ class EvalContext {
     return adom_cache.Get(program, instance);
   }
 
-  /// The worker pool for the stable-model candidate fan-out, created on
-  /// first call from options.num_threads (0 = hardware concurrency).
-  /// Returns nullptr when that resolves to one thread — the search then
-  /// checks its candidates inline. The pool lives as long as the context.
-  ThreadPool* pool();
-
   /// Cooperative interruption gate, polled by every engine at its round
   /// boundary (the same sites as the max_rounds budget; see RunStages in
   /// eval/stage.h): kCancelled when options.cancel is set,
@@ -113,15 +103,6 @@ class EvalContext {
           " ms exceeded");
     }
     return Status::OK();
-  }
-
-  /// The stop probe handed to ThreadPool::ParallelFor so in-flight chunks
-  /// are skipped once the run is interrupted (one relaxed atomic load and,
-  /// with a deadline, one clock read per chunk). Empty (zero per-chunk
-  /// cost) when the run has neither a deadline nor a cancel token.
-  std::function<bool()> StopProbe() const {
-    if (options.cancel == nullptr && !has_deadline_) return {};
-    return [this] { return !CheckInterrupt().ok(); };
   }
 
   /// Adopts `parent`'s absolute deadline and cancel token, so a
@@ -144,10 +125,10 @@ class EvalContext {
     }
   }
 
-  /// Folds the index and column-store counters, the worker-pool activity
-  /// and the total wall-clock into `stats`. Engines call it on their
-  /// success path; the Engine facade also calls it defensively before
-  /// copying stats out, and the destructor before publishing metrics.
+  /// Folds the index and column-store counters and the total wall-clock
+  /// into `stats`. Engines call it on their success path; the Engine
+  /// facade also calls it defensively before copying stats out, and the
+  /// destructor before publishing metrics.
   /// Idempotent: only the counter growth since the last call is added, so
   /// counters merged in from sub-evaluations (stable-model candidates)
   /// survive a repeat call.
@@ -160,7 +141,6 @@ class EvalContext {
         .count();
   }
 
-  void FoldWorkerStats();
   /// Folds the final stats into the global metrics registry (one call,
   /// from the destructor) so registry counters equal the per-run stats
   /// summed over every published evaluation.
@@ -172,8 +152,6 @@ class EvalContext {
   /// (or inherited); only meaningful when has_deadline_ is set.
   Clock::time_point deadline_{};
   bool has_deadline_ = false;
-  std::unique_ptr<ThreadPool> pool_;
-  bool pool_checked_ = false;
   /// Counter values already folded into `stats` by Finalize.
   IndexManager::Counters folded_index_;
   storage::ColumnStore::Counters folded_storage_;

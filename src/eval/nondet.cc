@@ -152,44 +152,25 @@ Result<Instance> NondetEvaluator::RunOnce(const Instance& input, uint64_t seed,
   EvalContext ctx(options.eval);
   OBS_SPAN("nondet.run");
   Instance state = input;
-  for (int64_t step = 0;; ++step) {
-    if (Status interrupted = ctx.CheckInterrupt(); !interrupted.ok()) {
-      ctx.Finalize();
-      last_stats_ = ctx.stats;
-      return interrupted;
-    }
-    if (step > options.eval.max_rounds) {
-      ctx.Finalize();
-      last_stats_ = ctx.stats;
-      return Status::BudgetExhausted("nondeterministic run exceeded " +
-                                     std::to_string(options.eval.max_rounds) +
-                                     " steps");
-    }
-    ctx.StartRound();
-    std::vector<Move> moves = [&] {
-      OBS_SPAN("nondet.step", {{"step", step}});
-      return Moves(state, symbols, options.allow_invention && has_invention_,
-                   &ctx);
-    }();
-    ctx.FinishRound();
-    if (moves.empty()) break;
+  const bool invent = options.allow_invention && has_invention_;
+  // A step is one applied move; the last, moveless stage does not count.
+  const StageLoop loop{"nondet.step", "step",
+                       "nondeterministic run exceeded " +
+                           std::to_string(options.eval.max_rounds) + " steps",
+                       "nondeterministic run exceeded facts"};
+  Status status = RunStages(&ctx, loop, state, [&]() -> Result<bool> {
+    std::vector<Move> moves = Moves(state, symbols, invent, &ctx);
+    if (moves.empty()) return false;
     ++ctx.stats.rounds;
-    const Move& choice = moves[rng.Uniform(moves.size())];
-    state = choice.ApplyTo(state);
+    state = moves[rng.Uniform(moves.size())].ApplyTo(state);
     if (bottom_pred_ >= 0 && state.Contains(bottom_pred_, Tuple{})) {
-      ctx.Finalize();
-      last_stats_ = ctx.stats;
       return Status::Abandoned("computation derived ⊥ at step " +
-                               std::to_string(step + 1));
+                               std::to_string(ctx.stats.rounds));
     }
-    if (static_cast<int64_t>(state.TotalFacts()) > options.eval.max_facts) {
-      ctx.Finalize();
-      last_stats_ = ctx.stats;
-      return Status::BudgetExhausted("nondeterministic run exceeded facts");
-    }
-  }
-  ctx.Finalize();
+    return true;
+  });
   last_stats_ = ctx.stats;
+  if (!status.ok()) return status;
   return state;
 }
 

@@ -1,12 +1,11 @@
 #include "eval/stable.h"
 
 #include <algorithm>
-#include <map>
-#include <mutex>
+#include <thread>
 #include <utility>
 #include <vector>
 
-#include "base/thread_pool.h"
+#include "base/parallel.h"
 #include "eval/naive.h"
 #include "eval/wellfounded.h"
 #include "obs/trace.h"
@@ -15,14 +14,24 @@ namespace datalog {
 
 namespace {
 
-/// Folds one candidate's finalized sub-context stats into the search's:
-/// every scalar counter adds up, but the search's rounds are those of its
-/// well-founded bracket, not of the Gelfond–Lifschitz checks.
+/// Folds candidate stats into the search's: every scalar counter adds up,
+/// but the search's rounds are those of its well-founded bracket, not of
+/// the Gelfond–Lifschitz checks.
 void MergeCandidate(const EvalStats& candidate, EvalStats* search) {
   const int rounds = search->rounds;
   search->MergeFrom(candidate);
   search->rounds = rounds;
 }
+
+/// What the checks of one chunk of consecutive masks found, up to the
+/// chunk's first failure.
+struct ChunkResult {
+  /// The sum of the checked candidates' finalized stats.
+  EvalStats stats;
+  /// The stable candidates, in mask order.
+  std::vector<Instance> models;
+  Status failure;
+};
 
 }  // namespace
 
@@ -74,100 +83,74 @@ Result<StableModelsResult> StableModels(const Program& program,
     return candidate;
   };
 
-  ThreadPool* pool = ctx->pool();
-  if (pool != nullptr) {
-    // Fan the Gelfond–Lifschitz checks over the pool: candidates are
-    // independent, so each worker evaluates its masks with a private
-    // sub-context and stages the verdict plus the finalized stats. The
-    // merge below walks masks in ascending order and folds each
-    // candidate's stats exactly as the sequential loop does, so models,
-    // every counter, and the stop-at-first-error behaviour are
-    // byte-identical to it.
-    std::vector<uint8_t> stable(combinations, 0);
-    std::vector<EvalStats> cand_stats(combinations);
-    std::mutex failures_mu;
-    std::map<uint64_t, Status> failures;
-    EvalOptions cand_options = ctx->options;
-    cand_options.provenance = nullptr;
-    const size_t chunk = std::max<size_t>(
-        1, static_cast<size_t>(combinations) /
-               (static_cast<size_t>(pool->num_workers()) * 8));
-    // The workers copy `wf->true_facts` and read `input` concurrently;
-    // fold any staged columnar rows on this thread first — lazy
-    // materialization must not race (see Relation::MaterializeStaged).
-    wf->true_facts.MaterializeStaged();
-    input.MaterializeStaged();
-    pool->ParallelFor(
-        static_cast<size_t>(combinations), chunk,
-        [&](size_t begin, size_t end, int /*worker*/) {
-          for (size_t m = begin; m < end; ++m) {
-            const uint64_t mask = static_cast<uint64_t>(m);
-            OBS_SPAN("stable.candidate",
-                     {{"mask", static_cast<int64_t>(mask)}});
-            Instance candidate = build_candidate(mask);
-            EvalContext cand_ctx(cand_options);
-            // The merge below folds this sub-context into `ctx` —
-            // publishing it separately would double-count every event.
-            cand_ctx.publish_metrics = false;
-            // Sub-evaluations share the run's absolute deadline rather
-            // than restarting the clock per candidate.
-            cand_ctx.InheritDeadline(*ctx);
-            Result<Instance> reduct_lfp =
-                NaiveLeastFixpoint(program, input, &candidate, &cand_ctx);
-            if (!reduct_lfp.ok()) {
-              std::lock_guard<std::mutex> lock(failures_mu);
-              failures.emplace(mask, reduct_lfp.status());
-              continue;
-            }
-            cand_ctx.Finalize();
-            cand_stats[m] = std::move(cand_ctx.stats);
-            if (*reduct_lfp == candidate) stable[m] = 1;
+  // The Gelfond–Lifschitz checks are independent: chunks of consecutive
+  // masks run on up to num_threads workers, and the chunks fold in mask
+  // order below, so the models, every deterministic counter and the
+  // stop-at-first-failure behaviour are the same at any thread count.
+  int threads = ctx->options.num_threads;
+  if (threads <= 0) {
+    threads =
+        std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  }
+  const uint64_t chunk_size = std::max<uint64_t>(
+      1, combinations / (static_cast<uint64_t>(threads) * 8));
+  std::vector<ChunkResult> chunks(
+      static_cast<size_t>((combinations + chunk_size - 1) / chunk_size));
+  const int workers = static_cast<int>(
+      std::min(static_cast<size_t>(threads), chunks.size()));
+  EvalOptions cand_options = ctx->options;
+  cand_options.provenance = nullptr;
+  // The workers copy `wf->true_facts` and read `input` concurrently;
+  // fold any staged columnar rows on this thread first — lazy
+  // materialization must not race (see Relation::MaterializeStaged).
+  wf->true_facts.MaterializeStaged();
+  input.MaterializeStaged();
+  std::vector<WorkerActivity> activity =
+      ParallelChunks(workers, chunks.size(), [&](size_t c) {
+        ChunkResult& chunk = chunks[c];
+        const uint64_t end = std::min(combinations, (c + 1) * chunk_size);
+        for (uint64_t mask = c * chunk_size; mask < end; ++mask) {
+          chunk.failure = ctx->CheckInterrupt();
+          if (!chunk.failure.ok()) return;
+          OBS_SPAN("stable.candidate", {{"mask", static_cast<int64_t>(mask)}});
+          Instance candidate = build_candidate(mask);
+          // Gelfond–Lifschitz check: S(M) == M, where S evaluates the
+          // positive part to a least fixpoint with negations fixed
+          // against M. Each candidate gets a fresh sub-context (indexes
+          // over one candidate are useless for the next).
+          EvalContext cand_ctx(cand_options);
+          // The fold below merges this sub-context into `ctx` —
+          // publishing it separately would double-count every event.
+          cand_ctx.publish_metrics = false;
+          // Sub-evaluations share the run's absolute deadline rather than
+          // restarting the clock per candidate.
+          cand_ctx.InheritDeadline(*ctx);
+          Result<Instance> reduct_lfp =
+              NaiveLeastFixpoint(program, input, &candidate, &cand_ctx);
+          if (!reduct_lfp.ok()) {
+            chunk.failure = reduct_lfp.status();
+            return;
           }
-        },
-        ctx->StopProbe());
-    // An interrupt may have skipped whole candidates, so the staged
-    // verdicts are not trustworthy — report the interruption instead.
-    if (Status interrupted = ctx->CheckInterrupt(); !interrupted.ok()) {
-      ctx->Finalize();
-      return interrupted;
-    }
-    for (uint64_t mask = 0; mask < combinations; ++mask) {
-      ++out.candidates_checked;
-      auto fit = failures.find(mask);
-      if (fit != failures.end()) return fit->second;
-      MergeCandidate(cand_stats[mask], &ctx->stats);
-      if (stable[mask]) out.models.push_back(build_candidate(mask));
-    }
-    return out;
+          cand_ctx.Finalize();
+          chunk.stats.MergeFrom(cand_ctx.stats);
+          if (*reduct_lfp == candidate) {
+            chunk.models.push_back(std::move(candidate));
+          }
+        }
+      });
+  if (workers > 1) ctx->stats.per_worker = std::move(activity);
+  // An interrupt may have cut any chunk short, so report it rather than
+  // a partial search.
+  if (Status interrupted = ctx->CheckInterrupt(); !interrupted.ok()) {
+    ctx->Finalize();
+    return interrupted;
   }
-
-  for (uint64_t mask = 0; mask < combinations; ++mask) {
-    if (Status interrupted = ctx->CheckInterrupt(); !interrupted.ok()) {
-      ctx->Finalize();
-      return interrupted;
-    }
-    ++out.candidates_checked;
-    OBS_SPAN("stable.candidate", {{"mask", static_cast<int64_t>(mask)}});
-    Instance candidate = build_candidate(mask);
-    // Gelfond–Lifschitz check: S(M) == M, where S evaluates the positive
-    // part to a least fixpoint with negations fixed against M. Each
-    // candidate gets a fresh sub-context (indexes over one candidate are
-    // useless for the next); only its scalar counters are kept.
-    EvalContext cand_ctx(options);
-    cand_ctx.provenance = nullptr;
-    cand_ctx.InheritDeadline(*ctx);
-    // MergeFrom folds this sub-context into `ctx` — publishing it
-    // separately would double-count every event.
-    cand_ctx.publish_metrics = false;
-    Result<Instance> reduct_lfp =
-        NaiveLeastFixpoint(program, input, &candidate, &cand_ctx);
-    if (!reduct_lfp.ok()) return reduct_lfp.status();
-    cand_ctx.Finalize();
-    MergeCandidate(cand_ctx.stats, &ctx->stats);
-    if (*reduct_lfp == candidate) {
-      out.models.push_back(std::move(candidate));
-    }
+  for (ChunkResult& chunk : chunks) {
+    MergeCandidate(chunk.stats, &ctx->stats);
+    if (!chunk.failure.ok()) return chunk.failure;
+    for (Instance& model : chunk.models) out.models.push_back(std::move(model));
   }
+  out.candidates_checked = static_cast<int64_t>(combinations);
   return out;
 }
 

@@ -44,7 +44,9 @@ struct StableModelsResult {
 /// When `ctx` is non-null it hosts the well-founded bracket and receives
 /// the merged scalar counters of every candidate check; otherwise an
 /// internal context is used. Each Gelfond–Lifschitz candidate is checked
-/// in its own sub-context (its indexes are specific to that candidate).
+/// in its own sub-context (its indexes are specific to that candidate),
+/// on up to `num_threads` workers; the models and every deterministic
+/// counter are the same at any thread count (docs/execution.md).
 Result<StableModelsResult> StableModels(const Program& program,
                                         const Instance& input,
                                         const EvalOptions& options,

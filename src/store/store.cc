@@ -59,8 +59,10 @@ Status DurableStore::AppendCommit(int64_t epoch,
     return Status::Internal("store crashed (commit refused)");
   }
   // Recorded before the WAL can crash: the oracle's replay needs every
-  // batch the store tried to persist, acknowledged or not.
-  attempts_.push_back(CommitAttempt{epoch, update_tokens});
+  // batch the store tried to persist, acknowledged or not, and only this
+  // one may be missing from the published commits.
+  last_attempt_.epoch = epoch;
+  last_attempt_.update_tokens = update_tokens;
   DATALOG_RETURN_IF_ERROR(wal_->Append(epoch, update_tokens));
   ++commits_since_snapshot_;
   return Status::OK();

@@ -46,10 +46,13 @@ struct StoreOptions {
   DurabilityFaultSchedule faults;
 };
 
-/// One attempted commit append, recorded before the WAL gets a chance to
-/// crash — the oracle replays this list to reconstruct what the store
-/// *tried* to make durable.
+/// The newest attempted commit append, recorded before the WAL gets a
+/// chance to crash. Every earlier attempt succeeded and was published, so
+/// the published commits plus this record are what the store *tried* to
+/// make durable: an attempt one epoch past the last published commit is
+/// the batch whose append failed.
 struct CommitAttempt {
+  /// 0 before the first append.
   int64_t epoch = 0;
   std::string update_tokens;
 };
@@ -95,7 +98,7 @@ class DurableStore {
   int64_t durable_epoch() const {
     return std::max(wal_->last_synced_epoch(), last_snapshot_epoch_);
   }
-  const std::vector<CommitAttempt>& attempts() const { return attempts_; }
+  const CommitAttempt& last_attempt() const { return last_attempt_; }
   const DurabilityFaultSchedule& faults() const { return options_.faults; }
   const Wal& wal() const { return *wal_; }
   int64_t snapshots() const { return snapshotter_->writes(); }
@@ -109,7 +112,7 @@ class DurableStore {
   StoreOptions options_;
   std::unique_ptr<Wal> wal_;
   std::unique_ptr<Snapshotter> snapshotter_;
-  std::vector<CommitAttempt> attempts_;
+  CommitAttempt last_attempt_;
   int64_t last_snapshot_epoch_ = -1;
   int commits_since_snapshot_ = 0;
 };

@@ -966,18 +966,28 @@ OracleVerdict RunCrashRecoverVsReplay(ParsedCase* c,
   (void)outcome.server->FlushStore();
   const store::DurableStore* st = outcome.server->store();
   if (st == nullptr) return Disagreed("durable server has no store");
-  const std::vector<store::CommitAttempt> attempts = st->attempts();
+  const store::CommitAttempt last = st->last_attempt();
   const bool store_crashed = st->crashed();
   const int64_t durable_epoch = st->durable_epoch();
   const char* crash_point =
       store_crashed ? store::CrashPointName(st->faults().crash_point) : "none";
-  for (size_t i = 0; i < attempts.size(); ++i) {
-    if (attempts[i].epoch != static_cast<int64_t>(i) + 1) {
-      return Disagreed("commit attempt " + std::to_string(i) +
-                       " carries epoch " + std::to_string(attempts[i].epoch));
+  // The attempted batches are the published commits (epochs 1..P, from
+  // the publish hook) plus the store's last attempt when its append
+  // failed (epoch P + 1, never published).
+  const int64_t published = static_cast<int64_t>(run.commits.size());
+  for (int64_t e = 1; e <= published; ++e) {
+    const int64_t epoch = run.commits[static_cast<size_t>(e - 1)].epoch;
+    if (epoch != e) {
+      return Disagreed("commit " + std::to_string(e) + " carries epoch " +
+                       std::to_string(epoch));
     }
   }
-  const int64_t last_attempt = static_cast<int64_t>(attempts.size());
+  if (last.epoch != published && last.epoch != published + 1) {
+    return Disagreed("last commit attempt carries epoch " +
+                     std::to_string(last.epoch) + " after " +
+                     std::to_string(published) + " published commits");
+  }
+  const int64_t last_attempt = last.epoch;
   outcome.server.reset();
 
   Result<store::Recovered> rec =
@@ -1014,10 +1024,11 @@ OracleVerdict RunCrashRecoverVsReplay(ParsedCase* c,
   }
   for (int64_t e = 1; e <= rec->epoch; ++e) {
     std::vector<FactUpdate> batch;
-    if (!server::ParseUpdateTokens(attempts[static_cast<size_t>(e - 1)]
-                                       .update_tokens,
-                                   c->engine.catalog(), &c->engine.symbols(),
-                                   &batch)) {
+    if (e <= published) {
+      batch = run.commits[static_cast<size_t>(e - 1)].batch;
+    } else if (!server::ParseUpdateTokens(last.update_tokens,
+                                          c->engine.catalog(),
+                                          &c->engine.symbols(), &batch)) {
       return Disagreed("attempt for epoch " + std::to_string(e) +
                        " holds unparseable tokens");
     }

@@ -1,7 +1,14 @@
-// Unit tests for src/base: Status, Result, SymbolTable, Rng.
+// Unit tests for src/base: Status, Result, SymbolTable, Rng,
+// ParallelChunks.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "base/parallel.h"
 #include "base/result.h"
 #include "base/rng.h"
 #include "base/status.h"
@@ -125,6 +132,78 @@ TEST(RngTest, UniformWithinBounds) {
     EXPECT_LT(rng.Uniform(10), 10u);
   }
   EXPECT_EQ(rng.Uniform(1), 0u);
+}
+
+/// Runs ParallelChunks over `num_chunks` chunks on `workers` workers,
+/// checks that every chunk ran exactly once and that the workers'
+/// activity accounts for each of them, and returns that activity.
+std::vector<WorkerActivity> RunEveryChunkOnce(int workers,
+                                              size_t num_chunks) {
+  std::vector<std::atomic<int>> runs(num_chunks);
+  std::vector<WorkerActivity> activity =
+      ParallelChunks(workers, num_chunks, [&](size_t chunk) {
+        runs[chunk].fetch_add(1, std::memory_order_relaxed);
+      });
+  for (size_t c = 0; c < num_chunks; ++c) {
+    EXPECT_EQ(runs[c].load(), 1) << "chunk " << c;
+  }
+  EXPECT_EQ(activity.size(), static_cast<size_t>(workers));
+  int64_t chunks = 0;
+  for (const WorkerActivity& w : activity) {
+    EXPECT_GE(w.chunks, 0);
+    EXPECT_GE(w.busy_ms, 0.0);
+    chunks += w.chunks;
+  }
+  EXPECT_EQ(chunks, static_cast<int64_t>(num_chunks));
+  return activity;
+}
+
+TEST(ParallelChunksTest, RunsEveryChunkExactlyOnce) {
+  for (int workers : {1, 2, 8}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    RunEveryChunkOnce(workers, 1000);
+  }
+}
+
+TEST(ParallelChunksTest, OneWorkerRunsTheChunksInOrderOnTheCaller) {
+  std::vector<size_t> order;
+  std::vector<WorkerActivity> activity = ParallelChunks(
+      1, 5, [&](size_t chunk) { order.push_back(chunk); });
+  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4}));
+  ASSERT_EQ(activity.size(), 1u);
+  EXPECT_EQ(activity[0].chunks, 5);
+}
+
+TEST(ParallelChunksTest, ZeroChunksRunNothing) {
+  for (int workers : {1, 2, 8}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    for (const WorkerActivity& w : RunEveryChunkOnce(workers, 0)) {
+      EXPECT_EQ(w.chunks, 0);
+    }
+  }
+}
+
+TEST(ParallelChunksTest, MoreWorkersThanChunks) {
+  RunEveryChunkOnce(8, 3);
+  RunEveryChunkOnce(4, 1);
+}
+
+TEST(ParallelChunksTest, RethrowsTheFirstExceptionAfterJoining) {
+  for (int workers : {1, 4}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    std::atomic<int> ran{0};
+    EXPECT_THROW(ParallelChunks(workers, 1000,
+                                [&](size_t chunk) {
+                                  ran.fetch_add(1);
+                                  if (chunk == 5) {
+                                    throw std::runtime_error("chunk 5");
+                                  }
+                                }),
+                 std::runtime_error);
+    // On one worker the chunks run in order and none starts after the
+    // throw.
+    if (workers == 1) EXPECT_EQ(ran.load(), 6);
+  }
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
 
 #include "core/engine.h"
 #include "test_util.h"
@@ -89,6 +91,100 @@ TEST_F(NondetTest, EveryRunOnceResultIsInEff) {
     }
     EXPECT_TRUE(in_eff) << "seed " << seed;
   }
+}
+
+/// One seeded run on one line: the terminal instance or the status, then
+/// the steps taken and the matches found.
+std::string RenderRun(Engine* engine, const Program& p, Dialect dialect,
+                      const Instance& db, uint64_t seed,
+                      const NondetOptions& options = {}) {
+  Result<Instance> run = engine->NondetRun(p, dialect, db, seed, options);
+  std::string out = run.ok() ? run->ToString(engine->symbols())
+                             : run.status().ToString() + "\n";
+  std::replace(out.begin(), out.end(), '\n', ' ');
+  const EvalStats& st = engine->LastRunStats();
+  return "seed " + std::to_string(seed) + ": " + out +
+         "steps=" + std::to_string(st.rounds) +
+         " inst=" + std::to_string(st.instantiations) + "\n";
+}
+
+// The Rng draws of RunOnce are part of its contract: the same seed picks
+// the same moves, so these runs (results, ⊥ abandonments and stats) stay
+// as they are across changes to the run loop.
+TEST_F(NondetTest, RunOnceIsPinnedPerSeed) {
+  Program orient = MustParse(kOrientation);
+  GraphBuilder graphs(&engine_.catalog(), &engine_.symbols());
+  const Instance cycles = graphs.TwoCycles(3);
+  std::string got;
+  for (uint64_t seed = 0; seed < 4; ++seed) {
+    got += RenderRun(&engine_, orient, Dialect::kNDatalogNegNeg, cycles, seed);
+  }
+  EXPECT_EQ(got,
+            "seed 0: g(1, 0). g(2, 3). g(4, 5). steps=3 inst=12\n"
+            "seed 1: g(0, 1). g(2, 3). g(4, 5). steps=3 inst=12\n"
+            "seed 2: g(1, 0). g(3, 2). g(5, 4). steps=3 inst=12\n"
+            "seed 3: g(1, 0). g(3, 2). g(4, 5). steps=3 inst=12\n");
+
+  // Example 5.5's N-Datalog¬⊥ program: ⊥ abandons the unlucky orders.
+  Program bottom = MustParse(
+      "proj(X) :- !done-with-proj, q(X, Y).\n"
+      "done-with-proj.\n"
+      "bottom :- done-with-proj, q(X, Y), !proj(X).\n"
+      "answer(X) :- done-with-proj, p(X), !proj(X).\n");
+  Instance db = engine_.NewInstance();
+  ASSERT_TRUE(engine_
+                  .AddFacts("p(a). p(b). p(c). p(d).\n"
+                            "q(a, 1). q(c, 2). q(e, 3).",
+                            &db)
+                  .ok());
+  got.clear();
+  for (uint64_t seed = 0; seed < 8; ++seed) {
+    got += RenderRun(&engine_, bottom, Dialect::kNDatalogBottom, db, seed);
+  }
+  const std::string done =
+      "proj(a). proj(c). proj(e). done-with-proj. q(a, 1). q(c, 2). "
+      "q(e, 3). answer(b). answer(d). p(a). p(b). p(c). p(d). ";
+  EXPECT_EQ(got,
+            "seed 0: Abandoned: computation derived ⊥ at step 3 "
+            "steps=3 inst=15\n"
+            "seed 1: " + done + "steps=6 inst=25\n"
+            "seed 2: Abandoned: computation derived ⊥ at step 5 "
+            "steps=5 inst=36\n"
+            "seed 3: Abandoned: computation derived ⊥ at step 6 "
+            "steps=6 inst=27\n"
+            "seed 4: Abandoned: computation derived ⊥ at step 4 "
+            "steps=4 inst=28\n"
+            "seed 5: " + done + "steps=6 inst=25\n"
+            "seed 6: Abandoned: computation derived ⊥ at step 5 "
+            "steps=5 inst=36\n"
+            "seed 7: Abandoned: computation derived ⊥ at step 3 "
+            "steps=3 inst=20\n");
+}
+
+// The step budget counts applied moves and, like every stage loop's round
+// budget, is checked before each stage: a run stops after exactly
+// max_rounds moves, even one whose next stage would find no move, and
+// reports that many steps.
+TEST_F(NondetTest, StepBudgetExitReportsTheStepsThatRan) {
+  Program p = MustParse(kOrientation);
+  GraphBuilder graphs(&engine_.catalog(), &engine_.symbols());
+  const Instance db = graphs.TwoCycles(3);  // every run takes 3 steps
+  for (int64_t budget : {1, 2, 3}) {
+    SCOPED_TRACE("max_rounds=" + std::to_string(budget));
+    NondetOptions options;
+    options.eval.max_rounds = budget;
+    Result<Instance> run =
+        engine_.NondetRun(p, Dialect::kNDatalogNegNeg, db, /*seed=*/1, options);
+    ASSERT_EQ(run.status().code(), StatusCode::kBudgetExhausted);
+    EXPECT_EQ(engine_.LastRunStats().rounds, budget);
+    EXPECT_GT(engine_.LastRunStats().total_ms, 0.0);
+  }
+  NondetOptions options;
+  options.eval.max_rounds = 4;
+  Result<Instance> run =
+      engine_.NondetRun(p, Dialect::kNDatalogNegNeg, db, /*seed=*/1, options);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(engine_.LastRunStats().rounds, 3);
 }
 
 // ---- Example 5.4 / 5.5: P − πA(Q) --------------------------------------

@@ -1,13 +1,14 @@
 // Determinism across thread counts: every engine must produce
 // byte-identical results and identical deterministic EvalStats counters at
 // every num_threads setting. The forward-chaining engines fire every stage
-// inline, and the stable-model search merges its pooled candidate checks
+// inline, and the stable-model search folds its chunks of candidate checks
 // in mask order (src/eval/stable.cc), so num_threads is required to be
 // unobservable everywhere except the per-worker telemetry and wall-clock
 // timings — this suite is the enforcement.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -308,10 +309,40 @@ TEST(ParallelStableModels, IdenticalAcrossThreadCounts) {
   }
 }
 
+/// The models come out in candidate-mask order whatever the chunking:
+/// 64 candidates make 8 chunks at one thread, 16 at two, 32 at three and
+/// 64 at eight. The expected order is the one-thread order.
+TEST(ParallelStableModels, ModelsComeOutInMaskOrder) {
+  for (int t : {1, 2, 3, 8}) {
+    SCOPED_TRACE("num_threads=" + std::to_string(t));
+    Engine engine;
+    engine.options().num_threads = t;
+    auto p = engine.Parse("win(X) :- moves(X, Y), !win(Y).\n");
+    ASSERT_TRUE(p.ok());
+    GraphBuilder graphs(&engine.catalog(), &engine.symbols(), "moves");
+    const Instance db = graphs.TwoCycles(3);
+    Result<StableModelsResult> r = StableModels(*p, db, engine.options());
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const PredId win = engine.catalog().Find("win");
+    std::string order;
+    for (const Instance& m : r->models) {
+      std::vector<std::string> winners;
+      for (const Tuple& w : m.Rel(win)) {
+        winners.push_back(engine.symbols().NameOf(w[0]));
+      }
+      std::sort(winners.begin(), winners.end());
+      for (const std::string& w : winners) order += w;
+      order += ' ';
+    }
+    EXPECT_EQ(order, "135 134 125 124 035 034 025 024 ");
+  }
+}
+
 /// The per-worker telemetry is the one thread-count-dependent surface, and
 /// only the stable-model search fills it: the forward-chaining engines fire
 /// every stage inline whatever num_threads says, while the candidate
-/// fan-out gets one entry per pool worker.
+/// fan-out gets one entry per worker it ran on, and a search with one
+/// candidate runs on the calling thread alone.
 TEST(ParallelWorkerTelemetry, SizedToThePool) {
   {
     Engine engine;
@@ -334,6 +365,28 @@ TEST(ParallelWorkerTelemetry, SizedToThePool) {
     ASSERT_TRUE(engine.NonInflationary(*p, db, options).ok());
     EXPECT_TRUE(engine.LastRunStats().per_worker.empty())
         << "NonInflationary";
+  }
+  {
+    // The stratified complement of TC: the well-founded model is total,
+    // so the search checks one candidate and spawns no worker.
+    Engine engine;
+    engine.options().num_threads = 8;
+    auto p = engine.Parse(
+        "t(X, Y) :- g(X, Y).\n"
+        "t(X, Y) :- g(X, Z), t(Z, Y).\n"
+        "ct(X, Y) :- !t(X, Y).\n");
+    ASSERT_TRUE(p.ok());
+    GraphBuilder graphs(&engine.catalog(), &engine.symbols());
+    const Instance db = graphs.RandomDigraph(8, 14, /*seed=*/3);
+    EvalContext ctx(engine.options());
+    Result<StableModelsResult> r =
+        StableModels(*p, db, engine.options(), /*max_candidates=*/1 << 20,
+                     &ctx);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ctx.Finalize();
+    EXPECT_EQ(r->candidates_checked, 1);
+    EXPECT_EQ(r->models.size(), 1u);
+    EXPECT_TRUE(ctx.stats.per_worker.empty()) << "one-candidate search";
   }
   for (int t : {1, 8}) {
     SCOPED_TRACE("num_threads=" + std::to_string(t));

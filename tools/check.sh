@@ -215,12 +215,14 @@ if [[ "${sanitize}" -eq 1 ]]; then
   bench_peer_faults "${repo}/build-asan"
 fi
 if [[ "${tsan}" -eq 1 ]]; then
-  # The evaluation-layer tests exercise the one pooled evaluation path,
-  # the stable-model candidate fan-out, and run every engine at 1/2/8
-  # threads to show the rest stay on one thread;
+  # The evaluation-layer tests exercise the one parallel evaluation path,
+  # the stable-model candidate fan-out (ParallelChunksTest its
+  # ParallelChunks substrate), and run every engine at 1/2/8 threads to
+  # show the rest stay on one thread;
   # Trace/Obs covers the observability ring buffers and shard merges;
   # Peers/Dist/Fault/Deadline/Cancel covers the fault-tolerant peer runs
-  # and the deadline/cancellation probes at ThreadPool chunk boundaries;
+  # and the deadline/cancellation checks before every stable-model
+  # candidate, made from every ParallelChunks worker;
   # Columnar/Storage/Bitmap/RowSet/HashVsColumnar covers the columnar
   # storage backend (docs/storage.md) — in particular that staged rows
   # are materialized before the stable-model workers share an instance;

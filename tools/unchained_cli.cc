@@ -10,7 +10,7 @@
 //           noninflationary | invention | stable |
 //           nondet-run | nondet-enum | poss-cert
 //   POLICY: positive | negative | noop | undefined   (Datalog¬¬ conflicts)
-//   --threads=N sizes the worker pool of the stable-model search (0 =
+//   --threads=N caps the workers of the stable-model search (0 =
 //   one per hardware thread); every other semantics runs on one thread.
 //
 // Prints the resulting instance (canonical fact list) to stdout; for
@@ -46,7 +46,7 @@ struct Args {
   uint64_t seed = 1;
   std::string policy = "positive";
   int64_t max_candidates = 1 << 20;
-  /// Worker-pool size (0 = auto, one worker per hardware thread);
+  /// Stable-model search workers (0 = one per hardware thread);
   /// -1 leaves the engine default untouched.
   int threads = -1;
   /// Wall-clock budget for one evaluation (0 = none). An exhausted run
@@ -111,7 +111,7 @@ int Usage() {
       "  NAME: datalog | naive | stratified | wellfounded | inflationary |\n"
       "        noninflationary | invention | stable | nondet-run |\n"
       "        nondet-enum | poss-cert\n"
-      "  --threads=N: worker pool of the stable-model search (0 = one per\n"
+      "  --threads=N: workers of the stable-model search (0 = one per\n"
       "        hardware thread); every other semantics runs on one thread\n");
   return 2;
 }
