@@ -6,6 +6,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <condition_variable>
@@ -27,11 +28,14 @@ struct Pipe {
   std::deque<char> bytes;
   bool closed = false;
 
-  bool Write(const void* data, size_t n) {
+  /// Appends every part under one lock with one notify, so a reader
+  /// wakes to the whole write.
+  bool Write(std::span<const std::string_view> parts) {
     std::lock_guard<std::mutex> lock(mu);
     if (closed) return false;
-    const char* p = static_cast<const char*>(data);
-    bytes.insert(bytes.end(), p, p + n);
+    for (std::string_view part : parts) {
+      bytes.insert(bytes.end(), part.begin(), part.end());
+    }
     cv.notify_all();
     return true;
   }
@@ -68,8 +72,8 @@ class InProcessChannel : public ByteChannel {
       : pair_(std::move(pair)), is_a_(is_a) {}
   ~InProcessChannel() override { Close(); }
 
-  bool Write(const void* data, size_t n) override {
-    return (is_a_ ? pair_->a_to_b : pair_->b_to_a).Write(data, n);
+  bool Write(std::span<const std::string_view> parts) override {
+    return (is_a_ ? pair_->a_to_b : pair_->b_to_a).Write(parts);
   }
   bool Read(void* data, size_t n) override {
     return (is_a_ ? pair_->b_to_a : pair_->a_to_b).Read(data, n);
@@ -85,6 +89,9 @@ class InProcessChannel : public ByteChannel {
 };
 
 class SocketChannel : public ByteChannel {
+  /// iovecs per sendmsg; a longer gather list goes out in several calls.
+  static constexpr size_t kMaxIov = 16;
+
  public:
   explicit SocketChannel(int fd) : fd_(fd) {}
   /// The fd is released here, not in Close: Close may race a blocked
@@ -96,19 +103,35 @@ class SocketChannel : public ByteChannel {
     ::close(fd_);
   }
 
-  // A signal landing mid-syscall makes send/recv fail with EINTR; that
-  // is a retry, not a peer disconnect — only a real error or EOF (recv
-  // returning 0) ends the stream.
-  bool Write(const void* data, size_t n) override {
-    const char* p = static_cast<const char*>(data);
+  // A signal landing mid-syscall makes sendmsg/recv fail with EINTR, or
+  // return a short count once some bytes moved; both are a retry from
+  // where the call stopped, not a peer disconnect — only a real error or
+  // EOF (recv returning 0) ends the stream.
+  bool Write(std::span<const std::string_view> parts) override {
+    size_t part = 0;  // the next unsent byte lies `off` bytes into parts[part]
     size_t off = 0;
-    while (off < n) {
-      const ssize_t w = ::send(fd_, p + off, n - off, MSG_NOSIGNAL);
+    for (;;) {
+      while (part < parts.size() && off >= parts[part].size()) {
+        off -= parts[part].size();
+        ++part;
+      }
+      if (part == parts.size()) return true;
+      iovec iov[kMaxIov];
+      size_t count = 0;
+      for (size_t p = part; p < parts.size() && count < kMaxIov; ++p) {
+        const size_t skip = p == part ? off : 0;
+        iov[count].iov_base = const_cast<char*>(parts[p].data() + skip);
+        iov[count].iov_len = parts[p].size() - skip;
+        ++count;
+      }
+      msghdr msg{};
+      msg.msg_iov = iov;
+      msg.msg_iovlen = count;
+      const ssize_t w = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
       if (w < 0 && errno == EINTR) continue;
       if (w <= 0) return false;
       off += static_cast<size_t>(w);
     }
-    return true;
   }
 
   bool Read(void* data, size_t n) override {

@@ -8,7 +8,9 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -307,15 +309,19 @@ class UnreliableTransport : public Transport {
 // streams driven by real threads: an in-process duplex pair for tests and
 // benches, and localhost TCP sockets for the `unchained_serve` binary.
 
-/// A reliable, ordered, blocking byte-stream endpoint. Write is
-/// all-or-nothing; Read blocks until exactly `n` bytes arrived and
-/// returns false on a clean close or error. One writer thread and one
-/// reader thread may use an endpoint concurrently (full duplex), but each
-/// direction has a single owner.
+/// A reliable, ordered, blocking byte-stream endpoint. Read blocks until
+/// exactly `n` bytes arrived and returns false on a clean close or error.
+/// One writer thread and one reader thread may use an endpoint
+/// concurrently (full duplex), but each direction has a single owner.
 class ByteChannel {
  public:
   virtual ~ByteChannel() = default;
-  virtual bool Write(const void* data, size_t n) = 0;
+  /// Gather write: sends `parts` back to back in one call (one `sendmsg`
+  /// on a socket, one append on the in-process pair), so a frame's
+  /// length prefix and its payload leave together and neither is copied
+  /// into a joint buffer. True once every byte is written; false on a
+  /// closed channel or an error.
+  virtual bool Write(std::span<const std::string_view> parts) = 0;
   virtual bool Read(void* data, size_t n) = 0;
   /// Closes both directions; pending and future Reads return false.
   virtual void Close() = 0;

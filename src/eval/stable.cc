@@ -87,6 +87,10 @@ Result<StableModelsResult> StableModels(const Program& program,
   // masks run on up to num_threads workers, and the chunks fold in mask
   // order below, so the models, every deterministic counter and the
   // stop-at-first-failure behaviour are the same at any thread count.
+  // Each worker gets at least kCandidatesPerWorker candidates: below
+  // that, starting a thread costs more than the checks it would take
+  // over (BENCH_parallel_baseline.json), so a small search stays on the
+  // calling thread.
   int threads = ctx->options.num_threads;
   if (threads <= 0) {
     threads =
@@ -96,8 +100,10 @@ Result<StableModelsResult> StableModels(const Program& program,
       1, combinations / (static_cast<uint64_t>(threads) * 8));
   std::vector<ChunkResult> chunks(
       static_cast<size_t>((combinations + chunk_size - 1) / chunk_size));
-  const int workers = static_cast<int>(
-      std::min(static_cast<size_t>(threads), chunks.size()));
+  constexpr uint64_t kCandidatesPerWorker = 16;
+  const int workers = static_cast<int>(std::min<uint64_t>(
+      {static_cast<uint64_t>(threads), static_cast<uint64_t>(chunks.size()),
+       (combinations + kCandidatesPerWorker - 1) / kCandidatesPerWorker}));
   EvalOptions cand_options = ctx->options;
   cand_options.provenance = nullptr;
   // The workers copy `wf->true_facts` and read `input` concurrently;

@@ -148,8 +148,8 @@ Result<int64_t> Server::SubmitUpdate(const std::string& tokens) {
         FormatUpdateTokens(pending.batch, *catalog_, *symbols_);
   }
   // Enqueue-or-refuse under the lock Stop sets `stopping_` under: a
-  // batch queued here is guaranteed to be drained by the writer before
-  // it exits, so every accepted ticket settles.
+  // batch queued here is drained before Stop returns — by its own Call
+  // or by Stop — so every accepted ticket settles.
   if (stopping_) {
     return Status(StatusCode::kCancelled, "server stopping");
   }
@@ -157,31 +157,34 @@ Result<int64_t> Server::SubmitUpdate(const std::string& tokens) {
   pending.ticket = ticket;
   queue_.push_back(std::move(pending));
   tickets_.try_emplace(ticket);
-  writer_cv_.notify_one();
   return ticket;
 }
 
 bool Server::ApplyOneQueued() {
-  PendingUpdate pending;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (queue_.empty()) return false;
-    pending = std::move(queue_.front());
-    queue_.pop_front();
-  }
+  std::unique_lock<std::mutex> lock(mu_);
+  if (queue_.empty()) return false;
+  ApplyFront(lock);
+  return true;
+}
 
-  OBS_SPAN("server.apply_batch",
-           {{"updates", static_cast<int>(pending.batch.size())}});
-  obs::ScopedLatency latency(&Metrics().apply_us);
-  Response response = Commit(std::move(pending.batch), pending.wal_tokens);
-  std::lock_guard<std::mutex> lock(mu_);
+void Server::ApplyFront(std::unique_lock<std::mutex>& lock) {
+  PendingUpdate pending = std::move(queue_.front());
+  queue_.pop_front();
+  lock.unlock();
+  Response response;
+  {
+    OBS_SPAN("server.apply_batch",
+             {{"updates", static_cast<int>(pending.batch.size())}});
+    obs::ScopedLatency latency(&Metrics().apply_us);
+    response = Commit(std::move(pending.batch), pending.wal_tokens);
+  }
+  lock.lock();
   TicketState& ticket = tickets_[pending.ticket];
   ticket.done = true;
   ticket.response = std::move(response);
   // Under mu_: the ticket's Call erases it as soon as it sees `done`, so
   // a notify after unlocking could touch a destroyed variable.
   ticket.settled.notify_one();
-  return true;
 }
 
 Response Server::Commit(std::vector<FactUpdate> batch,
@@ -357,11 +360,8 @@ void Server::Start() {
   std::lock_guard<std::mutex> lock(threads_mu_);
   if (started_) return;
   started_ = true;
-  {
-    std::lock_guard<std::mutex> l(mu_);
-    stopping_ = false;
-  }
-  writer_thread_ = std::thread([this] { WriterLoop(); });
+  std::lock_guard<std::mutex> l(mu_);
+  stopping_ = false;
 }
 
 void Server::Stop() {
@@ -371,12 +371,10 @@ void Server::Stop() {
     std::lock_guard<std::mutex> l(mu_);
     stopping_ = true;
   }
-  writer_cv_.notify_all();
-  if (writer_thread_.joinable()) writer_thread_.join();
-  // Unblock connection pumps stuck in ReadFrame, then join them. Their
-  // in-flight updates have already settled (the writer drained every
-  // queued batch above), a read in flight finishes on its pump, and
-  // post-stop Calls are refused.
+  // Unblock connection pumps stuck in ReadFrame, then join them, without
+  // holding the writer role: a pump inside Call finishes its update (the
+  // role passes from caller to caller), a read in flight finishes on its
+  // pump, and post-stop Calls are refused.
   for (const std::unique_ptr<ByteChannel>& channel : conn_channels_) {
     channel->Close();
   }
@@ -385,18 +383,45 @@ void Server::Stop() {
   }
   conn_threads_.clear();
   conn_channels_.clear();
+  // Batches queued through SubmitUpdate have no Call to apply them. Take
+  // the role once no caller holds it and drain the queue, so every
+  // accepted ticket settles.
+  std::unique_lock<std::mutex> l(mu_);
+  role_free_.wait(l, [this] { return !committing_; });
+  committing_ = true;
+  while (!queue_.empty()) ApplyFront(l);
+  committing_ = false;
   started_ = false;
 }
 
-void Server::WriterLoop() {
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      writer_cv_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
-      if (stopping_ && queue_.empty()) return;
-    }
-    ApplyOneQueued();
+Response Server::AwaitCommit(int64_t ticket) noexcept {
+  std::unique_lock<std::mutex> lock(mu_);
+  // The map's nodes stay put while other tickets come and go.
+  TicketState& state = tickets_.at(ticket);
+  if (committing_ && !state.done && !state.lead) {
+    Metrics().update_waits.Add(1);
+    do {
+      state.settled.wait(lock);
+      Metrics().update_wakes.Add(1);
+    } while (!state.done && !state.lead);
   }
+  if (!state.done) {
+    // The writer role: free, or handed to this ticket. Every earlier
+    // ticket is applied first, so commit order stays ticket order.
+    committing_ = true;
+    while (!state.done) ApplyFront(lock);
+    if (queue_.empty()) {
+      committing_ = false;
+      role_free_.notify_all();
+    } else {
+      TicketState& next = tickets_.at(queue_.front().ticket);
+      next.lead = true;
+      next.settled.notify_one();
+    }
+  }
+  Response response = std::move(state.response);
+  tickets_.erase(ticket);  // settled tickets are single-reader
+  return response;
 }
 
 Response Server::Call(const Request& request) {
@@ -405,19 +430,7 @@ Response Server::Call(const Request& request) {
     if (!ticket.ok()) {
       return Refuse(ticket.status().code(), ticket.status().message());
     }
-    std::unique_lock<std::mutex> lock(mu_);
-    // The map's nodes stay put while other tickets come and go.
-    TicketState& state = tickets_.at(*ticket);
-    if (!state.done) {
-      Metrics().update_waits.Add(1);
-      while (!state.done) {
-        state.settled.wait(lock);
-        Metrics().update_wakes.Add(1);
-      }
-    }
-    Response response = std::move(state.response);
-    tickets_.erase(*ticket);  // settled tickets are single-reader
-    return response;
+    return AwaitCommit(*ticket);
   }
   if (request.kind == Request::Kind::kClose) {
     return Refuse(StatusCode::kInvalidProgram, "close is not callable");
@@ -431,13 +444,12 @@ void Server::Serve(ByteChannel* channel) {
   while (ReadFrame(channel, &payload)) {
     Request request;
     if (!DecodeRequest(payload, &request)) {
-      WriteFrame(channel, EncodeResponse(Refuse(StatusCode::kParseError,
-                                                "malformed request")));
+      WriteResponse(channel,
+                    Refuse(StatusCode::kParseError, "malformed request"));
       break;
     }
     if (request.kind == Request::Kind::kClose) break;
-    const Response response = Call(request);
-    if (!WriteFrame(channel, EncodeResponse(response))) break;
+    if (!WriteResponse(channel, Call(request))) break;
   }
   channel->Close();
 }

@@ -1,9 +1,9 @@
 #ifndef UNCHAINED_SERVER_SERVER_H_
 #define UNCHAINED_SERVER_SERVER_H_
 
-// A long-lived concurrent Datalog service (docs/server.md): one writer
-// drains a mutation op-queue through IncrementalView::ApplyBatch and
-// publishes an immutable epoch-versioned snapshot after every batch,
+// A long-lived concurrent Datalog service (docs/server.md): one writer at
+// a time drains a mutation op-queue through IncrementalView::ApplyBatch
+// and publishes an immutable epoch-versioned snapshot after every batch,
 // re-encoding only the relations the batch changed; every read is served
 // on the thread that made it, by pinning the current snapshot and
 // serving its frozen chunks — MVCC snapshot reads with epoch-based
@@ -17,11 +17,13 @@
 //     ServeQuery expose each writer and reader step as an explicit call,
 //     which is what the deterministic virtual-clock scheduler
 //     (scheduler.h) and oracle pair #10 interleave and replay.
-//   * Threaded: Start() spawns the writer thread; Call() is the
-//     thread-safe blocking client surface, and Serve/ServeListener pump
-//     wire frames (wire.h) from in-process or socket channels
-//     (dist/transport.h) into Call, so a socket read is served on its
-//     connection's pump thread.
+//   * Threaded: Call() is the thread-safe blocking client surface, and
+//     Serve/ServeListener pump wire frames (wire.h) from in-process or
+//     socket channels (dist/transport.h) into Call. The server runs no
+//     thread of its own: a read is served on the calling thread, and an
+//     update is applied there too, by whichever caller holds the *writer
+//     role* (Call), so a socket request never leaves its connection's
+//     pump thread.
 //
 // Consistency contract (what pair #10 checks): the bytes published for
 // epoch e are byte-identical to a sequential IncrementalView replay of
@@ -124,24 +126,31 @@ class Server {
 
   // -- Threaded mode ----------------------------------------------------
 
-  /// Spawns the writer thread. Idempotent.
+  /// Admits Call again after a Stop; spawns no thread. Idempotent.
   void Start();
-  /// Refuses every later Call with kCancelled, lets the writer apply
-  /// every queued batch (so every accepted update settles) and joins it,
-  /// then closes and joins every connection pump, so no socket read is in
-  /// flight on return. A read made by a direct caller of Call finishes on
-  /// that caller's thread. Idempotent and restartable; called by the
+  /// Refuses every later Call with kCancelled, closes and joins every
+  /// connection pump (a pump inside Call finishes its request first), then
+  /// takes the writer role once no caller holds it and applies what is
+  /// still queued, so every accepted update settles and no socket request
+  /// is in flight on return. A Call made directly by another thread
+  /// finishes on that thread. Idempotent and restartable; called by the
   /// destructor.
   void Stop();
 
-  /// Thread-safe blocking request: an update waits for its commit (its
-  /// response carries the created epoch); a read is served on the calling
-  /// thread (ServeQuery). Refused with kCancelled once Stop has begun.
-  /// Requires Start().
+  /// Thread-safe blocking request, run on the calling thread. A read is
+  /// served there (ServeQuery). An update is queued, and the caller takes
+  /// the writer role if no commit is running: it applies the queue in
+  /// ticket order, up to and including its own batch, then hands the role
+  /// to the caller at the front of what is left. A caller that finds the
+  /// role taken waits on its ticket and is woken once, by the commit that
+  /// settles it or by that hand-off. The response carries the created
+  /// epoch. Refused with kCancelled once Stop has begun. SubmitUpdate and
+  /// ApplyOneQueued must not run concurrently with it.
   Response Call(const Request& request);
 
   /// Pumps frames from one connection until kClose, EOF, or a malformed
-  /// frame. Requires Start(). Blocking — run on the connection's thread.
+  /// frame, writing each response as one channel write. Blocking — run on
+  /// the connection's thread.
   void Serve(ByteChannel* channel);
 
   /// Accept loop: one connection-pump thread per accepted channel.
@@ -164,8 +173,9 @@ class Server {
     bool truncated_tail = false;
   };
   const RecoveryInfo& recovery() const { return recovery_; }
-  /// The durable store, or null when running in-memory. The store is the
-  /// writer's — readers may only touch the const counters at quiescence.
+  /// The durable store, or null when running in-memory. The store belongs
+  /// to the writer role's holder — others may only touch the const
+  /// counters at quiescence.
   const store::DurableStore* store() const { return store_.get(); }
   /// Closes the store's group-commit window now — the shutdown flush the
   /// destructor would otherwise issue. Lets a caller that needs the
@@ -179,7 +189,8 @@ class Server {
   const SnapshotRegistry& snapshots() const { return registry_; }
   const Catalog& catalog() const { return *catalog_; }
   /// The underlying view's deterministic maintenance counters. Only
-  /// meaningful at quiescence (the writer thread mutates them).
+  /// meaningful at quiescence (each commit mutates them on its caller's
+  /// thread).
   IncrementalView::Stats view_stats() const;
 
   /// Writer-side hook, run after each commit's publish with the commit
@@ -187,8 +198,10 @@ class Server {
   /// scheduler, the tests and the tools keep their commit logs and
   /// per-epoch bytes here. A hook that needs bytes calls
   /// snapshot.ModelBytes(); the reference is valid only during the call.
-  /// Runs on the writer('s thread); must not call back into the server.
-  /// Set before any writer step.
+  /// Runs on the committing thread — the Call holding the writer role,
+  /// Stop's drain, or the ApplyOneQueued caller — with no server lock
+  /// held, one commit at a time; it may read pending_updates() but must
+  /// not submit, apply or Call. Set before any writer step.
   using PublishHook = std::function<void(const CommitRecord& commit,
                                          const Snapshot& snapshot)>;
   void set_on_publish(PublishHook hook) { on_publish_ = std::move(hook); }
@@ -203,9 +216,12 @@ class Server {
   };
   struct TicketState {
     bool done = false;
+    /// The writer role was handed to this ticket's Call.
+    bool lead = false;
     Response response;
-    /// Notified, under mu_, when the ticket settles. Only the ticket's
-    /// own Call waits on it, so a commit wakes no other session.
+    /// Notified, under mu_, when the ticket settles or is handed the
+    /// role. Only the ticket's own Call waits on it, so a commit wakes no
+    /// other session.
     std::condition_variable settled;
   };
 
@@ -219,12 +235,20 @@ class Server {
   /// response to settle its ticket with. Writer only.
   Response Commit(std::vector<FactUpdate> batch,
                   const std::string& wal_tokens);
-
-  void WriterLoop();
+  /// Pops the oldest queued batch, commits it with `lock` (on mu_)
+  /// released, and settles its ticket under the lock again. Requires a
+  /// non-empty queue; writer only.
+  void ApplyFront(std::unique_lock<std::mutex>& lock);
+  /// Call's update half: waits for `ticket` to settle, taking the writer
+  /// role when it is free or handed over, and returns the response. An
+  /// exception would leave the role held and every later update hung, so
+  /// it ends the process instead.
+  Response AwaitCommit(int64_t ticket) noexcept;
 
   const Catalog* catalog_;
   SymbolTable* symbols_;
-  /// Mutated only by the writer (thread or ApplyOneQueued caller).
+  /// Mutated only by the writer (the role's holder or the ApplyOneQueued
+  /// caller).
   std::unique_ptr<IncrementalView> view_;
   /// Durable commit path (null = in-memory). Writer-only, like view_;
   /// flushed (group-commit window closed) by the destructor on a clean
@@ -237,20 +261,22 @@ class Server {
   SnapshotRegistry registry_;
   PublishHook on_publish_;
 
-  /// Guards the writer queue, the tickets and every server-side use of
-  /// the shared SymbolTable.
+  /// Guards the writer queue, the tickets, the writer role and every
+  /// server-side use of the shared SymbolTable.
   mutable std::mutex mu_;
-  std::condition_variable writer_cv_;  // queue non-empty or stopping
   std::deque<PendingUpdate> queue_;
   std::unordered_map<int64_t, TicketState> tickets_;
   int64_t next_ticket_ = 1;
+  /// The writer role is held: a Call or Stop is applying the queue.
+  bool committing_ = false;
+  /// Notified when the role is left with the queue empty; Stop waits here.
+  std::condition_variable role_free_;
 
   std::mutex threads_mu_;  // guards the thread containers + started_
   bool started_ = false;
-  /// Written under mu_, so the writer and SubmitUpdate see it in step
-  /// with the queue; a read loads it without taking a lock.
+  /// Written under mu_, so Stop and SubmitUpdate see it in step with the
+  /// queue; a read loads it without taking a lock.
   std::atomic<bool> stopping_{false};
-  std::thread writer_thread_;
   std::vector<std::thread> conn_threads_;
   /// Accepted connections, owned here so Stop can Close them to unblock
   /// their pump threads.

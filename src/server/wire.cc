@@ -1,5 +1,7 @@
 #include "server/wire.h"
 
+#include <string_view>
+
 #include "dist/transport.h"
 
 namespace datalog {
@@ -65,6 +67,26 @@ struct Reader {
   bool Done() const { return pos == data.size(); }
 };
 
+/// A response payload's bytes before its body. 13 bytes, so the string
+/// stays in its inline buffer.
+std::string ResponseHead(const Response& response) {
+  std::string out;
+  PutU8(&out, static_cast<uint8_t>(response.status));
+  PutI64(&out, response.epoch);
+  PutU32(&out, static_cast<uint32_t>(response.body.size()));
+  return out;
+}
+
+/// Writes one frame whose payload is `head` followed by `body`, length
+/// prefix included, in one channel write.
+bool WriteFrameParts(ByteChannel* channel, std::string_view head,
+                     std::string_view body) {
+  std::string length;
+  PutU32(&length, static_cast<uint32_t>(head.size() + body.size()));
+  const std::string_view parts[] = {length, head, body};
+  return channel->Write(parts);
+}
+
 }  // namespace
 
 std::string EncodeRequest(const Request& request) {
@@ -93,12 +115,7 @@ bool DecodeRequest(const std::string& payload, Request* request) {
 }
 
 std::string EncodeResponse(const Response& response) {
-  std::string out;
-  PutU8(&out, static_cast<uint8_t>(response.status));
-  PutI64(&out, response.epoch);
-  PutU32(&out, static_cast<uint32_t>(response.body.size()));
-  out += response.body;
-  return out;
+  return ResponseHead(response) + response.body;
 }
 
 bool DecodeResponse(const std::string& payload, Response* response) {
@@ -116,11 +133,11 @@ bool DecodeResponse(const std::string& payload, Response* response) {
 }
 
 bool WriteFrame(ByteChannel* channel, const std::string& payload) {
-  std::string header;
-  PutU32(&header, static_cast<uint32_t>(payload.size()));
-  if (!channel->Write(header.data(), header.size())) return false;
-  return payload.empty() ||
-         channel->Write(payload.data(), payload.size());
+  return WriteFrameParts(channel, {}, payload);
+}
+
+bool WriteResponse(ByteChannel* channel, const Response& response) {
+  return WriteFrameParts(channel, ResponseHead(response), response.body);
 }
 
 bool ReadFrame(ByteChannel* channel, std::string* payload) {

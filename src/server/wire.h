@@ -83,6 +83,8 @@ std::string EncodeRequest(const Request& request);
 /// False on truncated/malformed payloads or an unknown kind.
 bool DecodeRequest(const std::string& payload, Request* request);
 
+/// The response payload: its head (status, epoch, body length) followed
+/// by the body.
 std::string EncodeResponse(const Response& response);
 bool DecodeResponse(const std::string& payload, Response* response);
 
@@ -92,7 +94,12 @@ bool DecodeResponse(const std::string& payload, Response* response);
 /// the cap means a corrupt or hostile stream and fails the read.
 inline constexpr uint32_t kMaxFrameBytes = 256u << 20;
 
+/// Sends the length prefix and the payload in one channel write.
 bool WriteFrame(ByteChannel* channel, const std::string& payload);
+/// Frames EncodeResponse(response) and sends it in one channel write: the
+/// length prefix and the response head, then the body where it lies, so
+/// a read's body is never copied on its way to the wire.
+bool WriteResponse(ByteChannel* channel, const Response& response);
 /// False on clean close, error, or an over-cap length prefix.
 bool ReadFrame(ByteChannel* channel, std::string* payload);
 

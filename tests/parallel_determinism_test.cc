@@ -341,8 +341,8 @@ TEST(ParallelStableModels, ModelsComeOutInMaskOrder) {
 /// The per-worker telemetry is the one thread-count-dependent surface, and
 /// only the stable-model search fills it: the forward-chaining engines fire
 /// every stage inline whatever num_threads says, while the candidate
-/// fan-out gets one entry per worker it ran on, and a search with one
-/// candidate runs on the calling thread alone.
+/// fan-out gets one entry per worker it ran on, and a search of at most
+/// 16 candidates runs on the calling thread alone.
 TEST(ParallelWorkerTelemetry, SizedToThePool) {
   {
     Engine engine;
@@ -388,29 +388,42 @@ TEST(ParallelWorkerTelemetry, SizedToThePool) {
     EXPECT_EQ(r->models.size(), 1u);
     EXPECT_TRUE(ctx.stats.per_worker.empty()) << "one-candidate search";
   }
-  for (int t : {1, 8}) {
-    SCOPED_TRACE("num_threads=" + std::to_string(t));
+  // Each worker takes at least 16 candidates: the paper game's 8 stay on
+  // the calling thread at any thread count, 3 disjoint 2-cycles (64
+  // candidates) fill at most 4 workers, and 6 (4,096) fill the pool.
+  struct Search {
+    const char* name;
+    int two_cycles;  // 0 = the paper game (Ex. 3.2)
+    int threads;
+    size_t workers;  // 0 = no per_worker entries
+    size_t models;
+  };
+  for (const Search& search : {Search{"paper game", 0, 4, 0, 0},
+                               Search{"3 two-cycles", 3, 1, 0, 8},
+                               Search{"3 two-cycles", 3, 8, 4, 8},
+                               Search{"6 two-cycles", 6, 4, 4, 64}}) {
+    SCOPED_TRACE(std::string(search.name) +
+                 " num_threads=" + std::to_string(search.threads));
     Engine engine;
-    engine.options().num_threads = t;
+    engine.options().num_threads = search.threads;
     auto p = engine.Parse("win(X) :- moves(X, Y), !win(Y).\n");
     ASSERT_TRUE(p.ok());
     GraphBuilder graphs(&engine.catalog(), &engine.symbols(), "moves");
-    const Instance db = graphs.TwoCycles(3);
+    const Instance db =
+        search.two_cycles == 0
+            ? PaperGameGraph(&engine.catalog(), &engine.symbols())
+            : graphs.TwoCycles(search.two_cycles);
     EvalContext ctx(engine.options());
     Result<StableModelsResult> r =
         StableModels(*p, db, engine.options(), /*max_candidates=*/1 << 20,
                      &ctx);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ctx.Finalize();
-    EXPECT_EQ(r->models.size(), 8u);
-    if (t == 1) {
-      EXPECT_TRUE(ctx.stats.per_worker.empty());
-    } else {
-      ASSERT_EQ(ctx.stats.per_worker.size(), 8u);
-      int64_t chunks = 0;
-      for (const auto& w : ctx.stats.per_worker) chunks += w.chunks;
-      EXPECT_GT(chunks, 0);
-    }
+    EXPECT_EQ(r->models.size(), search.models);
+    ASSERT_EQ(ctx.stats.per_worker.size(), search.workers);
+    int64_t chunks = 0;
+    for (const auto& w : ctx.stats.per_worker) chunks += w.chunks;
+    if (search.workers > 0) EXPECT_GT(chunks, 0);
   }
 }
 

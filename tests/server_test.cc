@@ -4,17 +4,23 @@
 // oracle pair #10 (server-vs-library) with its planted torn-read bug and
 // session shrinking, and the threaded mode — including snapshot-isolation
 // invariants under real reader/writer concurrency at 1, 2 and 8 client
-// reader threads, reads served on the calling thread, commits that wake
-// only their own writer, and malformed wire input (truncated frames,
-// unknown request kinds, over-cap frame lengths) answered cleanly without
-// leaking snapshot pins.
+// reader threads, reads and commits served on the calling thread, the
+// writer role that wakes each waiting writer once and bounds the queue by
+// its callers, one channel write per frame, and malformed wire input
+// (truncated frames, unknown request kinds, over-cap frame lengths)
+// answered cleanly without leaking snapshot pins.
 
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <signal.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -101,9 +107,173 @@ TEST(ServerWireTest, ReadFrameRejectsOverCapLength) {
   header[1] = static_cast<char>((huge >> 8) & 0xff);
   header[2] = static_cast<char>((huge >> 16) & 0xff);
   header[3] = static_cast<char>((huge >> 24) & 0xff);
-  ASSERT_TRUE(a->Write(header, 4));
+  const std::string_view bytes[] = {std::string_view(header, 4)};
+  ASSERT_TRUE(a->Write(bytes));
   std::string payload;
   EXPECT_FALSE(ReadFrame(b.get(), &payload));
+}
+
+/// A channel that counts its writes and keeps their bytes; Read serves
+/// `input` and then reports a close.
+class CountingChannel : public ByteChannel {
+ public:
+  bool Write(std::span<const std::string_view> parts) override {
+    ++writes;
+    for (std::string_view part : parts) written.append(part);
+    return true;
+  }
+  bool Read(void* data, size_t n) override {
+    if (input.size() - read_pos < n) return false;
+    input.copy(static_cast<char*>(data), n, read_pos);
+    read_pos += n;
+    return true;
+  }
+  void Close() override {}
+
+  int writes = 0;
+  std::string written;
+  std::string input;
+
+ private:
+  size_t read_pos = 0;
+};
+
+/// The frames in `bytes`, read back through an in-process pair.
+std::vector<std::string> SplitFrames(const std::string& bytes) {
+  auto [a, b] = InProcessChannelPair();
+  const std::string_view all[] = {bytes};
+  EXPECT_TRUE(a->Write(all));
+  a->Close();
+  std::vector<std::string> frames;
+  std::string payload;
+  while (ReadFrame(b.get(), &payload)) frames.push_back(payload);
+  return frames;
+}
+
+TEST(ServerWireTest, EachFrameIsOneChannelWrite) {
+  CountingChannel channel;
+  ASSERT_TRUE(WriteFrame(&channel, ""));
+  EXPECT_EQ(channel.writes, 1);
+  EXPECT_EQ(channel.written, std::string(4, '\0'));
+
+  const std::string request =
+      EncodeRequest(Request{Request::Kind::kQuery, "t", 0, nullptr});
+  ASSERT_TRUE(WriteFrame(&channel, request));
+  EXPECT_EQ(channel.writes, 2);
+
+  Response response;
+  response.epoch = 9;
+  response.body = std::string(70000, 'x');
+  ASSERT_TRUE(WriteResponse(&channel, response));
+  EXPECT_EQ(channel.writes, 3);
+
+  EXPECT_EQ(SplitFrames(channel.written),
+            (std::vector<std::string>{"", request, EncodeResponse(response)}));
+}
+
+/// A connected localhost socket pair: {client end, server end}.
+std::pair<std::unique_ptr<ByteChannel>, std::unique_ptr<ByteChannel>>
+ConnectLocalhost() {
+  Result<std::unique_ptr<SocketListener>> listener = SocketListener::Listen(0);
+  EXPECT_TRUE(listener.ok()) << listener.status().ToString();
+  if (!listener.ok()) return {};
+  std::unique_ptr<ByteChannel> server_end;
+  std::thread accept([&] { server_end = (*listener)->Accept(); });
+  Result<std::unique_ptr<ByteChannel>> client =
+      SocketConnect((*listener)->port());
+  if (!client.ok()) (*listener)->Close();
+  accept.join();
+  EXPECT_TRUE(client.ok()) << client.status().ToString();
+  if (!client.ok() || server_end == nullptr) return {};
+  return {std::move(*client), std::move(server_end)};
+}
+
+// A frame round-trips byte-exact over a localhost socket while signals
+// interrupt its writer. A 1 MiB frame fits in the loopback socket buffers
+// (which held 3.9 MB before sendmsg blocked, on a Linux 6.x host), so its
+// one sendmsg returns at once; an 8 MiB frame blocks the writer inside
+// sendmsg until the reader drains it. Signals sent to the writer there,
+// through a handler installed without SA_RESTART, end that sendmsg early
+// with a short count (or EINTR before any byte moved), and the write loop
+// must resume from the byte where it stopped. Closing the client once the
+// writer returns ends the reader's wait if a write stopped short.
+void IgnoreSignal(int) {}
+
+TEST(ServerWireTest, LargeFramesRoundTripOverALocalhostSocket) {
+  struct sigaction ignore {};
+  struct sigaction previous {};
+  ignore.sa_handler = IgnoreSignal;
+  sigemptyset(&ignore.sa_mask);
+  ASSERT_EQ(sigaction(SIGUSR1, &ignore, &previous), 0);
+  for (const size_t size : {size_t{1} << 20, size_t{8} << 20}) {
+    SCOPED_TRACE("frame bytes " + std::to_string(size));
+    auto [client, server_end] = ConnectLocalhost();
+    ASSERT_NE(client, nullptr);
+    std::string payload(size, '\0');
+    for (size_t i = 0; i < payload.size(); ++i) {
+      payload[i] = static_cast<char>(i * 131 % 251);
+    }
+    std::string read_back;
+    bool read = false;
+    std::thread reader([&, channel = server_end.get()] {
+      // Let the writer fill the socket buffers and block first.
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      read = ReadFrame(channel, &read_back);
+    });
+    std::atomic<bool> written{false};
+    bool ok = false;
+    std::thread writer([&, channel = client.get()] {
+      ok = WriteFrame(channel, payload);
+      written = true;
+    });
+    for (int i = 0; i < 10 && !written; ++i) {
+      pthread_kill(writer.native_handle(), SIGUSR1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    writer.join();
+    client->Close();
+    reader.join();
+    EXPECT_TRUE(ok);
+    EXPECT_TRUE(read);
+    EXPECT_EQ(read_back.size(), payload.size());
+    EXPECT_TRUE(read_back == payload);
+  }
+  sigaction(SIGUSR1, &previous, nullptr);
+}
+
+// A socket sends at most 16 parts per sendmsg, so a longer gather list
+// goes out in several calls and must still arrive whole and in order.
+TEST(ServerWireTest, SocketGatherWriteOfManyPartsArrivesInOrder) {
+  auto [client, server_end] = ConnectLocalhost();
+  ASSERT_NE(client, nullptr);
+
+  std::vector<std::string> strings;
+  std::string expected;
+  for (int i = 0; i < 40; ++i) {
+    strings.emplace_back(static_cast<size_t>(i % 5 == 0 ? 0 : i * 37),
+                         static_cast<char>('A' + i % 26));
+    expected += strings.back();
+  }
+  const std::vector<std::string_view> parts(strings.begin(), strings.end());
+  ASSERT_TRUE(client->Write(parts));
+  client->Close();  // a short write then ends the read instead of hanging
+  std::string read_back(expected.size(), '\0');
+  ASSERT_TRUE(server_end->Read(read_back.data(), read_back.size()));
+  EXPECT_EQ(read_back, expected);
+}
+
+// The in-process pair delivers a gather write's parts, empty ones
+// included, as one contiguous frame.
+TEST(ServerWireTest, InProcessPairDeliversAGatherWriteWhole) {
+  auto [a, b] = InProcessChannelPair();
+  const std::string_view parts[] = {std::string_view("\x07\0\0\0", 4), "abc",
+                                    "", "defg"};
+  ASSERT_TRUE(a->Write(parts));
+  std::string payload;
+  ASSERT_TRUE(ReadFrame(b.get(), &payload));
+  EXPECT_EQ(payload, "abcdefg");
+  a->Close();
+  EXPECT_FALSE(ReadFrame(b.get(), &payload));  // nothing trails the frame
 }
 
 // -- Session scripts ----------------------------------------------------
@@ -738,41 +908,156 @@ TEST_F(ServerThreadedTest, StopDrainsQueuedUpdates) {
   EXPECT_EQ(server->epoch(), kBatches);
 }
 
-// A commit wakes only the session whose ticket it settled. N writers
-// block on N tickets before the writer thread starts; its N commits then
-// wake each of them exactly once. Waking every waiter on each commit
-// costs up to N(N+1)/2 wakes.
+// A commit wakes only the session it concerns. The first writer takes the
+// writer role, and its commit stalls in the publish hook until five more
+// writers wait; the role then passes down the queue, handed to each of
+// them in turn, so each is woken exactly once. Waking every waiter on
+// each commit costs up to N(N+1)/2 wakes.
 TEST_F(ServerThreadedTest, EachCommitWakesOnlyItsOwnWriter) {
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Get();
   metrics.Reset();
   metrics.SetEnabled(true);
   auto server = MustCreate(kTcProgram, "e1(0, 1).");
-  constexpr int kWriters = 6;
-  std::atomic<int> bad{0};
-  std::vector<std::thread> writers;
-  for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&, w] {
-      const std::string tokens = "+e1(" + std::to_string(w + 1) + "," +
-                                 std::to_string(w + 2) + ")";
-      const Response r =
-          server->Call(Request{Request::Kind::kUpdate, tokens, 0, nullptr});
-      if (r.status != StatusCode::kOk) bad.fetch_add(1);
-    });
-  }
-  // A Call counts its wait under the lock it waits with, so once all N
-  // are counted, every commit finds its writer waiting.
-  while (metrics.Value("server.update_waits") < kWriters) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  constexpr int kWaiters = 5;
+  std::atomic<bool> holding{false};
+  server->set_on_publish([&](const CommitRecord& commit, const Snapshot&) {
+    if (commit.epoch != 1) return;
+    holding = true;
+    // A Call counts its wait under the lock it waits with, so once all
+    // five are counted, each is blocked on its ticket.
+    while (metrics.Value("server.update_waits") < kWaiters) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
   server->Start();
+  std::atomic<int> bad{0};
+  auto write = [&](int w) {
+    const std::string tokens = "+e1(" + std::to_string(w + 1) + "," +
+                               std::to_string(w + 2) + ")";
+    const Response r =
+        server->Call(Request{Request::Kind::kUpdate, tokens, 0, nullptr});
+    if (r.status != StatusCode::kOk) bad.fetch_add(1);
+  };
+  std::vector<std::thread> writers;
+  writers.emplace_back(write, 0);
+  while (!holding) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  for (int w = 1; w <= kWaiters; ++w) writers.emplace_back(write, w);
   for (std::thread& t : writers) t.join();
   server->Stop();
   metrics.SetEnabled(false);
 
   EXPECT_EQ(bad.load(), 0);
-  EXPECT_EQ(server->epoch(), kWriters);
-  EXPECT_EQ(metrics.Value("server.update_waits"), kWriters);
-  EXPECT_EQ(metrics.Value("server.update_wakes"), kWriters);
+  EXPECT_EQ(server->epoch(), kWaiters + 1);
+  EXPECT_EQ(metrics.Value("server.update_waits"), kWaiters);
+  EXPECT_EQ(metrics.Value("server.update_wakes"), kWaiters);
+}
+
+// One session's updates each find the writer role free: its thread
+// applies every batch itself and never blocks.
+TEST_F(ServerThreadedTest, ALoneWriterNeverWaits) {
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Get();
+  metrics.Reset();
+  metrics.SetEnabled(true);
+  auto server = MustCreate(kTcProgram, "e1(0, 1).");
+  server->Start();
+  for (int i = 1; i <= 100; ++i) {
+    const Response r = server->Call(Request{
+        Request::Kind::kUpdate, i % 2 == 1 ? "+e1(7,8)" : "-e1(7,8)", 0,
+        nullptr});
+    EXPECT_EQ(r.status, StatusCode::kOk);
+    EXPECT_EQ(r.epoch, i);
+  }
+  server->Stop();
+  metrics.SetEnabled(false);
+  EXPECT_EQ(metrics.Value("server.update_waits"), 0);
+  EXPECT_EQ(metrics.Value("server.update_wakes"), 0);
+}
+
+// An update Call is applied on the thread that makes it: its
+// server.apply_batch span nests inside the caller's own span, on the
+// caller's trace thread.
+TEST_F(ServerThreadedTest, CommitIsAppliedOnTheCallingThread) {
+  auto server = MustCreate(kTcProgram, "e1(0, 1).");
+  server->Start();
+  obs::Tracer& tracer = obs::Tracer::Get();
+  tracer.Enable();
+  std::thread client([&server] {
+    OBS_SPAN("test.client");
+    const Response r =
+        server->Call(Request{Request::Kind::kUpdate, "+e1(1,2)", 0, nullptr});
+    EXPECT_EQ(r.status, StatusCode::kOk);
+    EXPECT_EQ(r.epoch, 1);
+  });
+  client.join();
+  tracer.Disable();
+  server->Stop();
+
+  const obs::TraceEvent* caller = nullptr;
+  const obs::TraceEvent* apply = nullptr;
+  const std::vector<obs::TraceEvent> events = tracer.Snapshot();
+  for (const obs::TraceEvent& e : events) {
+    if (std::string(e.name) == "test.client") caller = &e;
+    if (std::string(e.name) == "server.apply_batch") apply = &e;
+  }
+  ASSERT_NE(caller, nullptr);
+  ASSERT_NE(apply, nullptr);
+  EXPECT_EQ(apply->tid, caller->tid);
+  EXPECT_EQ(apply->depth, 1u);
+}
+
+// Every queued batch belongs to an update Call blocked on it, so the op
+// queue never holds more batches than there are concurrent update
+// callers. Eight writers commit 50 batches each; every epoch is
+// acknowledged exactly once, and the final bytes are the replay of the
+// publish hook's log.
+TEST_F(ServerThreadedTest, QueueDepthIsBoundedByTheUpdateCallers) {
+  auto server = MustCreate(kTcProgram, "e1(0, 1).");
+  constexpr int kWriters = 8;
+  constexpr int kCommits = 50;
+  std::vector<CommitRecord> log;
+  int64_t max_pending = 0;
+  Server* raw = server.get();
+  // The hook runs one commit at a time, so it needs no lock of its own.
+  server->set_on_publish([&, raw](const CommitRecord& commit,
+                                  const Snapshot&) {
+    log.push_back(commit);
+    max_pending = std::max(max_pending, raw->pending_updates());
+  });
+  server->Start();
+  std::vector<std::vector<int64_t>> acked(kWriters);
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      const std::string edge =
+          "e1(" + std::to_string(10 + w) + "," + std::to_string(30 + w) + ")";
+      for (int i = 0; i < kCommits; ++i) {
+        const Response r = server->Call(Request{
+            Request::Kind::kUpdate, (i % 2 == 0 ? "+" : "-") + edge, 0,
+            nullptr});
+        acked[w].push_back(r.status == StatusCode::kOk ? r.epoch : -1);
+      }
+    });
+  }
+  for (std::thread& t : writers) t.join();
+  server->Stop();
+
+  std::vector<int64_t> epochs;
+  for (const std::vector<int64_t>& a : acked) {
+    EXPECT_TRUE(std::is_sorted(a.begin(), a.end()));
+    epochs.insert(epochs.end(), a.begin(), a.end());
+  }
+  std::sort(epochs.begin(), epochs.end());
+  std::vector<int64_t> expected(kWriters * kCommits);
+  for (size_t i = 0; i < expected.size(); ++i) {
+    expected[i] = static_cast<int64_t>(i) + 1;
+  }
+  EXPECT_EQ(epochs, expected);
+  EXPECT_LE(max_pending, kWriters);
+  ASSERT_EQ(log.size(), expected.size());
+  const Response final_snapshot = server->ServeQuery(
+      Request{Request::Kind::kSnapshotQuery, "", 0, nullptr});
+  ASSERT_EQ(final_snapshot.status, StatusCode::kOk);
+  EXPECT_EQ(final_snapshot.body, ReplayAll("e1(0, 1).", log));
 }
 
 TEST_F(ServerThreadedTest, StartStopIsIdempotentAndRestartable) {
@@ -880,6 +1165,38 @@ TEST_F(ServerThreadedTest, ServesFramesOverAnInProcessChannel) {
   server->Stop();
 }
 
+// Serve answers each request with one channel write: the response head
+// and its body leave together.
+TEST_F(ServerThreadedTest, ServeWritesEachResponseInOneWrite) {
+  auto server = MustCreate(kTcProgram, "e1(0, 1). e1(1, 2).");
+  server->Start();
+  CountingChannel requests;
+  for (const Request& request :
+       {Request{Request::Kind::kPing, "", 0, nullptr},
+        Request{Request::Kind::kUpdate, "+e1(2,3)", 0, nullptr},
+        Request{Request::Kind::kQuery, "t", 0, nullptr}}) {
+    ASSERT_TRUE(WriteFrame(&requests, EncodeRequest(request)));
+  }
+  CountingChannel channel;
+  channel.input = requests.written;
+  server->Serve(&channel);
+  server->Stop();
+
+  EXPECT_EQ(channel.writes, 3);
+  const std::vector<std::string> frames = SplitFrames(channel.written);
+  ASSERT_EQ(frames.size(), 3u);
+  Response response;
+  ASSERT_TRUE(DecodeResponse(frames[1], &response));
+  EXPECT_EQ(response.status, StatusCode::kOk);
+  EXPECT_EQ(response.epoch, 1);
+  ASSERT_TRUE(DecodeResponse(frames[2], &response));
+  EXPECT_EQ(response.status, StatusCode::kOk);
+  EXPECT_EQ(response.epoch, 1);
+  EXPECT_EQ(response.body,
+            server->ServeQuery(Request{Request::Kind::kQuery, "t", 0, nullptr})
+                .body);
+}
+
 TEST_F(ServerThreadedTest, TruncatedRequestFrameGetsParseErrorThenClose) {
   auto server = MustCreate(kTcProgram, "e1(0, 1).");
   server->Start();
@@ -967,7 +1284,8 @@ TEST_F(ServerThreadedTest, OverCapFrameLengthClosesWithoutAResponse) {
   header[1] = static_cast<char>((huge >> 8) & 0xff);
   header[2] = static_cast<char>((huge >> 16) & 0xff);
   header[3] = static_cast<char>((huge >> 24) & 0xff);
-  ASSERT_TRUE(client_end->Write(header, 4));
+  const std::string_view bytes[] = {std::string_view(header, 4)};
+  ASSERT_TRUE(client_end->Write(bytes));
 
   // No error frame comes back — just EOF once the pump closes its end.
   std::string back;

@@ -230,20 +230,28 @@ if [[ "${tsan}" -eq 1 ]]; then
   # and the erase-journal index replay (the IncrementalRandomSweep drives
   # its scratch reference engines at 1/2/8 threads);
   # Server/Session/Epoch/Reclaim covers the concurrent Datalog server
-  # (docs/server.md) — the writer thread, reads served on 1/2/8 client
-  # threads and on connection pumps while the writer publishes and Stop
-  # closes the pumps, MVCC snapshot pin/unpin reclamation, and the
-  # wire/session parsers;
+  # (docs/server.md) — the writer role passed between update callers'
+  # threads, reads served on 1/2/8 client threads and on connection pumps
+  # while a caller publishes and Stop closes the pumps and drains the
+  # queue, MVCC snapshot pin/unpin reclamation, the gather-write framing
+  # over sockets and the in-process pair, and the wire/session parsers;
   # Wal/Snapshotter/Recover/Durab covers the durability layer
-  # (docs/durability.md) — the writer-thread WAL appends and compaction
-  # against concurrent readers and against clients interning fresh values
-  # into the shared symbol table, and the restart/recovery paths;
+  # (docs/durability.md) — the WAL appends and compaction made by
+  # whichever caller holds the writer role, against concurrent readers
+  # and against clients interning fresh values into the shared symbol
+  # table, and the restart/recovery paths;
   # Tuple|Matcher covers the inline-storage Tuple and the rule matcher's
   # match states, recycled through per-thread free lists, which the
   # stable-model workers run concurrently over one shared input instance.
   run_suite "${repo}/build-tsan" \
     "--tests-regex=Tuple|Matcher|Parallel|Datalog|Stratified|WellFounded|Inflationary|NonInflationary|Stable|Engine|SemiNaive|Naive|RandomProgram|Trace|Obs|Metrics|Tracer|Peer|Dist|Deadline|Cancel|Fault|Snapshot|Columnar|Storage|ColumnStore|Bitmap|RowSet|RelationStaging|Incremental|Retract|Dred|Counting|Server|Session|Epoch|Reclaim|Wal|Snapshotter|Recover|Durab" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DUNCHAINED_TSAN=ON
+  # The role hand-off between update callers is where a race would hide,
+  # and one clean run of a racy interleaving proves little, so the
+  # threaded server and durability suites run ten more times.
+  echo "==> ctest ${repo}/build-tsan (threaded server suites, 10 repeats)"
+  (cd "${repo}/build-tsan" && ctest --output-on-failure -j "${jobs}" \
+    --repeat until-fail:10 --tests-regex "ServerThreaded|ServerDurability")
 fi
 
 echo "==> all checks passed"
