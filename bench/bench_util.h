@@ -16,7 +16,6 @@
 
 #include "eval/common.h"
 #include "obs/export.h"
-#include "ra/storage/storage.h"
 
 namespace datalog {
 namespace bench {
@@ -80,40 +79,6 @@ inline std::vector<int> ThreadsFromArgs(int argc, char** argv) {
       size_t end = comma == std::string::npos ? list.size() : comma;
       if (end > pos) {
         out.push_back(std::atoi(list.substr(pos, end - pos).c_str()));
-      }
-      if (comma == std::string::npos) break;
-      pos = comma + 1;
-    }
-  }
-  return out;
-}
-
-/// Scans argv for `--storage=hash|columnar` and returns the parsed
-/// backend sweep (docs/storage.md), empty when the flag is absent. Accepts
-/// a comma list (`--storage=hash,columnar`) so one invocation can emit
-/// both backends' rows side by side.
-inline std::vector<storage::StorageBackend> StorageFromArgs(int argc,
-                                                            char** argv) {
-  std::vector<storage::StorageBackend> out;
-  const std::string flag = "--storage=";
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind(flag, 0) != 0) continue;
-    std::string list = arg.substr(flag.size());
-    size_t pos = 0;
-    while (pos <= list.size()) {
-      size_t comma = list.find(',', pos);
-      size_t end = comma == std::string::npos ? list.size() : comma;
-      if (end > pos) {
-        storage::StorageBackend backend;
-        if (storage::StorageBackendFromName(list.substr(pos, end - pos),
-                                            &backend)) {
-          out.push_back(backend);
-        } else {
-          std::fprintf(stderr, "bench: unknown storage backend '%s'\n",
-                       list.substr(pos, end - pos).c_str());
-          std::exit(2);
-        }
       }
       if (comma == std::string::npos) break;
       pos = comma + 1;
@@ -205,21 +170,6 @@ class JsonEmitter {
                       std::to_string(stats.index_rebuilds) +
                       ", \"appended\": " +
                       std::to_string(stats.index_appended) +
-                      ", \"bitmap_hits\": " +
-                      std::to_string(stats.index_bitmap_hits) +
-                      ", \"bitmap_builds\": " +
-                      std::to_string(stats.index_bitmap_builds) +
-                      "}, \"storage\": {\"builds\": " +
-                      std::to_string(stats.storage_builds) +
-                      ", \"rebuilds\": " +
-                      std::to_string(stats.storage_rebuilds) +
-                      ", \"run_appends\": " +
-                      std::to_string(stats.storage_run_appends) +
-                      ", \"rows_appended\": " +
-                      std::to_string(stats.storage_rows_appended) +
-                      ", \"compactions\": " +
-                      std::to_string(stats.storage_compactions) +
-                      ", \"hits\": " + std::to_string(stats.storage_hits) +
                       "}, \"per_rule\": [";
     for (size_t i = 0; i < stats.per_rule.size(); ++i) {
       if (i > 0) row += ", ";

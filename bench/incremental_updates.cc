@@ -3,7 +3,7 @@
 // n = 512 edges, maintained by IncrementalView::ApplyBatch under edge
 // insertions and retractions at the chain tip, against a full
 // `Engine::Stratified` recomputation of the updated base — across batch
-// sizes and both storage backends.
+// sizes.
 //
 // The chain tip is the honest incremental case: each inserted edge adds
 // O(n) closure pairs and each retracted tip edge overdeletes O(n) pairs
@@ -21,8 +21,7 @@
 // The bar counts work, not time, so the host cannot decide it; the
 // timings and their speedup are printed beside it, ungated.
 //
-// Usage: incremental_updates [--json=<path>] [--storage=hash,columnar]
-//                            [--chain=N]
+// Usage: incremental_updates [--json=<path>] [--chain=N]
 //
 // --chain overrides the chain length (default 512) so smoke lanes can run
 // a cheap configuration; the acceptance bar only applies at n >= 256 (the
@@ -40,7 +39,6 @@
 #include "bench_util.h"
 #include "core/engine.h"
 #include "eval/incremental.h"
-#include "ra/storage/storage.h"
 #include "workload/graphs.h"
 
 namespace {
@@ -93,17 +91,15 @@ double Median(std::vector<double> v) {
   return v[v.size() / 2];
 }
 
-/// Runs insert-then-retract cycles at batch size `batch` on `backend`:
+/// Runs insert-then-retract cycles at batch size `batch`:
 /// extend the chain tip by `batch` edges, retract the same edges, back to
 /// the original chain. One untimed warm-up cycle pays the view's one-time
 /// index builds; the reported numbers are medians over kReps steady-state
 /// cycles (maintenance latency is a steady-state property — a real
 /// deployment applies many batches per view). Appends two Scenario rows.
-bool RunBatch(datalog::storage::StorageBackend backend, int chain,
-              int batch, std::vector<Scenario>* out) {
+bool RunBatch(int chain, int batch, std::vector<Scenario>* out) {
   constexpr int kReps = 3;
   Engine engine;
-  engine.options().storage = backend;
   auto program = engine.Parse(kProgram);
   if (!program.ok()) return false;
   GraphBuilder graphs(&engine.catalog(), &engine.symbols());
@@ -131,9 +127,7 @@ bool RunBatch(datalog::storage::StorageBackend backend, int chain,
   }
 
   Scenario ins, ret;
-  const std::string suffix = std::string("/") +
-                             datalog::storage::StorageBackendName(backend) +
-                             "/batch=" + std::to_string(batch);
+  const std::string suffix = "/batch=" + std::to_string(batch);
   ins.name = "insert" + suffix;
   ret.name = "retract" + suffix;
   ins.single_fact = ret.single_fact = batch == 1;
@@ -181,6 +175,14 @@ bool RunBatch(datalog::storage::StorageBackend backend, int chain,
 }  // namespace
 
 int main(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind("--json=", 0) != 0 && arg.rfind("--chain=", 0) != 0 &&
+        arg.rfind("--trace=", 0) != 0 && arg != "--metrics") {
+      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
+      return 2;
+    }
+  }
   datalog::bench::ObsArgs obs(argc, argv);
   const int chain = ChainFromArgs(argc, argv);
   datalog::bench::Header(
@@ -189,16 +191,8 @@ int main(int argc, char** argv) {
   datalog::bench::JsonEmitter json(argc, argv);
 
   std::vector<Scenario> scenarios;
-  std::vector<datalog::storage::StorageBackend> backends =
-      datalog::bench::StorageFromArgs(argc, argv);
-  if (backends.empty()) {
-    backends = {datalog::storage::StorageBackend::kHash,
-                datalog::storage::StorageBackend::kColumnar};
-  }
-  for (auto backend : backends) {
-    for (int batch : {1, 16, 256}) {
-      if (!RunBatch(backend, chain, batch, &scenarios)) return 1;
-    }
+  for (int batch : {1, 16, 256}) {
+    if (!RunBatch(chain, batch, &scenarios)) return 1;
   }
 
   std::printf("  %-26s %11s %13s %8s %12s %12s %8s %6s\n", "scenario",

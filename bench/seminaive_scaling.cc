@@ -9,12 +9,6 @@
 // run one instrumented repetition of each workload and dump its EvalStats
 // — rounds, facts, instantiations, index-maintenance counters, and
 // per-rule match/production counts — as a JSON array.
-//
-// Pass `--storage=hash|columnar[,...]` to pick the semi-naive data plane
-// (docs/storage.md): the timed loops use the first backend, the JSON pass
-// sweeps the list (non-default backends suffix row names with
-// "/columnar" etc.), and every row carries the storage.* maintenance
-// counters.
 
 #include <benchmark/benchmark.h>
 
@@ -31,16 +25,6 @@ using datalog::Engine;
 using datalog::GraphBuilder;
 using datalog::Instance;
 
-// Storage backends from --storage=, empty when absent (EvalOptions
-// default, i.e. hash).
-std::vector<datalog::storage::StorageBackend> g_storage;
-
-// The timed loops run on one backend — the first of the sweep — so the
-// reported ms stay comparable across --benchmark_filter invocations.
-void ApplyStorage(Engine* engine) {
-  if (!g_storage.empty()) engine->options().storage = g_storage.front();
-}
-
 constexpr const char* kTc =
     "t(X, Y) :- g(X, Y).\n"
     "t(X, Y) :- g(X, Z), t(Z, Y).\n";
@@ -48,7 +32,6 @@ constexpr const char* kTc =
 void BM_NaiveTcChain(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Engine engine;
-  ApplyStorage(&engine);
   auto p = engine.Parse(kTc);
   GraphBuilder graphs(&engine.catalog(), &engine.symbols());
   Instance db = graphs.Chain(n);
@@ -63,7 +46,6 @@ BENCHMARK(BM_NaiveTcChain)->Arg(16)->Arg(32)->Arg(64)->Arg(128)->Complexity();
 void BM_SemiNaiveTcChain(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Engine engine;
-  ApplyStorage(&engine);
   auto p = engine.Parse(kTc);
   GraphBuilder graphs(&engine.catalog(), &engine.symbols());
   Instance db = graphs.Chain(n);
@@ -84,7 +66,6 @@ BENCHMARK(BM_SemiNaiveTcChain)
 void BM_SemiNaiveTcRandom(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Engine engine;
-  ApplyStorage(&engine);
   auto p = engine.Parse(kTc);
   GraphBuilder graphs(&engine.catalog(), &engine.symbols());
   Instance db = graphs.RandomDigraph(n, 3 * n, /*seed=*/42);
@@ -98,7 +79,6 @@ BENCHMARK(BM_SemiNaiveTcRandom)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
 void BM_StratifiedComplementTc(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Engine engine;
-  ApplyStorage(&engine);
   auto p = engine.Parse(
       "t(X, Y) :- g(X, Y).\n"
       "t(X, Y) :- g(X, Z), t(Z, Y).\n"
@@ -115,7 +95,6 @@ BENCHMARK(BM_StratifiedComplementTc)->Arg(16)->Arg(32)->Arg(64);
 void BM_WellFoundedWin(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Engine engine;
-  ApplyStorage(&engine);
   auto p = engine.Parse("win(X) :- moves(X, Y), !win(Y).\n");
   Instance db = datalog::RandomGameGraph(&engine.catalog(),
                                          &engine.symbols(), n, 2 * n,
@@ -130,7 +109,6 @@ BENCHMARK(BM_WellFoundedWin)->Arg(16)->Arg(32)->Arg(64)->Arg(128);
 void BM_InflationaryCloser(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Engine engine;
-  ApplyStorage(&engine);
   auto p = engine.Parse(
       "t(X, Y) :- g(X, Y).\n"
       "t(X, Y) :- t(X, Z), g(Z, Y).\n"
@@ -147,7 +125,6 @@ BENCHMARK(BM_InflationaryCloser)->Arg(8)->Arg(12)->Arg(16);
 void BM_NondetOrientationRun(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   Engine engine;
-  ApplyStorage(&engine);
   auto p = engine.Parse("!g(X, Y) :- g(X, Y), g(Y, X).\n");
   GraphBuilder graphs(&engine.catalog(), &engine.symbols());
   Instance db = graphs.TwoCycles(k);
@@ -160,32 +137,17 @@ void BM_NondetOrientationRun(benchmark::State& state) {
 }
 BENCHMARK(BM_NondetOrientationRun)->Arg(4)->Arg(8)->Arg(16);
 
-// One instrumented repetition per workload (per backend when --storage
-// is given): wall-clock through bench::Timer, counters through
-// Engine::LastRunStats(). Kept separate from the google-benchmark loops
-// so the stats pass never perturbs the timed iterations. `body` sets up
-// and runs one evaluation on the given engine, returning its wall-clock
-// ms or a negative value on failure.
+// One instrumented repetition per workload: wall-clock through
+// bench::Timer, counters through Engine::LastRunStats(). Kept separate
+// from the google-benchmark loops so the stats pass never perturbs the
+// timed iterations. `body` sets up and runs one evaluation on the given
+// engine, returning its wall-clock ms or a negative value on failure.
 template <typename Body>
 void SweepRow(datalog::bench::JsonEmitter* json, const std::string& name,
               Body body) {
-  // One backend per pass; the default-only sweep keeps the old row names,
-  // non-default backends are called out in the name so hash and columnar
-  // rows can sit in one file.
-  std::vector<datalog::storage::StorageBackend> backends = g_storage;
-  if (backends.empty()) {
-    backends.push_back(datalog::storage::StorageBackend::kHash);
-  }
-  for (datalog::storage::StorageBackend backend : backends) {
-    std::string base = name;
-    if (backend != datalog::storage::StorageBackend::kHash) {
-      base += std::string("/") + datalog::storage::StorageBackendName(backend);
-    }
-    Engine engine;
-    engine.options().storage = backend;
-    double ms = body(&engine);
-    if (ms >= 0) json->Row(base, ms, engine.LastRunStats());
-  }
+  Engine engine;
+  double ms = body(&engine);
+  if (ms >= 0) json->Row(name, ms, engine.LastRunStats());
 }
 
 void EmitStatsJson(const std::string& path) {
@@ -270,10 +232,9 @@ void EmitStatsJson(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Extract --json=<path>, --storage=..., --trace=<path> and --metrics
-  // before google-benchmark sees the arguments (it rejects flags it
-  // doesn't recognize).
-  g_storage = datalog::bench::StorageFromArgs(argc, argv);
+  // Extract --json=<path>, --trace=<path> and --metrics before
+  // google-benchmark sees the arguments (it rejects flags it doesn't
+  // recognize).
   datalog::bench::ObsArgs observability(argc, argv);
   std::string json_path;
   std::vector<char*> passthrough;
@@ -282,13 +243,15 @@ int main(int argc, char** argv) {
     std::string arg = argv[i];
     if (arg.rfind("--json=", 0) == 0) {
       json_path = arg.substr(7);
-    } else if (arg.rfind("--storage=", 0) != 0 &&
-               arg.rfind("--trace=", 0) != 0 && arg != "--metrics") {
+    } else if (arg.rfind("--trace=", 0) != 0 && arg != "--metrics") {
       passthrough.push_back(argv[i]);
     }
   }
   int bench_argc = static_cast<int>(passthrough.size());
   benchmark::Initialize(&bench_argc, passthrough.data());
+  if (benchmark::ReportUnrecognizedArguments(bench_argc, passthrough.data())) {
+    return 1;
+  }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   if (!json_path.empty()) EmitStatsJson(json_path);

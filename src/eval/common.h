@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "base/parallel.h"
-#include "ra/storage/storage.h"
 
 namespace datalog {
 
@@ -66,32 +65,6 @@ struct EvalStats {
   int64_t index_appended = 0;
   /// Tuples removed incrementally from relation erase journals.
   int64_t index_removed = 0;
-  /// Bitmap-index lookups served by an up-to-date bitmap.
-  int64_t index_bitmap_hits = 0;
-  /// First-time bitmap builds for unary predicates.
-  int64_t index_bitmap_builds = 0;
-  /// Bitmap rebuilds forced by non-monotone mutation.
-  int64_t index_bitmap_rebuilds = 0;
-  /// Values appended to bitmaps from relation journals.
-  int64_t index_bitmap_appended = 0;
-  /// Values removed from bitmaps via relation erase journals.
-  int64_t index_bitmap_removed = 0;
-
-  // -- Columnar storage (mirrors storage::ColumnStore::Counters) -------
-  /// First-time sorted-view builds of a (pred, key columns) view.
-  int64_t storage_builds = 0;
-  /// Full view rebuilds forced by non-monotone mutation.
-  int64_t storage_rebuilds = 0;
-  /// Journal tails appended as new sorted runs.
-  int64_t storage_run_appends = 0;
-  /// Rows appended across those runs.
-  int64_t storage_rows_appended = 0;
-  /// Rows spliced out of sorted runs via relation erase journals.
-  int64_t storage_rows_removed = 0;
-  /// Merge-compactions (runs folded into one).
-  int64_t storage_compactions = 0;
-  /// View refreshes served by an already up-to-date view.
-  int64_t storage_hits = 0;
 
   // -- Parallel execution ----------------------------------------------
   /// Per-worker activity (index 0 = the evaluating thread), filled by a
@@ -137,18 +110,6 @@ struct EvalStats {
     index_rebuilds += other.index_rebuilds;
     index_appended += other.index_appended;
     index_removed += other.index_removed;
-    index_bitmap_hits += other.index_bitmap_hits;
-    index_bitmap_builds += other.index_bitmap_builds;
-    index_bitmap_rebuilds += other.index_bitmap_rebuilds;
-    index_bitmap_appended += other.index_bitmap_appended;
-    index_bitmap_removed += other.index_bitmap_removed;
-    storage_builds += other.storage_builds;
-    storage_rebuilds += other.storage_rebuilds;
-    storage_run_appends += other.storage_run_appends;
-    storage_rows_appended += other.storage_rows_appended;
-    storage_rows_removed += other.storage_rows_removed;
-    storage_compactions += other.storage_compactions;
-    storage_hits += other.storage_hits;
   }
 };
 
@@ -187,13 +148,6 @@ struct EvalOptions {
   /// well-founded engine ignores it (its inner fixpoints run on
   /// over-/under-estimates whose derivations would be misleading).
   DerivationLog* provenance = nullptr;
-  /// Data-plane representation for the semi-naive delta path
-  /// (docs/storage.md): kHash re-probes the persistent hash indexes
-  /// tuple-at-a-time; kColumnar drives merge joins over sorted columnar
-  /// runs plus bitmap semijoins for unary predicates. Results and the
-  /// deterministic stats counters are identical either way (oracle pair
-  /// #8 sweeps this); engines without a columnar path ignore the option.
-  storage::StorageBackend storage = storage::StorageBackend::kHash;
 };
 
 }  // namespace datalog

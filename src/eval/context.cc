@@ -24,18 +24,6 @@ struct EvalMetrics {
   obs::CounterHandle index_rebuilds{"index.rebuilds"};
   obs::CounterHandle index_appended{"index.appended"};
   obs::CounterHandle index_removed{"index.removed"};
-  obs::CounterHandle bitmap_hits{"index.bitmap_hits"};
-  obs::CounterHandle bitmap_builds{"index.bitmap_builds"};
-  obs::CounterHandle bitmap_rebuilds{"index.bitmap_rebuilds"};
-  obs::CounterHandle bitmap_appended{"index.bitmap_appended"};
-  obs::CounterHandle bitmap_removed{"index.bitmap_removed"};
-  obs::CounterHandle storage_builds{"storage.builds"};
-  obs::CounterHandle storage_rebuilds{"storage.rebuilds"};
-  obs::CounterHandle storage_run_appends{"storage.run_appends"};
-  obs::CounterHandle storage_rows_appended{"storage.rows_appended"};
-  obs::CounterHandle storage_rows_removed{"storage.rows_removed"};
-  obs::CounterHandle storage_compactions{"storage.compactions"};
-  obs::CounterHandle storage_hits{"storage.hits"};
   obs::CounterHandle pool_chunks{"threadpool.chunks"};
   obs::CounterHandle pool_busy_us{"threadpool.busy_us"};
   obs::HistogramHandle round_us{"eval.round_us"};
@@ -82,18 +70,6 @@ void EvalContext::PublishMetrics() {
   m.index_rebuilds.Add(stats.index_rebuilds);
   m.index_appended.Add(stats.index_appended);
   m.index_removed.Add(stats.index_removed);
-  m.bitmap_hits.Add(stats.index_bitmap_hits);
-  m.bitmap_builds.Add(stats.index_bitmap_builds);
-  m.bitmap_rebuilds.Add(stats.index_bitmap_rebuilds);
-  m.bitmap_appended.Add(stats.index_bitmap_appended);
-  m.bitmap_removed.Add(stats.index_bitmap_removed);
-  m.storage_builds.Add(stats.storage_builds);
-  m.storage_rebuilds.Add(stats.storage_rebuilds);
-  m.storage_run_appends.Add(stats.storage_run_appends);
-  m.storage_rows_appended.Add(stats.storage_rows_appended);
-  m.storage_rows_removed.Add(stats.storage_rows_removed);
-  m.storage_compactions.Add(stats.storage_compactions);
-  m.storage_hits.Add(stats.storage_hits);
   for (const WorkerActivity& w : stats.per_worker) {
     m.pool_chunks.Add(w.chunks);
     m.pool_busy_us.Add(static_cast<int64_t>(w.busy_ms * 1000.0));
@@ -112,22 +88,7 @@ void EvalContext::Finalize() {
   stats.index_rebuilds += c.rebuilds - fc.rebuilds;
   stats.index_appended += c.appended - fc.appended;
   stats.index_removed += c.removed - fc.removed;
-  stats.index_bitmap_hits += c.bitmap_hits - fc.bitmap_hits;
-  stats.index_bitmap_builds += c.bitmap_builds - fc.bitmap_builds;
-  stats.index_bitmap_rebuilds += c.bitmap_rebuilds - fc.bitmap_rebuilds;
-  stats.index_bitmap_appended += c.bitmap_appended - fc.bitmap_appended;
-  stats.index_bitmap_removed += c.bitmap_removed - fc.bitmap_removed;
   folded_index_ = c;
-  const storage::ColumnStore::Counters& s = column_store.counters();
-  const storage::ColumnStore::Counters& fs = folded_storage_;
-  stats.storage_builds += s.builds - fs.builds;
-  stats.storage_rebuilds += s.rebuilds - fs.rebuilds;
-  stats.storage_run_appends += s.run_appends - fs.run_appends;
-  stats.storage_rows_appended += s.rows_appended - fs.rows_appended;
-  stats.storage_rows_removed += s.rows_removed - fs.rows_removed;
-  stats.storage_compactions += s.compactions - fs.compactions;
-  stats.storage_hits += s.hits - fs.hits;
-  folded_storage_ = s;
 }
 
 void AdomCache::Recompute(const Program& program, const Instance& instance) {

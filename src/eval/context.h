@@ -12,7 +12,6 @@
 #include "eval/common.h"
 #include "ra/index.h"
 #include "ra/instance.h"
-#include "ra/storage/column_store.h"
 
 namespace datalog {
 
@@ -66,9 +65,6 @@ class EvalContext {
   EvalStats stats;
   IndexManager index;
   AdomCache adom_cache;
-  /// Sorted columnar views for the columnar backend (docs/storage.md);
-  /// idle (never populated) when options.storage is kHash.
-  storage::ColumnStore column_store;
   /// When non-null, engines record first derivations here (mirrors
   /// options.provenance; kept as a member so engines no longer thread a
   /// third parameter around).
@@ -125,10 +121,10 @@ class EvalContext {
     }
   }
 
-  /// Folds the index and column-store counters and the total wall-clock
-  /// into `stats`. Engines call it on their success path; the Engine
-  /// facade also calls it defensively before copying stats out, and the
-  /// destructor before publishing metrics.
+  /// Folds the index counters and the total wall-clock into `stats`.
+  /// Engines call it on their success path; the Engine facade also calls
+  /// it defensively before copying stats out, and the destructor before
+  /// publishing metrics.
   /// Idempotent: only the counter growth since the last call is added, so
   /// counters merged in from sub-evaluations (stable-model candidates)
   /// survive a repeat call.
@@ -154,7 +150,6 @@ class EvalContext {
   bool has_deadline_ = false;
   /// Counter values already folded into `stats` by Finalize.
   IndexManager::Counters folded_index_;
-  storage::ColumnStore::Counters folded_storage_;
 };
 
 }  // namespace datalog

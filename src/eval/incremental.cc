@@ -124,10 +124,6 @@ void IncrementalView::PrepareRules() {
 Status IncrementalView::InitialEvaluate(const EvalOptions& options) {
   OBS_SPAN("incremental.initial");
   EvalOptions opts = options;
-  // The maintenance algorithms are index-driven; pinning the initial run
-  // to the hash path makes the view's state — model, provenance, stats —
-  // byte-identical across storage backends.
-  opts.storage = storage::StorageBackend::kHash;
   opts.provenance = &provenance_;
   EvalContext ctx(opts);
   ctx.publish_metrics = false;

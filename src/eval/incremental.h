@@ -51,10 +51,9 @@ struct FactUpdate {
 /// The lost-support passes read the pre-batch model through the batch's
 /// net delta (MatchDelta): the view holds one model and one IndexManager.
 ///
-/// The maintenance is sequential and storage-agnostic by construction:
-/// results, serialized snapshots and the deterministic stats counters are
-/// byte-identical across thread counts and --storage backends (oracle
-/// pair #9 sweeps incremental-vs-scratch on both).
+/// The maintenance is sequential by construction: results, serialized
+/// snapshots and the deterministic stats counters are byte-identical
+/// across thread counts (oracle pair #9 sweeps incremental-vs-scratch).
 ///
 /// `program` and `catalog` must outlive the view. Programs outside the
 /// supported fragment — non-stratifiable, ∀-rules, multiple or negative

@@ -1,10 +1,8 @@
 #include "eval/seminaive.h"
 
 #include <cassert>
-#include <memory>
 #include <unordered_map>
 
-#include "eval/columnar.h"
 #include "eval/grounder.h"
 #include "eval/provenance.h"
 #include "eval/stage.h"
@@ -46,17 +44,6 @@ Result<int64_t> SemiNaiveStep(const Program& program,
     matchers.emplace_back(&rule);
   }
 
-  // Columnar backend (docs/storage.md): round 0 runs the generic full
-  // evaluation either way, but the delta rounds below are replaced by
-  // merge joins over sorted runs. Provenance runs stay on the generic
-  // path — first-derivation order is the record.
-  std::unique_ptr<columnar::DeltaEngine> columnar_engine;
-  if (ctx->options.storage == storage::StorageBackend::kColumnar &&
-      ctx->provenance == nullptr) {
-    columnar_engine = std::make_unique<columnar::DeltaEngine>(
-        rule_indexes, rules, &matchers, recursive_preds);
-  }
-
   const StageSink sink = [&](const MatchUnit& unit, const Valuation& val,
                              Firing* out) {
     const Atom& head = rules[unit.matcher]->heads[0].atom;
@@ -84,14 +71,10 @@ Result<int64_t> SemiNaiveStep(const Program& program,
       units = units.subspan(n);
     }
     ++st.rounds;
-    if (columnar_engine != nullptr) {
-      columnar_engine->SeedDelta(fresh);
-    } else {
-      delta.clear();
-      for (PredId p : recursive_preds) {
-        const Relation& rel = fresh.Rel(p);
-        if (!rel.empty()) delta.emplace(p, rel);
-      }
+    delta.clear();
+    for (PredId p : recursive_preds) {
+      const Relation& rel = fresh.Rel(p);
+      if (!rel.empty()) delta.emplace(p, rel);
     }
     st.facts_derived += static_cast<int64_t>(db->UnionWith(fresh));
   };
@@ -113,20 +96,10 @@ Result<int64_t> SemiNaiveStep(const Program& program,
                        "semi-naive evaluation exceeded " +
                            std::to_string(ctx->options.max_rounds) + " rounds",
                        "semi-naive evaluation exceeded fact budget"};
-  // Columnar delta rounds are merge joins and bitmap semijoins over sorted
-  // runs. Hash delta rounds refresh the persistent indexes over `db` by
-  // appending each round's journal tail.
-  if (columnar_engine != nullptr ? !columnar_engine->HasDelta()
-                                 : delta.empty()) {
-    return st.facts_derived - derived_before;
-  }
+  // Delta rounds refresh the persistent indexes over `db` by appending
+  // each round's journal tail.
+  if (delta.empty()) return st.facts_derived - derived_before;
   Status status = RunStages(ctx, loop, *db, [&]() -> Result<bool> {
-    if (columnar_engine != nullptr) {
-      st.facts_derived += columnar_engine->Round(
-          program, db, ctx, internal::g_seminaive_skip_delta_rule);
-      ++st.rounds;
-      return columnar_engine->HasDelta();
-    }
     // Flatten each delta relation once, as stable tuple pointers; one
     // unit per (rule, delta literal), in that order.
     std::unordered_map<PredId, std::vector<const Tuple*>> lists;

@@ -106,11 +106,6 @@ Result<StableModelsResult> StableModels(const Program& program,
        (combinations + kCandidatesPerWorker - 1) / kCandidatesPerWorker}));
   EvalOptions cand_options = ctx->options;
   cand_options.provenance = nullptr;
-  // The workers copy `wf->true_facts` and read `input` concurrently;
-  // fold any staged columnar rows on this thread first — lazy
-  // materialization must not race (see Relation::MaterializeStaged).
-  wf->true_facts.MaterializeStaged();
-  input.MaterializeStaged();
   std::vector<WorkerActivity> activity =
       ParallelChunks(workers, chunks.size(), [&](size_t c) {
         ChunkResult& chunk = chunks[c];

@@ -94,52 +94,4 @@ const IndexManager::Bucket* IndexManager::Lookup(const Instance& db,
   return bit == index.buckets.end() ? nullptr : &bit->second;
 }
 
-const storage::ValueBitmap* IndexManager::UnaryBitmap(const Instance& db,
-                                                      PredId pred) {
-  const Relation& rel = db.Rel(pred);
-  if (rel.arity() != 1) return nullptr;
-  auto [it, created] = bitmaps_.try_emplace(pred);
-  BitmapIndex& index = it->second;
-  if (created || index.epoch != rel.epoch()) {
-    if (created) {
-      ++counters_.bitmap_builds;
-      OBS_SPAN("index.bitmap_build", {{"pred", pred}});
-    } else {
-      ++counters_.bitmap_rebuilds;
-      OBS_SPAN("index.bitmap_rebuild", {{"pred", pred}});
-    }
-    index.bitmap.Clear();
-    for (const Tuple& t : rel) index.bitmap.Add(t[0]);
-    index.epoch = rel.epoch();
-    index.journal_pos = rel.journal().size();
-    index.erase_pos = rel.erase_journal().size();
-  } else if (index.journal_pos != rel.journal().size() ||
-             index.erase_pos != rel.erase_journal().size()) {
-    OBS_SPAN("index.bitmap_append", {{"pred", pred}});
-    const auto& journal = rel.journal();
-    const auto& erases = rel.erase_journal();
-    counters_.bitmap_appended +=
-        static_cast<int64_t>(journal.size() - index.journal_pos);
-    counters_.bitmap_removed +=
-        static_cast<int64_t>(erases.size() - index.erase_pos);
-    // Value-level replay must follow event order exactly: Add/Add/Remove
-    // of the same value ends absent, Remove-then-reinsert ends present.
-    size_t ins = index.journal_pos;
-    auto add_up_to = [&](size_t limit) {
-      for (; ins < limit; ++ins) index.bitmap.Add((*journal[ins])[0]);
-    };
-    for (size_t e = index.erase_pos; e < erases.size(); ++e) {
-      const Relation::EraseEvent& ev = erases[e];
-      add_up_to(std::min(std::max(ev.ins_pos, ins), journal.size()));
-      index.bitmap.Remove((*ev.tuple)[0]);
-    }
-    add_up_to(journal.size());
-    index.journal_pos = journal.size();
-    index.erase_pos = erases.size();
-  } else {
-    ++counters_.bitmap_hits;
-  }
-  return &index.bitmap;
-}
-
 }  // namespace datalog

@@ -8,7 +8,6 @@
 
 #include "ra/instance.h"
 #include "ra/relation.h"
-#include "ra/storage/bitmap.h"
 #include "ra/tuple.h"
 
 namespace datalog {
@@ -49,16 +48,6 @@ class IndexManager {
     int64_t appended = 0;
     /// Tuples removed incrementally from relation erase journals.
     int64_t removed = 0;
-    /// Bitmap-index lookups served by an up-to-date bitmap.
-    int64_t bitmap_hits = 0;
-    /// First-time bitmap builds for a unary predicate.
-    int64_t bitmap_builds = 0;
-    /// Bitmap rebuilds forced by an epoch change.
-    int64_t bitmap_rebuilds = 0;
-    /// Values appended to bitmaps from relation journals.
-    int64_t bitmap_appended = 0;
-    /// Values removed from bitmaps via relation erase journals.
-    int64_t bitmap_removed = 0;
   };
 
   IndexManager() = default;
@@ -72,19 +61,9 @@ class IndexManager {
   const Bucket* Lookup(const Instance& db, PredId pred, uint32_t mask,
                        const Tuple& key);
 
-  /// The compressed bitmap index over the unary relation `db.Rel(pred)`
-  /// (docs/storage.md), brought up to date first through the same
-  /// epoch/journal protocol as the hash indexes. Returns nullptr if the
-  /// predicate is not unary. Bitmap indexes serve the columnar backend's
-  /// delta path.
-  const storage::ValueBitmap* UnaryBitmap(const Instance& db, PredId pred);
-
   /// Drops every index (used by tests; evaluation contexts simply let the
   /// manager go out of scope).
-  void Clear() {
-    indexes_.clear();
-    bitmaps_.clear();
-  }
+  void Clear() { indexes_.clear(); }
 
   const Counters& counters() const { return counters_; }
 
@@ -99,15 +78,6 @@ class IndexManager {
     size_t erase_pos = 0;
   };
 
-  /// A compressed bitmap over a unary relation, maintained by the same
-  /// epoch/journal protocol as Index.
-  struct BitmapIndex {
-    storage::ValueBitmap bitmap;
-    uint64_t epoch = 0;
-    size_t journal_pos = 0;
-    size_t erase_pos = 0;
-  };
-
   /// Replays insert-journal entries [index->journal_pos, journal.size())
   /// and erase-journal entries [index->erase_pos, erases.size()) of
   /// `rel`, merged in event order.
@@ -116,7 +86,6 @@ class IndexManager {
   void Rebuild(const Relation& rel, uint32_t mask, Index* index);
 
   std::map<std::pair<PredId, uint32_t>, Index> indexes_;
-  std::map<PredId, BitmapIndex> bitmaps_;
   Counters counters_;
 };
 

@@ -72,15 +72,6 @@ class Instance {
     return relations_;
   }
 
-  /// Folds any staged columnar rows of every relation into its tuple set
-  /// (see Relation::MaterializeStaged). Materialization happens lazily on
-  /// tuple-level reads but is not safe against concurrent first-reads:
-  /// evaluators call this from a single thread before sharing a
-  /// possibly-staged instance across pool workers.
-  void MaterializeStaged() const {
-    for (const auto& kv : relations_) kv.second.MaterializeStaged();
-  }
-
   /// Deep equality over all (possibly lazily absent) relations.
   bool operator==(const Instance& other) const;
   bool operator!=(const Instance& other) const { return !(*this == other); }

@@ -14,22 +14,17 @@ uint64_t Relation::NextEpoch() {
 
 Relation::Relation(const Relation& other)
     : arity_(other.arity_),
+      tuples_(other.tuples_),
       epoch_(NextEpoch()),
-      journal_complete_(false) {
-  other.MaterializeStaged();
-  tuples_ = other.tuples_;
-  journal_complete_ = tuples_.empty();
-}
+      journal_complete_(tuples_.empty()) {}
 
 Relation& Relation::operator=(const Relation& other) {
   if (this == &other) return *this;
-  other.MaterializeStaged();
   arity_ = other.arity_;
   tuples_ = other.tuples_;
   journal_.clear();
   erase_journal_.clear();
   graveyard_.clear();
-  staged_.clear();
   epoch_ = NextEpoch();
   journal_complete_ = tuples_.empty();
   return *this;
@@ -41,7 +36,6 @@ Relation::Relation(Relation&& other) noexcept
       journal_(std::move(other.journal_)),
       erase_journal_(std::move(other.erase_journal_)),
       graveyard_(std::move(other.graveyard_)),
-      staged_(std::move(other.staged_)),
       epoch_(other.epoch_),
       journal_complete_(other.journal_complete_) {
   // Leave the source empty with a fresh monotone phase of its own, so any
@@ -50,7 +44,6 @@ Relation::Relation(Relation&& other) noexcept
   other.journal_.clear();
   other.erase_journal_.clear();
   other.graveyard_.clear();
-  other.staged_.clear();
   other.epoch_ = NextEpoch();
   other.journal_complete_ = true;
 }
@@ -62,14 +55,12 @@ Relation& Relation::operator=(Relation&& other) noexcept {
   journal_ = std::move(other.journal_);
   erase_journal_ = std::move(other.erase_journal_);
   graveyard_ = std::move(other.graveyard_);
-  staged_ = std::move(other.staged_);
   epoch_ = other.epoch_;
   journal_complete_ = other.journal_complete_;
   other.tuples_.clear();
   other.journal_.clear();
   other.erase_journal_.clear();
   other.graveyard_.clear();
-  other.staged_.clear();
   other.epoch_ = NextEpoch();
   other.journal_complete_ = true;
   return *this;
@@ -77,7 +68,6 @@ Relation& Relation::operator=(Relation&& other) noexcept {
 
 bool Relation::Insert(const Tuple& t) {
   assert(static_cast<int>(t.size()) == arity_);
-  MaterializeStaged();
   auto [it, inserted] = tuples_.insert(t);
   if (inserted) journal_.push_back(&*it);
   return inserted;
@@ -85,36 +75,12 @@ bool Relation::Insert(const Tuple& t) {
 
 bool Relation::Insert(Tuple&& t) {
   assert(static_cast<int>(t.size()) == arity_);
-  MaterializeStaged();
   auto [it, inserted] = tuples_.insert(std::move(t));
   if (inserted) journal_.push_back(&*it);
   return inserted;
 }
 
-void Relation::AppendStagedRows(const Value* data, size_t rows) {
-  assert(arity_ >= 1);
-  if (rows == 0) return;
-  staged_.insert(staged_.end(), data,
-                 data + rows * static_cast<size_t>(arity_));
-}
-
-void Relation::MaterializeStaged() const {
-  if (staged_.empty()) return;
-  const size_t stride = static_cast<size_t>(arity_);
-  const size_t rows = staged_.size() / stride;
-  tuples_.reserve(tuples_.size() + rows);
-  journal_.reserve(journal_.size() + rows);
-  const Value* row = staged_.data();
-  for (size_t r = 0; r < rows; ++r, row += stride) {
-    auto [it, inserted] = tuples_.insert(Tuple(row, row + stride));
-    if (inserted) journal_.push_back(&*it);
-  }
-  staged_.clear();
-  staged_.shrink_to_fit();
-}
-
 bool Relation::Erase(const Tuple& t) {
-  MaterializeStaged();
   auto it = tuples_.find(t);
   if (it == tuples_.end()) return false;
   // Extract the node rather than erasing it: the tuple's address must
@@ -142,20 +108,17 @@ void Relation::MaybeCompact() {
 }
 
 void Relation::Clear() {
-  if (tuples_.empty() && staged_.empty()) return;
+  if (tuples_.empty()) return;
   tuples_.clear();
   journal_.clear();
   erase_journal_.clear();
   graveyard_.clear();
-  staged_.clear();
   epoch_ = NextEpoch();
   journal_complete_ = true;  // empty contents, empty journal: consistent
 }
 
 size_t Relation::UnionWith(const Relation& other) {
   assert(arity_ == other.arity_);
-  MaterializeStaged();
-  other.MaterializeStaged();
   size_t added = 0;
   for (const Tuple& t : other.tuples_) {
     auto [it, inserted] = tuples_.insert(t);
@@ -168,14 +131,12 @@ size_t Relation::UnionWith(const Relation& other) {
 }
 
 std::vector<Tuple> Relation::Sorted() const {
-  MaterializeStaged();
   std::vector<Tuple> out(tuples_.begin(), tuples_.end());
   std::sort(out.begin(), out.end());
   return out;
 }
 
 uint64_t Relation::ContentHash() const {
-  MaterializeStaged();
   // Summing (mod 2^64) keeps the fingerprint order-independent over the
   // unordered set without XOR's cancellation: under XOR, any multiset in
   // which every tuple hash appears an even number of times — e.g. two

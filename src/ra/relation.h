@@ -35,17 +35,6 @@ namespace datalog {
 /// When the two journals grow past a fixed multiple of the live contents
 /// (sustained churn), the relation compacts deterministically: fresh
 /// epoch, both journals and the graveyard dropped, consumers rebuild.
-///
-/// Columnar staging (docs/storage.md): the columnar delta engine appends
-/// batches of known-new rows as flat values (`AppendStagedRows`) without
-/// touching the tuple set. Staged rows count toward `size()` immediately
-/// but are folded into the set — and journaled, preserving the contract
-/// above — only when some consumer actually needs tuple-level access
-/// (`Contains`, iteration, `journal()`, equality, ...). Staging is a
-/// monotone event: the epoch is unchanged and materialization appends to
-/// the journal in staging order. Materialization is not thread-safe
-/// against concurrent reads; call `MaterializeStaged()` from a single
-/// thread before sharing a possibly-staged relation across workers.
 class Relation {
  public:
   using TupleSet = std::unordered_set<Tuple, TupleHash>;
@@ -76,8 +65,8 @@ class Relation {
   Relation& operator=(Relation&& other) noexcept;
 
   int arity() const { return arity_; }
-  size_t size() const { return tuples_.size() + staged_rows(); }
-  bool empty() const { return tuples_.empty() && staged_.empty(); }
+  size_t size() const { return tuples_.size(); }
+  bool empty() const { return tuples_.empty(); }
 
   /// Inserts `t` (whose size must equal `arity()`); returns true if the
   /// tuple was not already present.
@@ -89,27 +78,7 @@ class Relation {
   /// remove exactly this tuple instead of rebuilding.
   bool Erase(const Tuple& t);
 
-  bool Contains(const Tuple& t) const {
-    MaterializeStaged();
-    return tuples_.count(t) > 0;
-  }
-
-  /// Appends `rows` flat rows of `arity()` values each (arity >= 1). The
-  /// caller guarantees the rows are mutually distinct and not already
-  /// present — the columnar delta engine's produced-check establishes
-  /// exactly that. The rows join the tuple set lazily; see the class
-  /// comment.
-  void AppendStagedRows(const Value* data, size_t rows);
-
-  /// Rows appended but not yet folded into the tuple set.
-  size_t staged_rows() const {
-    return arity_ > 0 ? staged_.size() / static_cast<size_t>(arity_) : 0;
-  }
-
-  /// Folds staged rows into the tuple set and the journal (in staging
-  /// order). No-op when nothing is staged; called implicitly by every
-  /// tuple-level reader. Single-threaded: see the class comment.
-  void MaterializeStaged() const;
+  bool Contains(const Tuple& t) const { return tuples_.count(t) > 0; }
 
   /// Inserts every tuple of `other` (same arity); returns the number of
   /// tuples that were new.
@@ -117,10 +86,7 @@ class Relation {
 
   void Clear();
 
-  const_iterator begin() const {
-    MaterializeStaged();
-    return tuples_.begin();
-  }
+  const_iterator begin() const { return tuples_.begin(); }
   const_iterator end() const { return tuples_.end(); }
 
   /// Tuples in lexicographic order — canonical form for printing, hashing
@@ -129,8 +95,6 @@ class Relation {
 
   /// Set equality (arity and contents).
   bool operator==(const Relation& other) const {
-    MaterializeStaged();
-    other.MaterializeStaged();
     return arity_ == other.arity_ && tuples_ == other.tuples_;
   }
   bool operator!=(const Relation& other) const { return !(*this == other); }
@@ -151,15 +115,11 @@ class Relation {
   /// stability) while the epoch is unchanged. An inserted-then-erased
   /// tuple keeps its journal entry — pair with `erase_journal()` to
   /// replay the true history.
-  const std::vector<const Tuple*>& journal() const {
-    MaterializeStaged();
-    return journal_;
-  }
+  const std::vector<const Tuple*>& journal() const { return journal_; }
 
   /// Tuples erased during the current epoch, in erase order; see
   /// `EraseEvent` for the interleaving contract.
   const std::vector<EraseEvent>& erase_journal() const {
-    MaterializeStaged();
     return erase_journal_;
   }
 
@@ -178,17 +138,12 @@ class Relation {
   void MaybeCompact();
 
   int arity_;
-  /// Mutable with `journal_` and `staged_`: lazy materialization of
-  /// staged rows is logically non-mutating (the contents were already
-  /// part of the relation), it only changes their physical home.
-  mutable TupleSet tuples_;
-  mutable std::vector<const Tuple*> journal_;
+  TupleSet tuples_;
+  std::vector<const Tuple*> journal_;
   std::vector<EraseEvent> erase_journal_;
   /// Extracted nodes of erased tuples; keeps journal pointers alive until
   /// the next epoch change.
   std::vector<TupleSet::node_type> graveyard_;
-  /// Staged flat rows, row-major, `arity_` values per row.
-  mutable std::vector<Value> staged_;
   uint64_t epoch_;
   bool journal_complete_ = true;
 };

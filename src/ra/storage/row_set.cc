@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "ra/relation.h"
-
 namespace datalog {
 namespace storage {
 
@@ -28,15 +26,6 @@ size_t SlotsFor(size_t rows) {
 }
 
 }  // namespace
-
-void RowSet::Init(const Relation& rel) {
-  *this = RowSet(rel.arity());
-  const size_t cap = SlotsFor(rel.size() + 16);
-  slots_.assign(cap, 0);
-  mask_ = cap - 1;
-  log_.reserve(rel.size() * arity_);
-  for (const Tuple& t : rel) Insert(t.data());
-}
 
 uint64_t RowSet::HashRow(const Value* row) const {
   uint64_t h = uint64_t{0x9e3779b97f4a7c15};

@@ -12,14 +12,11 @@
 #include "ra/tuple.h"
 
 namespace datalog {
-
-class Relation;
-
 namespace storage {
 
-/// Exact membership set over fixed-arity flat rows, built for the columnar
-/// delta engine's produced-checks (docs/storage.md) and the incremental
-/// view's per-batch deltas (docs/incremental.md): an open-addressing table
+/// Exact membership set over fixed-arity flat rows, built for the
+/// incremental view's per-batch deltas (docs/incremental.md), the overlay
+/// matcher's removed rows and the provenance log: an open-addressing table
 /// of row indexes into an append-order column log. Compared to probing
 /// `Relation`'s tuple set, a lookup touches no per-tuple heap nodes — the
 /// slot array and the flat log are the only memory — and an insert appends
@@ -34,11 +31,6 @@ class RowSet {
   /// then holds at most the empty row. Allocates nothing until an insert.
   explicit RowSet(int arity = 1) : arity_(static_cast<size_t>(arity)) {}
 
-  /// Prepares the set for rows of `rel.arity()` and seeds it with the
-  /// relation's current contents.
-  void Init(const Relation& rel);
-
-  bool initialized() const { return !slots_.empty(); }
   size_t rows() const { return rows_; }
   int arity() const { return static_cast<int>(arity_); }
   /// Rows the set holds before its table grows.

@@ -296,10 +296,13 @@ Response Server::ServeQuery(const Request& request) {
            {{"kind", static_cast<int>(request.kind)}});
   obs::ScopedLatency latency(&Metrics().request_us);
 
+  // Compared in whole milliseconds: converting a wire deadline to the
+  // clock's nanoseconds would overflow for |deadline_ms| beyond ~9.2e12.
   auto expired = [&] {
     return request.deadline_ms != 0 &&
-           Clock::now() - admit >=
-               std::chrono::milliseconds(request.deadline_ms);
+           std::chrono::duration_cast<std::chrono::milliseconds>(
+               Clock::now() - admit)
+                   .count() >= request.deadline_ms;
   };
   // Budget checks bracket the pin: a cancelled or deadline-exhausted
   // request must not pin a snapshot (checked before) nor hold its pin

@@ -1,6 +1,7 @@
 #include "server/session.h"
 
 #include <cctype>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 
@@ -9,6 +10,17 @@ namespace server {
 
 bool ParseUpdateTokens(std::string_view tokens, const Catalog& catalog,
                        SymbolTable* symbols, std::vector<FactUpdate>* out) {
+  // Nothing is interned until the whole batch has parsed: a refused batch
+  // leaves the shared symbol table, and so every later snapshot's
+  // spellings, as it found it. The tuples hold placeholders meanwhile;
+  // an accepted batch then interns its values in token order, so WAL
+  // replay and recovery assign the same Values.
+  const size_t first = out->size();
+  std::vector<int64_t> values;
+  auto refuse = [&] {
+    out->erase(out->begin() + static_cast<std::ptrdiff_t>(first), out->end());
+    return false;
+  };
   size_t i = 0;
   while (i < tokens.size()) {
     if (tokens[i] == ' ' || tokens[i] == '\t') {
@@ -21,7 +33,7 @@ bool ParseUpdateTokens(std::string_view tokens, const Catalog& catalog,
     } else if (tokens[i] == '-') {
       u.insert = false;
     } else {
-      return false;
+      return refuse();
     }
     ++i;
     const size_t name_start = i;
@@ -31,10 +43,10 @@ bool ParseUpdateTokens(std::string_view tokens, const Catalog& catalog,
       ++i;
     }
     if (i == name_start || i >= tokens.size() || tokens[i] != '(') {
-      return false;
+      return refuse();
     }
     u.pred = catalog.Find(tokens.substr(name_start, i - name_start));
-    if (u.pred < 0) return false;
+    if (u.pred < 0) return refuse();
     ++i;  // '('
     while (i < tokens.size() && tokens[i] != ')') {
       int64_t v = 0;
@@ -47,21 +59,26 @@ bool ParseUpdateTokens(std::string_view tokens, const Catalog& catalog,
         // Format∘Parse identity recovery depends on (overflow of signed
         // arithmetic is UB besides).
         if (v > (std::numeric_limits<int64_t>::max() - digit) / 10) {
-          return false;
+          return refuse();
         }
         v = v * 10 + digit;
         ++i;
       }
-      if (i == digit_start) return false;
-      u.tuple.push_back(symbols->InternInt(v));
+      if (i == digit_start) return refuse();
+      values.push_back(v);
+      u.tuple.push_back(0);
       if (i < tokens.size() && tokens[i] == ',') ++i;
     }
-    if (i >= tokens.size()) return false;
+    if (i >= tokens.size()) return refuse();
     ++i;  // ')'
     if (static_cast<int>(u.tuple.size()) != catalog.ArityOf(u.pred)) {
-      return false;
+      return refuse();
     }
     out->push_back(std::move(u));
+  }
+  size_t next = 0;
+  for (size_t j = first; j < out->size(); ++j) {
+    for (Value& v : (*out)[j].tuple) v = symbols->InternInt(values[next++]);
   }
   return true;
 }

@@ -43,9 +43,11 @@ struct SessionOp {
 
 /// Parses the `+pred(v,...)` / `-pred(v,...)` tokens shared by `%~`
 /// update-batch lines and `u` session ops into FactUpdates — integer
-/// arguments only (the generator's value domain). False on any malformed
-/// token or unknown/wrong-arity predicate. Shared with the
-/// incremental-vs-scratch oracle and the server's kUpdate requests.
+/// arguments only (the generator's value domain), appended to `out`.
+/// False on any malformed token or unknown/wrong-arity predicate; a
+/// refused batch interns no value and leaves `out` as it was. Shared
+/// with the incremental-vs-scratch oracle and the server's kUpdate
+/// requests.
 bool ParseUpdateTokens(std::string_view tokens, const Catalog& catalog,
                        SymbolTable* symbols, std::vector<FactUpdate>* out);
 

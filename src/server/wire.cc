@@ -1,5 +1,7 @@
 #include "server/wire.h"
 
+#include <algorithm>
+#include <cstddef>
 #include <string_view>
 
 #include "dist/transport.h"
@@ -8,6 +10,11 @@ namespace datalog {
 namespace server {
 
 namespace {
+
+/// ReadFrame grows a payload by at most this many bytes per channel read,
+/// so the memory a frame holds follows the bytes that arrived, not the
+/// length its header announces.
+constexpr size_t kFrameReadStep = size_t{1} << 20;
 
 void PutU8(std::string* out, uint8_t v) {
   out->push_back(static_cast<char>(v));
@@ -149,8 +156,14 @@ bool ReadFrame(ByteChannel* channel, std::string* payload) {
            << (8 * i);
   }
   if (len > kMaxFrameBytes) return false;
-  payload->resize(len);
-  return len == 0 || channel->Read(&(*payload)[0], len);
+  payload->clear();
+  while (payload->size() < len) {
+    const size_t have = payload->size();
+    const size_t step = std::min<size_t>(len - have, kFrameReadStep);
+    payload->resize(have + step);
+    if (!channel->Read(&(*payload)[have], step)) return false;
+  }
+  return true;
 }
 
 }  // namespace server

@@ -100,7 +100,10 @@ bool WriteFrame(ByteChannel* channel, const std::string& payload);
 /// length prefix and the response head, then the body where it lies, so
 /// a read's body is never copied on its way to the wire.
 bool WriteResponse(ByteChannel* channel, const Response& response);
-/// False on clean close, error, or an over-cap length prefix.
+/// False on clean close, error, or an over-cap length prefix. The payload
+/// grows in steps of at most 1 MiB as its bytes arrive, so a length
+/// prefix alone never makes the reader hold more than one step; a frame
+/// of at most 1 MiB takes one channel read.
 bool ReadFrame(ByteChannel* channel, std::string* payload);
 
 }  // namespace server

@@ -33,8 +33,7 @@ struct MetamorphicOutcome {
 /// against its (possibly renamed) counterpart.
 MetamorphicOutcome CheckMutant(const std::string& program_text,
                                const std::string& facts_text, Mutation m,
-                               uint64_t mutation_seed,
-                               storage::StorageBackend backend) {
+                               uint64_t mutation_seed) {
   MetamorphicOutcome out;
   Rng mrng(mutation_seed);
   MetamorphicMutator mutator;
@@ -42,7 +41,6 @@ MetamorphicOutcome CheckMutant(const std::string& program_text,
   if (!mutated.ok()) return out;  // unparseable candidate: inapplicable
 
   Engine engine;
-  engine.options().storage = backend;
   Result<Program> original = engine.Parse(program_text);
   if (!original.ok()) return out;
   if (!engine.Validate(*original, Dialect::kStratified).ok()) return out;
@@ -214,18 +212,16 @@ FuzzReport RunFuzz(const FuzzOptions& options) {
           (i * options.mutants_per_case + mi) % kNumMutations);
       const uint64_t mseed =
           case_seed + 1000003ULL * (static_cast<uint64_t>(mi) + 1);
-      const storage::StorageBackend backend = options.oracle.storage;
-      MetamorphicOutcome outcome =
-          CheckMutant(c.program, c.facts, m, mseed, backend);
+      MetamorphicOutcome outcome = CheckMutant(c.program, c.facts, m, mseed);
       if (!outcome.applicable) continue;
       ++report.mutants_by_name[MutationName(m)];
       if (!outcome.agreed) {
         record_failure(std::string("metamorphic:") + MutationName(m),
                        outcome.detail,
-                       [m, mseed, backend](const std::string& prog,
-                                           const std::string& facts) {
+                       [m, mseed](const std::string& prog,
+                                  const std::string& facts) {
                          MetamorphicOutcome o =
-                             CheckMutant(prog, facts, m, mseed, backend);
+                             CheckMutant(prog, facts, m, mseed);
                          return o.applicable && !o.agreed;
                        });
       }

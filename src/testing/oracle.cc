@@ -453,7 +453,6 @@ OracleVerdict RunReliableVsFaultyPeers(ParsedCase* c,
   // partitions, crash recovery) but the ring is tiny; this budget is far
   // beyond anything a converging run needs, so hitting it is a bug.
   options.eval.max_rounds = 10'000;
-  options.eval.storage = c->engine.options().storage;
   options.schedules = FaultyPeerSchedules();
   options.seed = salt;
   options.checkpoint_every_rounds = 2;
@@ -463,37 +462,6 @@ OracleVerdict RunReliableVsFaultyPeers(ParsedCase* c,
     return Disagreed("convergence run failed: " + report.status().ToString());
   }
   if (!report->converged) return Disagreed(report->divergence);
-  return Agreed();
-}
-
-// ---- kHashVsColumnar ----------------------------------------------------
-
-OracleVerdict RunHashVsColumnar(ParsedCase* c) {
-  if (!c->ValidDialect(Dialect::kStratified)) return Inapplicable();
-  // Single-threaded so the comparison isolates the storage backend; the
-  // parallel axis is covered by kSequentialVsParallel, which a
-  // --storage=columnar sweep runs on the columnar plane anyway.
-  c->engine.options().num_threads = 1;
-  c->engine.options().storage = storage::StorageBackend::kHash;
-  EvalStats hash_stats;
-  Result<Instance> hash =
-      c->engine.Stratified(*c->program, *c->db, &hash_stats);
-  if (!hash.ok()) return Disagreed("hash: " + hash.status().ToString());
-
-  c->engine.options().storage = storage::StorageBackend::kColumnar;
-  EvalStats col_stats;
-  Result<Instance> col = c->engine.Stratified(*c->program, *c->db, &col_stats);
-  if (!col.ok()) return Disagreed("columnar: " + col.status().ToString());
-
-  if (*col != *hash) {
-    return Disagreed("storage backends disagree on the stratified model\n" +
-                     DescribeDiff("hash", *hash, "columnar", *col,
-                                  c->engine.symbols()));
-  }
-  std::string stats_detail;
-  if (!SameDeterministicStats(hash_stats, col_stats, &stats_detail)) {
-    return Disagreed("columnar " + stats_detail);
-  }
   return Agreed();
 }
 
@@ -581,7 +549,7 @@ OracleVerdict RunIncrementalVsScratch(ParsedCase* c,
 
   // The initial from-scratch evaluation inside the view (sequential,
   // provenance-recording) must match a plain stratified run under the
-  // sweep's storage/thread configuration, stats included.
+  // sweep's thread configuration, stats included.
   EvalStats initial_stats;
   Result<Instance> initial =
       c->engine.Stratified(*c->program, *c->db, &initial_stats);
@@ -1119,8 +1087,6 @@ const char* PairName(OraclePair pair) {
       return "trace-on-vs-trace-off";
     case OraclePair::kReliableVsFaultyPeers:
       return "reliable-vs-faulty-peers";
-    case OraclePair::kHashVsColumnar:
-      return "hash-vs-columnar";
     case OraclePair::kIncrementalVsScratch:
       return "incremental-vs-scratch";
     case OraclePair::kServerVsLibrary:
@@ -1146,9 +1112,6 @@ OracleVerdict OracleRunner::Run(OraclePair pair, const std::string& program,
                                 uint64_t salt) const {
   ParsedCase c;
   if (!c.Init(program, facts)) return Inapplicable();
-  // The sweep-wide backend applies to every pair's engines; pair #8 then
-  // overrides it per run, diffing the two backends directly.
-  c.engine.options().storage = options_.storage;
   switch (pair) {
     case OraclePair::kNaiveVsSemiNaive:
       return RunNaiveVsSemiNaive(&c);
@@ -1164,8 +1127,6 @@ OracleVerdict OracleRunner::Run(OraclePair pair, const std::string& program,
       return RunTraceOnVsTraceOff(&c);
     case OraclePair::kReliableVsFaultyPeers:
       return RunReliableVsFaultyPeers(&c, program, facts, salt);
-    case OraclePair::kHashVsColumnar:
-      return RunHashVsColumnar(&c);
     case OraclePair::kIncrementalVsScratch:
       return RunIncrementalVsScratch(&c, facts);
     case OraclePair::kServerVsLibrary:

@@ -10,8 +10,6 @@
 #include <string_view>
 #include <vector>
 
-#include "ra/storage/storage.h"
-
 namespace datalog {
 namespace fuzz {
 
@@ -45,13 +43,6 @@ namespace fuzz {
 ///                            instances must be byte-identical. Positive
 ///                            programs only — the monotone dialect is what
 ///                            CALM promises is delivery-order independent.
-///  * kHashVsColumnar       — the pluggable-storage contract
-///                            (docs/storage.md): the stratified model and
-///                            every deterministic EvalStats counter must
-///                            be identical whether the semi-naive delta
-///                            rounds run tuple-at-a-time over hash indexes
-///                            or as merge joins / bitmap semijoins over
-///                            the columnar backend.
 ///  * kIncrementalVsScratch — the maintenance contract
 ///                            (docs/incremental.md): an IncrementalView
 ///                            applying the case's `%~` update batches must
@@ -97,13 +88,12 @@ enum class OraclePair {
   kSequentialVsParallel,
   kTraceOnVsTraceOff,
   kReliableVsFaultyPeers,
-  kHashVsColumnar,
   kIncrementalVsScratch,
   kServerVsLibrary,
   kCrashRecoverVsReplay,
 };
 
-inline constexpr int kNumOraclePairs = 11;
+inline constexpr int kNumOraclePairs = 10;
 
 /// All pairs, in declaration order.
 std::vector<OraclePair> AllOraclePairs();
@@ -119,11 +109,6 @@ struct OracleOptions {
   /// Worker-pool sizes compared against the sequential run by
   /// kSequentialVsParallel.
   std::vector<int> thread_counts = {2, 4};
-  /// Storage backend every pair's engines evaluate with (CLI:
-  /// --storage=columnar runs the whole sweep on the columnar data
-  /// plane). kHashVsColumnar ignores it — that pair always runs both
-  /// backends and diffs them.
-  storage::StorageBackend storage = storage::StorageBackend::kHash;
 };
 
 /// Outcome of one oracle run. A pair is *inapplicable* when the program

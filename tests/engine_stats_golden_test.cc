@@ -1,7 +1,7 @@
 // Pins the output and every deterministic EvalStats counter of each
 // forward-chaining entry point against a checked-in golden
-// (tests/goldens/engine_stats.txt): naive, semi-naive, stratified (hash and
-// columnar storage), well-founded, inflationary (with per-stage fact
+// (tests/goldens/engine_stats.txt): naive, semi-naive, stratified,
+// well-founded, inflationary (with per-stage fact
 // counts), Datalog¬¬ under all four conflict policies, invention, active
 // rules, stable models and effect enumeration, on the paper's worked
 // examples and on ten random semi-positive programs, plus the budget,
@@ -26,8 +26,6 @@
 namespace datalog {
 namespace {
 
-using storage::StorageBackend;
-
 constexpr const char* kTc =
     "t(X, Y) :- g(X, Y).\n"
     "t(X, Y) :- t(X, Z), g(Z, Y).\n";
@@ -42,18 +40,6 @@ std::string StatsText(const EvalStats& st) {
       << " rebuilds=" << st.index_rebuilds
       << " appended=" << st.index_appended
       << " removed=" << st.index_removed << "\n"
-      << "  bitmap hits=" << st.index_bitmap_hits
-      << " builds=" << st.index_bitmap_builds
-      << " rebuilds=" << st.index_bitmap_rebuilds
-      << " appended=" << st.index_bitmap_appended
-      << " removed=" << st.index_bitmap_removed << "\n"
-      << "  storage builds=" << st.storage_builds
-      << " rebuilds=" << st.storage_rebuilds
-      << " run_appends=" << st.storage_run_appends
-      << " rows_appended=" << st.storage_rows_appended
-      << " rows_removed=" << st.storage_rows_removed
-      << " compactions=" << st.storage_compactions
-      << " hits=" << st.storage_hits << "\n"
       << "  per_rule";
   for (const RuleStats& r : st.per_rule) {
     out << " " << r.matches << "/" << r.tuples_produced;
@@ -68,10 +54,8 @@ std::string StatusText(const Status& s) { return "  " + s.ToString() + "\n"; }
 /// values) never depend on what ran before.
 class Fixture {
  public:
-  Fixture(const std::string& program, const std::string& facts, int threads,
-          StorageBackend backend = StorageBackend::kHash) {
+  Fixture(const std::string& program, const std::string& facts, int threads) {
     engine_.options().num_threads = threads;
-    engine_.options().storage = backend;
     Result<Program> p = engine_.Parse(program);
     EXPECT_TRUE(p.ok()) << p.status().ToString() << "\n" << program;
     if (p.ok()) program_ = std::move(p).value();
@@ -102,15 +86,15 @@ std::string Naive(const std::string& prog, const std::string& facts,
 }
 
 std::string SemiNaive(const std::string& prog, const std::string& facts,
-                      int threads, StorageBackend backend) {
-  Fixture f(prog, facts, threads, backend);
+                      int threads) {
+  Fixture f(prog, facts, threads);
   Result<Instance> r = f.engine().MinimumModel(f.program(), f.db());
   return (r.ok() ? f.Show(*r) : StatusText(r.status())) + f.Stats();
 }
 
 std::string Stratified(const std::string& prog, const std::string& facts,
-                       int threads, StorageBackend backend) {
-  Fixture f(prog, facts, threads, backend);
+                       int threads) {
+  Fixture f(prog, facts, threads);
   Result<Instance> r = f.engine().Stratified(f.program(), f.db());
   return (r.ok() ? f.Show(*r) : StatusText(r.status())) + f.Stats();
 }
@@ -231,8 +215,8 @@ std::string Enumerate(const std::string& prog, const std::string& facts,
 /// A facade entry point run at max_rounds = 2: its status and stats.
 template <typename Run>
 std::string WithBudget(const std::string& prog, const std::string& facts,
-                       int threads, StorageBackend backend, Run run) {
-  Fixture f(prog, facts, threads, backend);
+                       int threads, Run run) {
+  Fixture f(prog, facts, threads);
   f.engine().options().max_rounds = 2;
   const Status status = run(f);
   return StatusText(status) + f.Stats();
@@ -242,33 +226,29 @@ std::string WithBudget(const std::string& prog, const std::string& facts,
 /// more rounds than that.
 std::string BudgetExits(int threads) {
   const std::string facts = "g(0, 1). g(1, 2). g(2, 3). g(3, 4). g(4, 5).";
-  const StorageBackend hash = StorageBackend::kHash;
   std::string out;
   out += "== budget naive ==\n" +
-         WithBudget(kTc, facts, threads, hash, [](Fixture& f) {
+         WithBudget(kTc, facts, threads, [](Fixture& f) {
            return f.engine().MinimumModelNaive(f.program(), f.db()).status();
          });
-  for (StorageBackend b : {StorageBackend::kHash, StorageBackend::kColumnar}) {
-    const std::string name = storage::StorageBackendName(b);
-    out += "== budget seminaive " + name + " ==\n" +
-           WithBudget(kTc, facts, threads, b, [](Fixture& f) {
-             return f.engine().MinimumModel(f.program(), f.db()).status();
-           });
-    out += "== budget stratified " + name + " ==\n" +
-           WithBudget(kTc, facts, threads, b, [](Fixture& f) {
-             return f.engine().Stratified(f.program(), f.db()).status();
-           });
-  }
+  out += "== budget seminaive ==\n" +
+         WithBudget(kTc, facts, threads, [](Fixture& f) {
+           return f.engine().MinimumModel(f.program(), f.db()).status();
+         });
+  out += "== budget stratified ==\n" +
+         WithBudget(kTc, facts, threads, [](Fixture& f) {
+           return f.engine().Stratified(f.program(), f.db()).status();
+         });
   out += "== budget wellfounded ==\n" +
-         WithBudget(kTc, facts, threads, hash, [](Fixture& f) {
+         WithBudget(kTc, facts, threads, [](Fixture& f) {
            return f.engine().WellFounded(f.program(), f.db()).status();
          });
   out += "== budget inflationary ==\n" +
-         WithBudget(kTc, facts, threads, hash, [](Fixture& f) {
+         WithBudget(kTc, facts, threads, [](Fixture& f) {
            return f.engine().Inflationary(f.program(), f.db()).status();
          });
   out += "== budget invention ==\n" +
-         WithBudget(kTc, facts, threads, hash, [](Fixture& f) {
+         WithBudget(kTc, facts, threads, [](Fixture& f) {
            return f.engine().Invention(f.program(), f.db()).status();
          });
   out += "== budget noninflationary ==\n" +
@@ -286,16 +266,9 @@ std::string AllEngines(const std::string& prog, const std::string& facts,
   std::string out;
   if (prog.find('!') == std::string::npos) {
     out += "== naive ==\n" + Naive(prog, facts, threads);
-    for (StorageBackend b :
-         {StorageBackend::kHash, StorageBackend::kColumnar}) {
-      out += "== seminaive " + std::string(storage::StorageBackendName(b)) +
-             " ==\n" + SemiNaive(prog, facts, threads, b);
-    }
+    out += "== seminaive ==\n" + SemiNaive(prog, facts, threads);
   }
-  for (StorageBackend b : {StorageBackend::kHash, StorageBackend::kColumnar}) {
-    out += "== stratified " + std::string(storage::StorageBackendName(b)) +
-           " ==\n" + Stratified(prog, facts, threads, b);
-  }
+  out += "== stratified ==\n" + Stratified(prog, facts, threads);
   out += "== wellfounded ==\n" + WellFounded(prog, facts, threads);
   out += "== inflationary ==\n" + Inflationary(prog, facts, threads);
   for (ConflictPolicy policy : kPolicies) {
@@ -371,10 +344,7 @@ std::string WorkedExamples(int threads) {
          Inflationary(closer, "g(0, 1). g(1, 2). g(2, 3).", threads);
   out += "### ex4.3 complement tc\n== inflationary ==\n" +
          Inflationary(ctc, chain, threads);
-  for (StorageBackend b : {StorageBackend::kHash, StorageBackend::kColumnar}) {
-    out += "== stratified " + std::string(storage::StorageBackendName(b)) +
-           " ==\n" + Stratified(sct, chain, threads, b);
-  }
+  out += "== stratified ==\n" + Stratified(sct, chain, threads);
   out += "### ex4.4 good nodes\n== inflationary ==\n" +
          Inflationary(good, "g(0, 1). g(1, 2). g(2, 0). g(3, 2).", threads);
   out += "### sink stripping\n";

@@ -16,7 +16,6 @@
 #include "core/engine.h"
 #include "eval/incremental.h"
 #include "eval/stable.h"
-#include "ra/storage/storage.h"
 #include "random_programs.h"
 #include "worked_examples.h"
 #include "worked_examples_golden.h"
@@ -68,12 +67,9 @@ TEST(ParallelWorkedExamples, GoldensAtEveryThreadCount) {
 /// count: the canonical result strings plus the stats keys of every
 /// deterministic entry point.
 std::string RunAllEngines(const std::string& program_text,
-                          const std::string& facts_text, int num_threads,
-                          storage::StorageBackend backend =
-                              storage::StorageBackend::kHash) {
+                          const std::string& facts_text, int num_threads) {
   Engine engine;
   engine.options().num_threads = num_threads;
-  engine.options().storage = backend;
   Result<Program> p = engine.Parse(program_text);
   EXPECT_TRUE(p.ok()) << p.status().ToString();
   Instance db = engine.NewInstance();
@@ -138,34 +134,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ParallelRandomSweep,
                            return "seed" + std::to_string(info.param);
                          });
 
-/// The columnar backend owes the same determinism contract at every
-/// thread count. Named *Columnar* so the TSan lane in tools/check.sh can
-/// select these cases by filter.
-class ColumnarRandomSweep : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(ColumnarRandomSweep, ColumnarEnginesIdenticalAcrossThreadCounts) {
-  Rng rng(GetParam());
-  const std::string program_text = random_programs::RandomProgram(&rng);
-  const std::string facts_text = random_programs::RandomFacts(&rng, 5, 8, 3);
-  SCOPED_TRACE("program:\n" + program_text + "facts:\n" + facts_text);
-
-  const std::string sequential = RunAllEngines(
-      program_text, facts_text, 1, storage::StorageBackend::kColumnar);
-  for (int t : kThreadCounts) {
-    if (t == 1) continue;
-    SCOPED_TRACE("num_threads=" + std::to_string(t));
-    EXPECT_EQ(sequential,
-              RunAllEngines(program_text, facts_text, t,
-                            storage::StorageBackend::kColumnar));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ColumnarRandomSweep,
-                         ::testing::Range(uint64_t{1}, uint64_t{11}),
-                         [](const ::testing::TestParamInfo<uint64_t>& info) {
-                           return "seed" + std::to_string(info.param);
-                         });
-
 /// One incremental-maintenance pass under a given engine configuration:
 /// random update batches (a pure function of `update_seed`) applied to an
 /// IncrementalView, keyed by the serialized model after every batch plus
@@ -173,11 +141,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ColumnarRandomSweep,
 /// from-scratch stratified run on the final base.
 std::string RunIncrementalMaintenance(const std::string& program_text,
                                       const std::string& facts_text,
-                                      uint64_t update_seed, int num_threads,
-                                      storage::StorageBackend backend) {
+                                      uint64_t update_seed, int num_threads) {
   Engine engine;
   engine.options().num_threads = num_threads;
-  engine.options().storage = backend;
   Result<Program> p = engine.Parse(program_text);
   EXPECT_TRUE(p.ok()) << p.status().ToString();
   Instance db = engine.NewInstance();
@@ -238,7 +204,7 @@ std::string RunIncrementalMaintenance(const std::string& program_text,
 
 /// The maintenance contract of docs/incremental.md: the maintained model
 /// bytes and every maintenance counter are identical at every thread
-/// count and on both storage backends.
+/// count.
 class IncrementalRandomSweep : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(IncrementalRandomSweep, MaintenanceIdenticalAcrossThreadsAndStorage) {
@@ -249,18 +215,12 @@ TEST_P(IncrementalRandomSweep, MaintenanceIdenticalAcrossThreadsAndStorage) {
   const uint64_t update_seed = GetParam() * 977 + 1;
 
   const std::string reference =
-      RunIncrementalMaintenance(program_text, facts_text, update_seed, 1,
-                                storage::StorageBackend::kHash);
+      RunIncrementalMaintenance(program_text, facts_text, update_seed, 1);
   for (int t : kThreadCounts) {
-    for (storage::StorageBackend backend :
-         {storage::StorageBackend::kHash, storage::StorageBackend::kColumnar}) {
-      if (t == 1 && backend == storage::StorageBackend::kHash) continue;
-      SCOPED_TRACE("num_threads=" + std::to_string(t) + " backend=" +
-                   storage::StorageBackendName(backend));
-      EXPECT_EQ(reference,
-                RunIncrementalMaintenance(program_text, facts_text,
-                                          update_seed, t, backend));
-    }
+    if (t == 1) continue;
+    SCOPED_TRACE("num_threads=" + std::to_string(t));
+    EXPECT_EQ(reference, RunIncrementalMaintenance(program_text, facts_text,
+                                                   update_seed, t));
   }
 }
 

@@ -17,6 +17,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstddef>
+#include <cstdint>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -25,6 +29,7 @@
 #include <utility>
 #include <vector>
 
+#include "base/rng.h"
 #include "core/engine.h"
 #include "dist/transport.h"
 #include "eval/incremental.h"
@@ -169,6 +174,21 @@ TEST(ServerWireTest, EachFrameIsOneChannelWrite) {
 
   EXPECT_EQ(SplitFrames(channel.written),
             (std::vector<std::string>{"", request, EncodeResponse(response)}));
+}
+
+// A header alone cannot make the reader allocate: the payload grows in
+// 1 MiB steps as its bytes arrive, so 64 MiB announced and 3 bytes sent
+// leave well under 2 MiB behind.
+TEST(ServerWireTest, ReadFrameHoldsOnlyTheBytesThatArrived) {
+  const uint32_t announced = 64u << 20;
+  CountingChannel channel;
+  for (int i = 0; i < 4; ++i) {
+    channel.input.push_back(static_cast<char>((announced >> (8 * i)) & 0xff));
+  }
+  channel.input += "abc";
+  std::string payload;
+  EXPECT_FALSE(ReadFrame(&channel, &payload));
+  EXPECT_LT(payload.capacity(), size_t{2} << 20);
 }
 
 /// A connected localhost socket pair: {client end, server end}.
@@ -527,12 +547,19 @@ TEST_F(ServerTest, UpdateCommitAdvancesTheEpoch) {
 
 TEST_F(ServerTest, MalformedUpdateIsRefusedWithoutEnqueueing) {
   auto server = MustCreate(kTcProgram, "e1(0, 1).");
-  EXPECT_EQ(server->SubmitUpdate("+nosuch(1)").status().code(),
-            StatusCode::kSchemaError);
-  EXPECT_EQ(server->SubmitUpdate("garbage").status().code(),
-            StatusCode::kSchemaError);
-  EXPECT_EQ(server->SubmitUpdate("").status().code(),
-            StatusCode::kSchemaError);
+  const int symbols = engine_.symbols().size();
+  // A refused batch interns none of its values, also those that come
+  // before the token that fails it: a wrong arity, an unknown predicate
+  // after a good token, a value cut by a stray byte, an unclosed atom.
+  for (const char* tokens :
+       {"+nosuch(1)", "garbage", "", "+e1(700001,700002,700003)",
+        "+e1(800001,800002) +nosuch(1)", "+e1(900001x)",
+        "+e1(910001,910002"}) {
+    SCOPED_TRACE(tokens);
+    EXPECT_EQ(server->SubmitUpdate(tokens).status().code(),
+              StatusCode::kSchemaError);
+  }
+  EXPECT_EQ(engine_.symbols().size(), symbols);
   EXPECT_EQ(server->pending_updates(), 0);
   EXPECT_FALSE(server->ApplyOneQueued());
   EXPECT_EQ(server->epoch(), 0);
@@ -586,6 +613,29 @@ TEST_F(ServerTest, CancelledAndExpiredRequestsLeaveNoPins) {
   EXPECT_EQ(server->ServeQuery(expired).status,
             StatusCode::kBudgetExhausted);
 
+  const SnapshotRegistry& registry = server->snapshots();
+  EXPECT_EQ(registry.pinned(), 0);
+  EXPECT_EQ(registry.counters().pins, registry.counters().unpins);
+}
+
+// Any wire deadline is compared without overflow: the two far-future
+// budgets serve, the two past ones are refused as -1 is, and no refusal
+// keeps a pin.
+TEST_F(ServerTest, ExtremeWireDeadlinesServeOrRefuseWithoutPins) {
+  auto server = MustCreate(kTcProgram, "e1(0, 1).");
+  for (Request::Kind kind : {Request::Kind::kPing, Request::Kind::kQuery,
+                             Request::Kind::kSnapshotQuery}) {
+    for (int64_t deadline_ms :
+         {std::numeric_limits<int64_t>::max(), int64_t{1} << 50,
+          int64_t{-1}, std::numeric_limits<int64_t>::min()}) {
+      SCOPED_TRACE(std::to_string(static_cast<int>(kind)) + " " +
+                   std::to_string(deadline_ms));
+      const Response r =
+          server->ServeQuery(Request{kind, "t", deadline_ms, nullptr});
+      EXPECT_EQ(r.status, deadline_ms > 0 ? StatusCode::kOk
+                                          : StatusCode::kBudgetExhausted);
+    }
+  }
   const SnapshotRegistry& registry = server->snapshots();
   EXPECT_EQ(registry.pinned(), 0);
   EXPECT_EQ(registry.counters().pins, registry.counters().unpins);
@@ -1296,6 +1346,175 @@ TEST_F(ServerThreadedTest, OverCapFrameLengthClosesWithoutAResponse) {
   EXPECT_EQ(server->snapshots().pinned(), 0);
   EXPECT_EQ(server->snapshots().counters().pins,
             server->snapshots().counters().unpins);
+}
+
+/// Hostile wire bytes (docs/server.md): one seeded stream of valid
+/// request frames with 1-4 mutations — a flipped, inserted or deleted
+/// byte, a truncation, or a rewritten length prefix or deadline field.
+std::string MutatedRequestStream(Rng* rng) {
+  CountingChannel frames;
+  std::vector<size_t> starts;
+  const int count = 2 + rng->UniformInt(5);
+  for (int f = 0; f < count; ++f) {
+    Request request;
+    switch (rng->UniformInt(5)) {
+      case 0:
+        request.kind = Request::Kind::kPing;
+        break;
+      case 1:
+        request.kind = Request::Kind::kQuery;
+        request.text = "t";
+        break;
+      case 2:
+        request.kind = Request::Kind::kSnapshotQuery;
+        break;
+      case 3:
+        request.kind = Request::Kind::kUpdate;
+        request.text = std::string(rng->Chance(0.6) ? "+" : "-") + "e1(" +
+                       std::to_string(rng->UniformInt(8)) + "," +
+                       std::to_string(rng->UniformInt(8)) + ")";
+        break;
+      default:
+        request.kind = Request::Kind::kQuery;
+        request.text = "nosuch";
+        break;
+    }
+    if (rng->Chance(0.3)) request.deadline_ms = 1 + rng->UniformInt(1000);
+    starts.push_back(frames.written.size());
+    EXPECT_TRUE(WriteFrame(&frames, EncodeRequest(request)));
+  }
+  std::string stream = std::move(frames.written);
+
+  enum Mutation { kLength, kDeadline, kFlip, kInsert, kDelete, kTruncate };
+  std::vector<int> mutations(static_cast<size_t>(1 + rng->UniformInt(4)));
+  for (int& m : mutations) m = rng->UniformInt(6);
+  // The rewrites keep every frame where `starts` says it is, so they go
+  // first.
+  std::sort(mutations.begin(), mutations.end());
+  auto put = [&](size_t at, uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      stream[at + static_cast<size_t>(i)] =
+          static_cast<char>((v >> (8 * i)) & 0xff);
+    }
+  };
+  for (int m : mutations) {
+    const size_t frame = starts[rng->Uniform(starts.size())];
+    switch (m) {
+      case kLength: {
+        const uint64_t lengths[] = {0,
+                                    1,
+                                    12,
+                                    uint64_t{64} << 20,
+                                    kMaxFrameBytes,
+                                    uint64_t{kMaxFrameBytes} + 1,
+                                    0xffffffff,
+                                    rng->Next() & 0xffffffff};
+        put(frame, lengths[rng->Uniform(std::size(lengths))], 4);
+        break;
+      }
+      case kDeadline: {
+        const int64_t deadlines[] = {std::numeric_limits<int64_t>::min(),
+                                     std::numeric_limits<int64_t>::max(),
+                                     -1,
+                                     0,
+                                     int64_t{1} << 50,
+                                     -(int64_t{1} << 50),
+                                     static_cast<int64_t>(rng->Next())};
+        put(frame + 5,
+            static_cast<uint64_t>(deadlines[rng->Uniform(std::size(deadlines))]),
+            8);
+        break;
+      }
+      case kFlip:
+        if (!stream.empty()) {
+          stream[rng->Uniform(stream.size())] ^=
+              static_cast<char>(1 + rng->UniformInt(255));
+        }
+        break;
+      case kInsert:
+        stream.insert(stream.begin() + static_cast<std::ptrdiff_t>(
+                                           rng->Uniform(stream.size() + 1)),
+                      static_cast<char>(rng->UniformInt(256)));
+        break;
+      case kDelete:
+        if (!stream.empty()) {
+          stream.erase(rng->Uniform(stream.size()), 1);
+        }
+        break;
+      default:
+        if (!stream.empty()) stream.resize(rng->Uniform(stream.size()));
+        break;
+    }
+  }
+  return stream;
+}
+
+// Serve gets each mutated stream on this thread, then EOF. It must
+// return, and every frame it wrote must decode: one response per request
+// it read, a parse error for the frame it could not decode. At the end no
+// snapshot is pinned, and each answered update, no more, made an epoch.
+TEST(ServerWireTest, MutatedRequestStreamsLeaveNoPins) {
+  Engine engine;
+  Result<Program> program = engine.Parse(kTcProgram);
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  Instance base(&engine.catalog());
+  ASSERT_TRUE(engine.AddFacts("e1(0, 1). e1(1, 2). e1(2, 3).", &base).ok());
+  auto server = Server::Create(*program, &engine.catalog(), &engine.symbols(),
+                               base, ServerOptions{});
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  (*server)->Start();
+
+  Rng rng(20261020);
+  int64_t ok_updates = 0;
+  for (int n = 0; n < 2000; ++n) {
+    CountingChannel channel;
+    channel.input = MutatedRequestStream(&rng);
+
+    // What Serve reads: the decodable requests up to the first frame it
+    // cannot read or decode, or a kClose. -1 stands for the undecodable
+    // frame Serve answers before it stops.
+    std::vector<int> answered;
+    CountingChannel replay;
+    replay.input = channel.input;
+    std::string payload;
+    while (ReadFrame(&replay, &payload)) {
+      Request request;
+      if (!DecodeRequest(payload, &request)) {
+        answered.push_back(-1);
+        break;
+      }
+      if (request.kind == Request::Kind::kClose) break;
+      answered.push_back(static_cast<int>(request.kind));
+    }
+
+    (*server)->Serve(&channel);
+
+    SCOPED_TRACE("stream " + std::to_string(n));
+    CountingChannel written;
+    written.input = channel.written;
+    size_t responses = 0;
+    while (ReadFrame(&written, &payload)) {
+      Response response;
+      ASSERT_TRUE(DecodeResponse(payload, &response));
+      ASSERT_LT(responses, answered.size());
+      const int kind = answered[responses++];
+      if (kind == -1) {
+        EXPECT_EQ(response.status, StatusCode::kParseError);
+      } else if (kind == static_cast<int>(Request::Kind::kUpdate) &&
+                 response.status == StatusCode::kOk) {
+        ++ok_updates;
+      }
+    }
+    EXPECT_EQ(responses, answered.size());
+    EXPECT_EQ(channel.writes, static_cast<int>(answered.size()));
+  }
+  (*server)->Stop();
+
+  const SnapshotRegistry& registry = (*server)->snapshots();
+  EXPECT_EQ(registry.pinned(), 0);
+  EXPECT_EQ(registry.counters().pins, registry.counters().unpins);
+  EXPECT_EQ((*server)->epoch(), ok_updates);
+  EXPECT_GT(ok_updates, 0);
 }
 
 TEST_F(ServerThreadedTest, ServesOverLocalhostSockets) {

@@ -164,19 +164,7 @@ std::vector<int64_t> Scalars(const EvalStats& s) {
           s.index_builds,
           s.index_rebuilds,
           s.index_appended,
-          s.index_removed,
-          s.index_bitmap_hits,
-          s.index_bitmap_builds,
-          s.index_bitmap_rebuilds,
-          s.index_bitmap_appended,
-          s.index_bitmap_removed,
-          s.storage_builds,
-          s.storage_rebuilds,
-          s.storage_run_appends,
-          s.storage_rows_appended,
-          s.storage_rows_removed,
-          s.storage_compactions,
-          s.storage_hits};
+          s.index_removed};
 }
 
 // The pooled candidate fan-out folds each candidate's stats with the same

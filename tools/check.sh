@@ -47,18 +47,11 @@ run_suite() {
 
 # Fixed-seed differential fuzzing sweep (docs/testing.md): all oracle
 # pairs + metamorphic mutants over 200 cases; any disagreement fails.
-# Runs once on the default (hash) backend and once with every pair
-# evaluating on the columnar backend (docs/storage.md) — pair #8 diffs
-# the backends either way, the sweep-wide flag puts the *other* pairs'
-# engines on columnar storage too.
 fuzz_smoke() {
   local build_dir="$1"
   echo "==> fuzz-smoke ${build_dir}"
   "${build_dir}/tools/unchained_fuzz" --cases=200 --seed=1 --quiet \
     --artifacts="${build_dir}/fuzz-artifacts"
-  echo "==> fuzz-smoke ${build_dir} (columnar)"
-  "${build_dir}/tools/unchained_fuzz" --cases=200 --seed=1 --quiet \
-    --storage=columnar --artifacts="${build_dir}/fuzz-artifacts"
 }
 
 # Incremental-maintenance smoke (docs/incremental.md): a focused
@@ -71,10 +64,6 @@ incremental_smoke() {
   echo "==> incremental-smoke ${build_dir}"
   "${build_dir}/tools/unchained_fuzz" --cases=400 --seed=11 --quiet \
     --mutants=0 --pairs=incremental-vs-scratch \
-    --artifacts="${build_dir}/fuzz-artifacts-incremental"
-  echo "==> incremental-smoke ${build_dir} (columnar)"
-  "${build_dir}/tools/unchained_fuzz" --cases=400 --seed=11 --quiet \
-    --mutants=0 --pairs=incremental-vs-scratch --storage=columnar \
     --artifacts="${build_dir}/fuzz-artifacts-incremental"
 }
 
@@ -93,37 +82,28 @@ bench_incremental() {
 # Server smoke (docs/server.md): a focused server-vs-library sweep
 # (oracle pair #10) — published snapshot bytes per epoch vs a sequential
 # IncrementalView replay, per-session epoch monotonicity, reclamation
-# quiescence — on both storage backends. Runs in the plain and ASan
-# lanes; the threaded server suites run under TSan via run_suite's
-# filter.
+# quiescence. Runs in the plain and ASan lanes; the threaded server
+# suites run under TSan via run_suite's filter.
 server_smoke() {
   local build_dir="$1"
   echo "==> server-smoke ${build_dir}"
   "${build_dir}/tools/unchained_fuzz" --cases=400 --seed=11 --quiet \
     --mutants=0 --pairs=server-vs-library \
     --artifacts="${build_dir}/fuzz-artifacts-server"
-  echo "==> server-smoke ${build_dir} (columnar)"
-  "${build_dir}/tools/unchained_fuzz" --cases=400 --seed=11 --quiet \
-    --mutants=0 --pairs=server-vs-library --storage=columnar \
-    --artifacts="${build_dir}/fuzz-artifacts-server"
 }
 
 # Durability smoke (docs/durability.md): a focused crash-recover-vs-replay
 # sweep (oracle pair #11) — every generated case carries a seeded crash
 # schedule, and recovery must land in the bounded-loss window with bytes
-# identical to a sequential replay of the surviving commit prefix — on
-# both storage backends, plus the fsync-policy bench (its rows self-check
-# a fresh-engine recovery) and the real kill -9 smoke, run from a scratch
-# CWD so the WAL paths stay CWD-independent.
+# identical to a sequential replay of the surviving commit prefix — plus
+# the fsync-policy bench (its rows self-check a fresh-engine recovery)
+# and the real kill -9 smoke, run from a scratch CWD so the WAL paths
+# stay CWD-independent.
 durability_smoke() {
   local build_dir="$1"
   echo "==> durability-smoke ${build_dir}"
   "${build_dir}/tools/unchained_fuzz" --cases=400 --seed=13 --quiet \
     --mutants=0 --pairs=crash-recover-vs-replay \
-    --artifacts="${build_dir}/fuzz-artifacts-durability"
-  echo "==> durability-smoke ${build_dir} (columnar)"
-  "${build_dir}/tools/unchained_fuzz" --cases=400 --seed=13 --quiet \
-    --mutants=0 --pairs=crash-recover-vs-replay --storage=columnar \
     --artifacts="${build_dir}/fuzz-artifacts-durability"
 }
 
@@ -223,9 +203,8 @@ if [[ "${tsan}" -eq 1 ]]; then
   # Peers/Dist/Fault/Deadline/Cancel covers the fault-tolerant peer runs
   # and the deadline/cancellation checks before every stable-model
   # candidate, made from every ParallelChunks worker;
-  # Columnar/Storage/Bitmap/RowSet/HashVsColumnar covers the columnar
-  # storage backend (docs/storage.md) — in particular that staged rows
-  # are materialized before the stable-model workers share an instance;
+  # RowSet covers the flat row sets of incremental maintenance
+  # (docs/storage.md);
   # Incremental/Retract/Dred/Counting covers IncrementalView maintenance
   # and the erase-journal index replay (the IncrementalRandomSweep drives
   # its scratch reference engines at 1/2/8 threads);
@@ -234,7 +213,8 @@ if [[ "${tsan}" -eq 1 ]]; then
   # threads, reads served on 1/2/8 client threads and on connection pumps
   # while a caller publishes and Stop closes the pumps and drains the
   # queue, MVCC snapshot pin/unpin reclamation, the gather-write framing
-  # over sockets and the in-process pair, and the wire/session parsers;
+  # over sockets and the in-process pair, the wire/session parsers, and
+  # mutated request streams fed through Serve;
   # Wal/Snapshotter/Recover/Durab covers the durability layer
   # (docs/durability.md) — the WAL appends and compaction made by
   # whichever caller holds the writer role, against concurrent readers
@@ -244,7 +224,7 @@ if [[ "${tsan}" -eq 1 ]]; then
   # match states, recycled through per-thread free lists, which the
   # stable-model workers run concurrently over one shared input instance.
   run_suite "${repo}/build-tsan" \
-    "--tests-regex=Tuple|Matcher|Parallel|Datalog|Stratified|WellFounded|Inflationary|NonInflationary|Stable|Engine|SemiNaive|Naive|RandomProgram|Trace|Obs|Metrics|Tracer|Peer|Dist|Deadline|Cancel|Fault|Snapshot|Columnar|Storage|ColumnStore|Bitmap|RowSet|RelationStaging|Incremental|Retract|Dred|Counting|Server|Session|Epoch|Reclaim|Wal|Snapshotter|Recover|Durab" \
+    "--tests-regex=Tuple|Matcher|Parallel|Datalog|Stratified|WellFounded|Inflationary|NonInflationary|Stable|Engine|SemiNaive|Naive|RandomProgram|Trace|Obs|Metrics|Tracer|Peer|Dist|Deadline|Cancel|Fault|Snapshot|RowSet|Incremental|Retract|Dred|Counting|Server|Session|Epoch|Reclaim|Wal|Snapshotter|Recover|Durab" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DUNCHAINED_TSAN=ON
   # The role hand-off between update callers is where a race would hide,
   # and one clean run of a racy interleaving proves little, so the

@@ -4,7 +4,6 @@
 //   unchained_cli --semantics=NAME --program=FILE [--facts=FILE]
 //                 [--seed=N] [--policy=POLICY] [--max-candidates=N]
 //                 [--threads=N] [--deadline-ms=N] [--trace=FILE] [--metrics]
-//                 [--storage=hash|columnar]
 //
 //   NAME:   datalog | naive | stratified | wellfounded | inflationary |
 //           noninflationary | invention | stable |
@@ -31,7 +30,6 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "ra/storage/storage.h"
 #include "while/while_parser.h"
 
 namespace {
@@ -52,8 +50,6 @@ struct Args {
   /// Wall-clock budget for one evaluation (0 = none). An exhausted run
   /// exits nonzero but still reports the finalized stats it got to.
   int64_t deadline_ms = 0;
-  /// Storage backend for semi-naive delta rounds (docs/storage.md).
-  std::string storage;
   /// A ground fact ("t(a, c).") whose derivation tree to print after a
   /// datalog / stratified / inflationary evaluation.
   std::string explain;
@@ -107,7 +103,6 @@ int Usage() {
       "undefined]\n"
       "                     [--explain=\"fact(a, b)\"] [--threads=N]\n"
       "                     [--deadline-ms=N] [--trace=FILE] [--metrics]\n"
-      "                     [--storage=hash|columnar]\n"
       "  NAME: datalog | naive | stratified | wellfounded | inflationary |\n"
       "        noninflationary | invention | stable | nondet-run |\n"
       "        nondet-enum | poss-cert\n"
@@ -172,7 +167,6 @@ int main(int argc, char** argv) {
       continue;
     }
     if (ParseArg(argv[i], "trace", &args.trace_path)) continue;
-    if (ParseArg(argv[i], "storage", &args.storage)) continue;
     if (std::strcmp(argv[i], "--metrics") == 0) {
       args.metrics = true;
       continue;
@@ -201,13 +195,6 @@ int main(int argc, char** argv) {
   Engine engine;
   if (args.threads >= 0) engine.options().num_threads = args.threads;
   if (args.deadline_ms > 0) engine.options().deadline_ms = args.deadline_ms;
-  if (!args.storage.empty() &&
-      !datalog::storage::StorageBackendFromName(args.storage,
-                                                &engine.options().storage)) {
-    std::fprintf(stderr, "unknown storage backend '%s'\n",
-                 args.storage.c_str());
-    return Usage();
-  }
 
   // The while/fixpoint languages use their own surface syntax; everything
   // else goes through the Datalog-family parser.

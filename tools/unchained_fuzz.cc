@@ -5,14 +5,13 @@
 //                  [--pairs=a,b,...] [--mutants=N] [--artifacts=DIR]
 //                  [--no-shrink] [--inject-bug=NAME[:RULE]] [--quiet]
 //                  [--deadline-ms=N] [--trace=FILE] [--metrics]
-//                  [--storage=hash|columnar]
 //
 //   classes: positive | semi-positive | stratified | total
 //   pairs:   naive-vs-seminaive | magic-vs-original | inflationary-vs-while
 //            | wellfounded-vs-stratified | sequential-vs-parallel
 //            | trace-on-vs-trace-off | reliable-vs-faulty-peers
-//            | hash-vs-columnar | incremental-vs-scratch
-//            | server-vs-library | crash-recover-vs-replay
+//            | incremental-vs-scratch | server-vs-library
+//            | crash-recover-vs-replay
 //   bugs:    seminaive-skip-delta (optional :RULE index, default 1)
 //            dred-skip-rederive (incremental maintenance drops the
 //            delete-rederive pass; caught by incremental-vs-scratch)
@@ -22,9 +21,6 @@
 //            store-skip-truncate (crash recovery leaves the torn WAL
 //            tail in place instead of truncating it; caught by
 //            crash-recover-vs-replay)
-//
-// --storage selects the data plane every pair's engines evaluate with
-// (docs/storage.md); hash-vs-columnar always diffs both regardless.
 //
 // --trace writes a Chrome trace-event JSON of the whole sweep (load it in
 // Perfetto); --metrics prints the metrics-registry dump after the sweep.
@@ -47,7 +43,6 @@
 
 #include "eval/test_hooks.h"
 #include "obs/export.h"
-#include "ra/storage/storage.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "testing/fuzzer.h"
@@ -89,7 +84,7 @@ int Usage() {
       "                                   |server-publish-stale\n"
       "                                   |store-skip-truncate]\n"
       "                      [--quiet] [--deadline-ms=N] [--trace=FILE]\n"
-      "                      [--metrics] [--storage=hash|columnar]\n");
+      "                      [--metrics]\n");
   return 2;
 }
 
@@ -148,12 +143,6 @@ int main(int argc, char** argv) {
         datalog::internal::g_store_skip_truncate = true;
       } else {
         std::fprintf(stderr, "unknown bug: %s\n", name.c_str());
-        return Usage();
-      }
-    } else if (ParseArg(arg, "storage", &value)) {
-      if (!datalog::storage::StorageBackendFromName(value,
-                                                    &options.oracle.storage)) {
-        std::fprintf(stderr, "unknown storage backend: %s\n", value.c_str());
         return Usage();
       }
     } else if (ParseArg(arg, "deadline-ms", &value)) {
