@@ -192,9 +192,14 @@ Result<std::unique_ptr<SocketListener>> SocketListener::Listen(int port) {
 SocketListener::~SocketListener() { Close(); }
 
 std::unique_ptr<ByteChannel> SocketListener::Accept() {
-  const int fd = fd_.load(std::memory_order_acquire);
-  if (fd < 0) return nullptr;
-  const int client = ::accept(fd, nullptr, nullptr);
+  int client = -1;
+  // A signal, or a client that reset its connection before it was
+  // accepted, fails one accept call without ending the listener.
+  do {
+    const int fd = fd_.load(std::memory_order_acquire);
+    if (fd < 0) return nullptr;
+    client = ::accept(fd, nullptr, nullptr);
+  } while (client < 0 && (errno == EINTR || errno == ECONNABORTED));
   if (client < 0) return nullptr;
   int one = 1;
   ::setsockopt(client, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));

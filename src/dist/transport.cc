@@ -1,7 +1,10 @@
 #include "dist/transport.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
+#include <system_error>
 
 #include "obs/trace.h"
 
@@ -29,20 +32,21 @@ std::vector<std::string> Split(const std::string& s, char sep) {
   return parts;
 }
 
+/// A finite number: strtod also reads "nan" and "inf", which every range
+/// check lets through.
 bool ParseDouble(const std::string& s, double* out) {
   if (s.empty()) return false;
   char* end = nullptr;
   *out = std::strtod(s.c_str(), &end);
-  return end == s.c_str() + s.size();
+  return end == s.c_str() + s.size() && std::isfinite(*out);
 }
 
+/// A decimal that fits in an int: from_chars refuses one out of range
+/// instead of wrapping it.
 bool ParseInt(const std::string& s, int* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  long v = std::strtol(s.c_str(), &end, 10);
-  if (end != s.c_str() + s.size()) return false;
-  *out = static_cast<int>(v);
-  return true;
+  const char* end = s.data() + s.size();
+  const auto [stop, error] = std::from_chars(s.data(), end, *out);
+  return error == std::errc() && stop == end;
 }
 
 Status BadSpec(const std::string& token, const std::string& why) {

@@ -102,7 +102,8 @@ struct CrashSchedule {
 };
 
 /// A fault schedule and a crash schedule parsed from one spec string, the
-/// `--faults=` syntax of the CLI and the declarative-networking example.
+/// `--faults=` syntax of the declarative-networking example (the
+/// peer_faults bench parses its fixed schedules with it too).
 struct FaultSpec {
   FaultSchedule faults;
   CrashSchedule crashes;
@@ -113,7 +114,9 @@ struct FaultSpec {
 ///    backoff=8,partition=2:5:0+1,crash=1:3:2"
 /// where partition=FROM:UNTIL:P+P+... isolates peers {P...} during rounds
 /// [FROM, UNTIL) and crash=PEER:ROUND:DOWN kills peer PEER at round ROUND
-/// for DOWN rounds. Multiple partition=/crash= entries accumulate.
+/// for DOWN rounds. Multiple partition=/crash= entries accumulate. A
+/// probability must be a finite number in [0, 1], and an integer must fit
+/// in an int.
 Result<FaultSpec> ParseFaultSpec(const std::string& spec);
 
 /// Deterministic transport counters, surfaced as `dist.*` metrics and via
@@ -342,7 +345,9 @@ class SocketListener {
   ~SocketListener();
 
   int port() const { return port_; }
-  /// Blocks for the next connection; nullptr once the listener is closed.
+  /// Blocks for the next connection; nullptr once the listener is closed
+  /// or accept fails for good. An accept interrupted by a signal, or
+  /// aborted by a client that reset first, is retried.
   std::unique_ptr<ByteChannel> Accept();
   /// Unblocks pending and future Accepts. Safe from another thread.
   void Close();

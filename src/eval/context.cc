@@ -1,6 +1,8 @@
 #include "eval/context.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <iterator>
 #include <set>
 
 #include "obs/metrics.h"
@@ -36,15 +38,13 @@ EvalMetrics& Metrics() {
 
 }  // namespace
 
-EvalContext::EvalContext() : start_(Clock::now()) {}
+EvalContext::EvalContext() : start_(Clock::now()), deadline_start_(start_) {}
 
 EvalContext::EvalContext(const EvalOptions& opts)
-    : options(opts), provenance(opts.provenance), start_(Clock::now()) {
-  if (opts.deadline_ms > 0) {
-    has_deadline_ = true;
-    deadline_ = start_ + std::chrono::milliseconds(opts.deadline_ms);
-  }
-}
+    : options(opts),
+      provenance(opts.provenance),
+      start_(Clock::now()),
+      deadline_start_(start_) {}
 
 EvalContext::~EvalContext() { PublishMetrics(); }
 
@@ -108,13 +108,13 @@ void AdomCache::MergeValues(std::vector<Value>* fresh) {
   if (fresh->empty()) return;
   std::sort(fresh->begin(), fresh->end());
   fresh->erase(std::unique(fresh->begin(), fresh->end()), fresh->end());
-  const size_t old_size = adom_.size();
+  const std::ptrdiff_t old_size = std::ssize(adom_);
   for (Value v : *fresh) {
     if (!std::binary_search(adom_.begin(), adom_.begin() + old_size, v)) {
       adom_.push_back(v);
     }
   }
-  if (adom_.size() != old_size) {
+  if (std::ssize(adom_) != old_size) {
     std::inplace_merge(adom_.begin(), adom_.begin() + old_size, adom_.end());
   }
 }

@@ -93,7 +93,13 @@ class EvalContext {
     if (options.cancel != nullptr && options.cancel->cancelled()) {
       return Status::Cancelled("evaluation cancelled via CancelToken");
     }
-    if (has_deadline_ && Clock::now() >= deadline_) {
+    // Compared in whole milliseconds since the budget started: adding
+    // deadline_ms to a nanosecond time point would overflow for
+    // deadline_ms beyond ~9.2e12.
+    if (options.deadline_ms > 0 &&
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            Clock::now() - deadline_start_)
+                .count() >= options.deadline_ms) {
       return Status::BudgetExhausted(
           "deadline of " + std::to_string(options.deadline_ms) +
           " ms exceeded");
@@ -101,12 +107,12 @@ class EvalContext {
     return Status::OK();
   }
 
-  /// Adopts `parent`'s absolute deadline and cancel token, so a
-  /// sub-evaluation (e.g. one stable-model candidate check) cannot outlive
-  /// the budget of the run that spawned it.
+  /// Adopts `parent`'s deadline, measured from when the parent's budget
+  /// started, and its cancel token, so a sub-evaluation (e.g. one
+  /// stable-model candidate check) cannot outlive the budget of the run
+  /// that spawned it.
   void InheritDeadline(const EvalContext& parent) {
-    has_deadline_ = parent.has_deadline_;
-    deadline_ = parent.deadline_;
+    deadline_start_ = parent.deadline_start_;
     options.deadline_ms = parent.options.deadline_ms;
     options.cancel = parent.options.cancel;
   }
@@ -144,10 +150,9 @@ class EvalContext {
 
   Clock::time_point start_;
   Clock::time_point round_start_{};
-  /// Absolute deadline derived from options.deadline_ms at construction
-  /// (or inherited); only meaningful when has_deadline_ is set.
-  Clock::time_point deadline_{};
-  bool has_deadline_ = false;
+  /// Where options.deadline_ms is measured from: construction, or the
+  /// parent's start once inherited.
+  Clock::time_point deadline_start_;
   /// Counter values already folded into `stats` by Finalize.
   IndexManager::Counters folded_index_;
 };

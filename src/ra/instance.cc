@@ -5,6 +5,9 @@
 #include <cstring>
 #include <map>
 #include <mutex>
+#include <string_view>
+
+#include "base/coding.h"
 
 namespace datalog {
 
@@ -148,33 +151,10 @@ constexpr size_t kChunkHeaderBytes = 3 * kWordBytes;
 /// Snapshot format tag; bump when the layout changes.
 constexpr uint32_t kSnapshotMagic = 0x31534455;  // "UDS1"
 
-void PutU32(char* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  }
-}
-
-uint32_t GetU32(const char* in) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<unsigned char>(in[i])) << (8 * i);
-  }
-  return v;
-}
-
-bool ReadU32(const std::string& in, size_t* pos, uint32_t* v) {
-  if (in.size() - *pos < kWordBytes) return false;
-  *v = GetU32(in.data() + *pos);
-  *pos += kWordBytes;
-  return true;
-}
-
 /// The `u32 magic | u32 #relations` snapshot header.
 void AppendSnapshotHeader(uint32_t relations, std::string* out) {
-  char header[2 * kWordBytes];
-  PutU32(header, kSnapshotMagic);
-  PutU32(header + kWordBytes, relations);
-  out->append(header, sizeof(header));
+  PutU32(out, kSnapshotMagic);
+  PutU32(out, relations);
 }
 
 size_t ChunkBytes(int arity, size_t count) {
@@ -183,16 +163,16 @@ size_t ChunkBytes(int arity, size_t count) {
 
 /// Writes a chunk header at `out`; returns where its rows start.
 char* PutChunkHeader(char* out, PredId p, int arity, size_t count) {
-  PutU32(out, static_cast<uint32_t>(p));
-  PutU32(out + kWordBytes, static_cast<uint32_t>(arity));
-  PutU32(out + 2 * kWordBytes, static_cast<uint32_t>(count));
+  StoreU32(out, static_cast<uint32_t>(p));
+  StoreU32(out + kWordBytes, static_cast<uint32_t>(arity));
+  StoreU32(out + 2 * kWordBytes, static_cast<uint32_t>(count));
   return out + kChunkHeaderBytes;
 }
 
 /// Writes one row of `arity` values at `out`; returns the end of the row.
 char* PutRow(const Value* row, size_t arity, char* out) {
   for (size_t c = 0; c < arity; ++c) {
-    PutU32(out, static_cast<uint32_t>(row[c]));
+    StoreU32(out, static_cast<uint32_t>(row[c]));
     out += kWordBytes;
   }
   return out;
@@ -202,7 +182,7 @@ char* PutRow(const Value* row, size_t arity, char* out) {
 /// `t` in Tuple order (signed, lexicographic).
 bool RowLess(const char* row, const Value* t, size_t arity) {
   for (size_t c = 0; c < arity; ++c) {
-    const Value r = static_cast<Value>(GetU32(row));
+    const Value r = static_cast<Value>(LoadU32(row));
     if (r != t[c]) return r < t[c];
     row += kWordBytes;
   }
@@ -258,7 +238,7 @@ SnapshotChunk MergeChunk(PredId p, int arity, const std::string* old,
   const std::vector<const Value*> ins = SortedRows(added);
   const std::vector<const Value*> del = SortedRows(removed);
   const size_t old_count =
-      old != nullptr ? GetU32(old->data() + 2 * kWordBytes) : 0;
+      old != nullptr ? LoadU32(old->data() + 2 * kWordBytes) : 0;
   assert(del.size() <= old_count);
   const size_t count = old_count + ins.size() - del.size();
   if (count == 0) return nullptr;
@@ -384,19 +364,17 @@ Status Instance::RestoreSnapshot(const std::string& snapshot) {
   // leaves the instance empty, never half-restored.
   relations_.clear();
   std::unordered_map<PredId, Relation> restored;
-  size_t pos = 0;
+  ByteReader r(snapshot);
   uint32_t magic = 0;
   uint32_t num_preds = 0;
-  if (!ReadU32(snapshot, &pos, &magic) || magic != kSnapshotMagic ||
-      !ReadU32(snapshot, &pos, &num_preds)) {
+  if (!r.U32(&magic) || magic != kSnapshotMagic || !r.U32(&num_preds)) {
     return Status::Internal("instance snapshot: bad header");
   }
   for (uint32_t i = 0; i < num_preds; ++i) {
     uint32_t pred = 0;
     uint32_t arity = 0;
     uint32_t count = 0;
-    if (!ReadU32(snapshot, &pos, &pred) || !ReadU32(snapshot, &pos, &arity) ||
-        !ReadU32(snapshot, &pos, &count)) {
+    if (!r.U32(&pred) || !r.U32(&arity) || !r.U32(&count)) {
       return Status::Internal("instance snapshot: truncated relation header");
     }
     const PredId p = static_cast<PredId>(pred);
@@ -405,21 +383,29 @@ Status Instance::RestoreSnapshot(const std::string& snapshot) {
       return Status::Internal(
           "instance snapshot: predicate/arity mismatch with catalog");
     }
+    // A 0-ary relation holds at most the empty tuple; a larger count
+    // would cost one insert per claimed row and read no bytes.
+    if (arity == 0 && count > 1) {
+      return Status::Internal("instance snapshot: repeated 0-ary row");
+    }
+    const size_t width = static_cast<size_t>(arity);
+    std::string_view rows;
+    if (!r.Bytes(size_t{count} * width * kWordBytes, &rows)) {
+      return Status::Internal("instance snapshot: truncated tuple data");
+    }
     Relation& rel =
         restored.try_emplace(p, static_cast<int>(arity)).first->second;
+    const char* word = rows.data();
     for (uint32_t k = 0; k < count; ++k) {
-      Tuple t(arity);
-      for (uint32_t c = 0; c < arity; ++c) {
-        uint32_t v = 0;
-        if (!ReadU32(snapshot, &pos, &v)) {
-          return Status::Internal("instance snapshot: truncated tuple data");
-        }
-        t[c] = static_cast<Value>(v);
+      Tuple t(width);
+      for (size_t c = 0; c < width; ++c) {
+        t[c] = static_cast<Value>(LoadU32(word));
+        word += kWordBytes;
       }
       rel.Insert(std::move(t));
     }
   }
-  if (pos != snapshot.size()) {
+  if (!r.done()) {
     return Status::Internal("instance snapshot: trailing bytes");
   }
   relations_ = std::move(restored);

@@ -275,11 +275,12 @@ Response Server::Commit(std::vector<FactUpdate> batch,
   return response;
 }
 
-bool Server::UpdateOutcome(int64_t ticket, Response* response) const {
+bool Server::UpdateOutcome(int64_t ticket, Response* response) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = tickets_.find(ticket);
   if (it == tickets_.end() || !it->second.done) return false;
-  *response = it->second.response;
+  *response = std::move(it->second.response);
+  tickets_.erase(it);
   return true;
 }
 
@@ -378,14 +379,13 @@ void Server::Stop() {
   // holding the writer role: a pump inside Call finishes its update (the
   // role passes from caller to caller), a read in flight finishes on its
   // pump, and post-stop Calls are refused.
-  for (const std::unique_ptr<ByteChannel>& channel : conn_channels_) {
-    channel->Close();
+  for (const std::unique_ptr<Connection>& conn : connections_) {
+    conn->channel->Close();
   }
-  for (std::thread& t : conn_threads_) {
-    if (t.joinable()) t.join();
+  for (const std::unique_ptr<Connection>& conn : connections_) {
+    conn->pump.join();
   }
-  conn_threads_.clear();
-  conn_channels_.clear();
+  connections_.clear();
   // Batches queued through SubmitUpdate have no Call to apply them. Take
   // the role once no caller holds it and drain the queue, so every
   // accepted ticket settles.
@@ -462,11 +462,18 @@ void Server::ServeListener(SocketListener* listener) {
     std::unique_ptr<ByteChannel> channel = listener->Accept();
     if (channel == nullptr) return;
     std::lock_guard<std::mutex> lock(threads_mu_);
-    // The server keeps ownership so Stop can Close (unblock) the pump;
-    // the channel is freed with the containers at Stop.
-    ByteChannel* raw = channel.get();
-    conn_channels_.push_back(std::move(channel));
-    conn_threads_.emplace_back([this, raw] { Serve(raw); });
+    std::erase_if(connections_, [](const std::unique_ptr<Connection>& conn) {
+      if (!conn->finished.load(std::memory_order_acquire)) return false;
+      conn->pump.join();
+      return true;
+    });
+    Connection* conn =
+        connections_.emplace_back(std::make_unique<Connection>()).get();
+    conn->channel = std::move(channel);
+    conn->pump = std::thread([this, conn] {
+      Serve(conn->channel.get());
+      conn->finished.store(true, std::memory_order_release);
+    });
   }
 }
 

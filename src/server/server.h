@@ -111,8 +111,10 @@ class Server {
   bool ApplyOneQueued();
 
   /// True once `ticket`'s batch was applied (or rejected); fills the
-  /// update's response (epoch created, or the rejection status).
-  bool UpdateOutcome(int64_t ticket, Response* response) const;
+  /// update's response (epoch created, or the rejection status) and
+  /// consumes the ticket, as an update Call does, so a settled ticket is
+  /// reported once and a second call returns false.
+  bool UpdateOutcome(int64_t ticket, Response* response);
 
   int64_t pending_updates() const;
 
@@ -154,8 +156,10 @@ class Server {
   void Serve(ByteChannel* channel);
 
   /// Accept loop: one connection-pump thread per accepted channel.
-  /// Returns when the listener is closed; the pump threads are joined by
-  /// Stop().
+  /// Each accept first joins and frees the pumps whose connection ended,
+  /// closing their sockets, so the server holds only the connections
+  /// still open plus those that ended since the last accept. Returns when
+  /// the listener is closed; the live pump threads are joined by Stop().
   void ServeListener(SocketListener* listener);
 
   // -- Introspection ----------------------------------------------------
@@ -213,6 +217,14 @@ class Server {
     /// The batch's WAL record body when a store is open, formatted at
     /// submission under mu_ (the SymbolTable's lock).
     std::string wal_tokens;
+  };
+  /// One accepted connection and the thread pumping it.
+  struct Connection {
+    /// Owned here so Stop can Close it to unblock the pump.
+    std::unique_ptr<ByteChannel> channel;
+    /// The pump's last act; the next accept then joins and frees it.
+    std::atomic<bool> finished{false};
+    std::thread pump;
   };
   struct TicketState {
     bool done = false;
@@ -272,15 +284,12 @@ class Server {
   /// Notified when the role is left with the queue empty; Stop waits here.
   std::condition_variable role_free_;
 
-  std::mutex threads_mu_;  // guards the thread containers + started_
+  std::mutex threads_mu_;  // guards connections_ + started_
   bool started_ = false;
   /// Written under mu_, so Stop and SubmitUpdate see it in step with the
   /// queue; a read loads it without taking a lock.
   std::atomic<bool> stopping_{false};
-  std::vector<std::thread> conn_threads_;
-  /// Accepted connections, owned here so Stop can Close them to unblock
-  /// their pump threads.
-  std::vector<std::unique_ptr<ByteChannel>> conn_channels_;
+  std::vector<std::unique_ptr<Connection>> connections_;
 };
 
 }  // namespace server

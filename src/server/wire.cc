@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <string_view>
 
+#include "base/coding.h"
 #include "dist/transport.h"
 
 namespace datalog {
@@ -15,64 +16,6 @@ namespace {
 /// so the memory a frame holds follows the bytes that arrived, not the
 /// length its header announces.
 constexpr size_t kFrameReadStep = size_t{1} << 20;
-
-void PutU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutI64(std::string* out, int64_t v) {
-  const uint64_t u = static_cast<uint64_t>(v);
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((u >> (8 * i)) & 0xff));
-  }
-}
-
-/// Bounded little-endian reader over a payload string.
-struct Reader {
-  const std::string& data;
-  size_t pos = 0;
-
-  bool U8(uint8_t* v) {
-    if (pos + 1 > data.size()) return false;
-    *v = static_cast<uint8_t>(data[pos++]);
-    return true;
-  }
-  bool U32(uint32_t* v) {
-    if (pos + 4 > data.size()) return false;
-    uint32_t r = 0;
-    for (int i = 0; i < 4; ++i) {
-      r |= static_cast<uint32_t>(static_cast<uint8_t>(data[pos + static_cast<size_t>(i)]))
-           << (8 * i);
-    }
-    pos += 4;
-    *v = r;
-    return true;
-  }
-  bool I64(int64_t* v) {
-    if (pos + 8 > data.size()) return false;
-    uint64_t r = 0;
-    for (int i = 0; i < 8; ++i) {
-      r |= static_cast<uint64_t>(static_cast<uint8_t>(data[pos + static_cast<size_t>(i)]))
-           << (8 * i);
-    }
-    pos += 8;
-    *v = static_cast<int64_t>(r);
-    return true;
-  }
-  bool Bytes(uint32_t n, std::string* v) {
-    if (pos + n > data.size()) return false;
-    v->assign(data, pos, n);
-    pos += n;
-    return true;
-  }
-  bool Done() const { return pos == data.size(); }
-};
 
 /// A response payload's bytes before its body. 13 bytes, so the string
 /// stays in its inline buffer.
@@ -106,17 +49,18 @@ std::string EncodeRequest(const Request& request) {
 }
 
 bool DecodeRequest(const std::string& payload, Request* request) {
-  Reader r{payload};
+  ByteReader r(payload);
   uint8_t kind = 0;
   uint32_t text_len = 0;
+  std::string_view text;
   Request out;
-  if (!r.U8(&kind) || kind > static_cast<uint8_t>(Request::Kind::kClose)) {
+  if (!r.U8(&kind) || kind > static_cast<uint8_t>(Request::Kind::kClose) ||
+      !r.I64(&out.deadline_ms) || !r.U32(&text_len) ||
+      !r.Bytes(text_len, &text) || !r.done()) {
     return false;
   }
   out.kind = static_cast<Request::Kind>(kind);
-  if (!r.I64(&out.deadline_ms)) return false;
-  if (!r.U32(&text_len) || !r.Bytes(text_len, &out.text)) return false;
-  if (!r.Done()) return false;
+  out.text = text;
   *request = std::move(out);
   return true;
 }
@@ -126,15 +70,17 @@ std::string EncodeResponse(const Response& response) {
 }
 
 bool DecodeResponse(const std::string& payload, Response* response) {
-  Reader r{payload};
+  ByteReader r(payload);
   uint8_t status = 0;
   uint32_t body_len = 0;
+  std::string_view body;
   Response out;
-  if (!r.U8(&status)) return false;
+  if (!r.U8(&status) || !r.I64(&out.epoch) || !r.U32(&body_len) ||
+      !r.Bytes(body_len, &body) || !r.done()) {
+    return false;
+  }
   out.status = static_cast<StatusCode>(status);
-  if (!r.I64(&out.epoch)) return false;
-  if (!r.U32(&body_len) || !r.Bytes(body_len, &out.body)) return false;
-  if (!r.Done()) return false;
+  out.body = body;
   *response = std::move(out);
   return true;
 }
@@ -149,13 +95,12 @@ bool WriteResponse(ByteChannel* channel, const Response& response) {
 
 bool ReadFrame(ByteChannel* channel, std::string* payload) {
   char header[4];
-  if (!channel->Read(header, sizeof(header))) return false;
   uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) {
-    len |= static_cast<uint32_t>(static_cast<uint8_t>(header[i]))
-           << (8 * i);
+  if (!channel->Read(header, sizeof(header)) ||
+      !ByteReader({header, sizeof(header)}).U32(&len) ||
+      len > kMaxFrameBytes) {
+    return false;
   }
-  if (len > kMaxFrameBytes) return false;
   payload->clear();
   while (payload->size() < len) {
     const size_t have = payload->size();

@@ -15,31 +15,6 @@ int g_store_fail_pwrites = 0;
 
 namespace store {
 
-void PutU32(std::string* out, uint32_t v) {
-  out->push_back(static_cast<char>(v & 0xFFu));
-  out->push_back(static_cast<char>((v >> 8) & 0xFFu));
-  out->push_back(static_cast<char>((v >> 16) & 0xFFu));
-  out->push_back(static_cast<char>((v >> 24) & 0xFFu));
-}
-
-void PutI64(std::string* out, int64_t v) {
-  const uint64_t u = static_cast<uint64_t>(v);
-  PutU32(out, static_cast<uint32_t>(u & 0xFFFFFFFFu));
-  PutU32(out, static_cast<uint32_t>(u >> 32));
-}
-
-uint32_t GetU32(const unsigned char* p) {
-  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-         (static_cast<uint32_t>(p[2]) << 16) |
-         (static_cast<uint32_t>(p[3]) << 24);
-}
-
-int64_t GetI64(const unsigned char* p) {
-  const uint64_t lo = GetU32(p);
-  const uint64_t hi = GetU32(p + 4);
-  return static_cast<int64_t>(lo | (hi << 32));
-}
-
 Status PWriteAll(int fd, const char* data, size_t n, int64_t offset) {
   if (internal::g_store_fail_pwrites > 0) {
     --internal::g_store_fail_pwrites;
@@ -60,11 +35,14 @@ Status PWriteAll(int fd, const char* data, size_t n, int64_t offset) {
   return Status::OK();
 }
 
-Result<std::string> ReadFileBytes(const std::string& path) {
+Result<std::string> ReadFileBytes(const std::string& path, bool* exists) {
+  *exists = false;
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
+    if (errno == ENOENT) return std::string();
     return Status::Internal("open " + path + ": " + ::strerror(errno));
   }
+  *exists = true;
   std::string data;
   char buf[1 << 16];
   for (;;) {

@@ -1,10 +1,10 @@
 #ifndef UNCHAINED_STORE_IO_H_
 #define UNCHAINED_STORE_IO_H_
 
-// Byte-level plumbing shared by the WAL and the snapshotter: fixed
-// little-endian integer coding (the on-disk format is
-// architecture-independent) and short-read/short-write/EINTR-safe POSIX
-// wrappers. Nothing here knows about records or crash points.
+// File plumbing shared by the WAL and the snapshotter: short-read,
+// short-write and EINTR-safe POSIX wrappers. The integer coding of both
+// file formats lives in base/coding.h. Nothing here knows about records
+// or crash points.
 
 #include <cstdint>
 #include <string>
@@ -15,21 +15,15 @@
 namespace datalog {
 namespace store {
 
-void PutU32(std::string* out, uint32_t v);
-void PutI64(std::string* out, int64_t v);
-uint32_t GetU32(const unsigned char* p);
-int64_t GetI64(const unsigned char* p);
-
 /// Writes all `n` bytes at `offset`, looping over short writes and EINTR.
 Status PWriteAll(int fd, const char* data, size_t n, int64_t offset);
 
-/// Reads the whole file into a string. ENOENT is an error here — callers
-/// that tolerate a missing file check existence through their own scan.
-Result<std::string> ReadFileBytes(const std::string& path);
+/// Reads the whole file into a string. A missing file is no error: it
+/// reads as empty and sets `*exists` to false.
+Result<std::string> ReadFileBytes(const std::string& path, bool* exists);
 
 /// fsyncs the directory containing `path`, so a rename inside it is
-/// durable. No-op errors are surfaced; call only on real-durability
-/// paths (simulate_sync skips it).
+/// durable.
 Status SyncDirOf(const std::string& path);
 
 }  // namespace store

@@ -6,6 +6,9 @@
 #include <string.h>
 #include <unistd.h>
 
+#include <string_view>
+
+#include "base/coding.h"
 #include "store/io.h"
 #include "store/wal.h"
 
@@ -38,24 +41,21 @@ Status Snapshotter::Write(const SnapshotData& snap) {
   if (crashed_) {
     return Status::Internal("store crashed (snapshot refused)");
   }
-  std::string body;
-  body.reserve(kBodyHeaderBytes + snap.base_bytes.size());
-  PutI64(&body, snap.epoch);
-  PutI64(&body, snap.wal_offset);
-  PutU32(&body, static_cast<uint32_t>(snap.base_bytes.size()));
-  body += snap.base_bytes;
-  PutU32(&body, static_cast<uint32_t>(snap.symbols.size()));
-  for (const std::string& spelling : snap.symbols) {
-    PutU32(&body, static_cast<uint32_t>(spelling.size()));
-    body += spelling;
-  }
-
   std::string file;
-  file.reserve(kPreambleBytes + body.size() + 4);
+  file.reserve(kPreambleBytes + kBodyHeaderBytes + snap.base_bytes.size());
   PutU32(&file, kMagic);
   PutU32(&file, kVersion);
-  file += body;
-  PutU32(&file, Crc32(body.data(), body.size()));
+  PutI64(&file, snap.epoch);
+  PutI64(&file, snap.wal_offset);
+  PutU32(&file, static_cast<uint32_t>(snap.base_bytes.size()));
+  file += snap.base_bytes;
+  PutU32(&file, static_cast<uint32_t>(snap.symbols.size()));
+  for (const std::string& spelling : snap.symbols) {
+    PutU32(&file, static_cast<uint32_t>(spelling.size()));
+    file += spelling;
+  }
+  PutU32(&file, Crc32(file.data() + kPreambleBytes,
+                      file.size() - kPreambleBytes));
 
   const std::string tmp = SnapshotTmpPath(dir_);
   const std::string final_path = SnapshotPath(dir_);
@@ -75,7 +75,7 @@ Status Snapshotter::Write(const SnapshotData& snap) {
     crashed_ = true;
     return write_status;
   }
-  if (!options_.simulate_sync && ::fsync(fd) != 0) {
+  if (::fsync(fd) != 0) {
     const std::string err = ::strerror(errno);
     ::close(fd);
     crashed_ = true;
@@ -96,12 +96,10 @@ Status Snapshotter::Write(const SnapshotData& snap) {
     return Status::Internal("snapshot rename: " +
                             std::string(::strerror(errno)));
   }
-  if (!options_.simulate_sync) {
-    const Status dir_sync = SyncDirOf(final_path);
-    if (!dir_sync.ok()) {
-      crashed_ = true;
-      return dir_sync;
-    }
+  const Status dir_sync = SyncDirOf(final_path);
+  if (!dir_sync.ok()) {
+    crashed_ = true;
+    return dir_sync;
   }
   ++writes_;
   if (faults != nullptr && faults->Hit(CrashPoint::kSnapAfterRename)) {
@@ -118,71 +116,54 @@ Result<SnapshotData> LoadSnapshot(const std::string& dir, bool* found) {
   *found = false;
   SnapshotData snap;
   const std::string path = SnapshotPath(dir);
-  if (::access(path.c_str(), F_OK) != 0) return snap;
-  Result<std::string> file = ReadFileBytes(path);
+  bool exists = false;
+  Result<std::string> file = ReadFileBytes(path, &exists);
   if (!file.ok()) return file.status();
-  const std::string& data = *file;
-  if (data.size() < kPreambleBytes + kBodyHeaderBytes + 4) {
-    return Status::Internal("snapshot " + path + ": truncated header");
+  if (!exists) return snap;
+  const auto corrupt = [&path](const std::string& why) {
+    return Status::Internal("snapshot " + path + ": " + why);
+  };
+  ByteReader r(*file);
+  uint32_t magic = 0;
+  uint32_t version = 0;
+  if (!r.U32(&magic) || !r.U32(&version) ||
+      r.remaining() < kBodyHeaderBytes + 4) {
+    return corrupt("truncated header");
   }
-  const unsigned char* bytes =
-      reinterpret_cast<const unsigned char*>(data.data());
-  if (GetU32(bytes) != kMagic) {
-    return Status::Internal("snapshot " + path + ": bad magic");
+  if (magic != kMagic) return corrupt("bad magic");
+  if (version != kVersion) {
+    return corrupt("unsupported version " + std::to_string(version));
   }
-  if (GetU32(bytes + 4) != kVersion) {
-    return Status::Internal("snapshot " + path + ": unsupported version " +
-                            std::to_string(GetU32(bytes + 4)));
+  std::string_view body;
+  uint32_t stored_crc = 0;
+  if (!r.Bytes(r.remaining() - 4, &body) || !r.U32(&stored_crc) ||
+      Crc32(body.data(), body.size()) != stored_crc) {
+    return corrupt("crc mismatch");
   }
-  const unsigned char* body = bytes + kPreambleBytes;
-  const size_t body_size = data.size() - kPreambleBytes - 4;
-  const uint32_t stored_crc =
-      GetU32(bytes + data.size() - 4);
-  if (Crc32(body, body_size) != stored_crc) {
-    return Status::Internal("snapshot " + path + ": crc mismatch");
+
+  ByteReader b(body);
+  uint32_t base_len = 0;
+  std::string_view base;
+  if (!b.I64(&snap.epoch) || !b.I64(&snap.wal_offset) || !b.U32(&base_len) ||
+      !b.Bytes(base_len, &base)) {
+    return corrupt("length mismatch");
   }
-  snap.epoch = GetI64(body);
-  snap.wal_offset = GetI64(body + 8);
-  const uint32_t base_len = GetU32(body + 16);
-  // Added-form bounds check: `base_len > body_size - kBodyHeaderBytes - 4`
-  // underflows size_t for body_size in [20, 24) and would wave through a
-  // base_len that reads past the buffer.
-  if (static_cast<uint64_t>(base_len) + kBodyHeaderBytes + 4 >
-      static_cast<uint64_t>(body_size)) {
-    return Status::Internal("snapshot " + path + ": length mismatch");
-  }
-  snap.base_bytes.assign(
-      reinterpret_cast<const char*>(body + kBodyHeaderBytes), base_len);
-  size_t pos = kBodyHeaderBytes + base_len;
-  const auto remaining = [&] { return body_size - pos; };
-  if (remaining() < 4) {
-    return Status::Internal("snapshot " + path + ": missing symbol table");
-  }
-  const uint32_t sym_count = GetU32(body + pos);
-  pos += 4;
+  snap.base_bytes = base;
+  uint32_t sym_count = 0;
+  if (!b.U32(&sym_count)) return corrupt("missing symbol table");
   // Each entry takes at least its 4-byte length prefix, so a count the
   // remaining bytes cannot hold is corrupt — reject before reserve()
   // turns it into a multi-GiB allocation.
-  if (sym_count > remaining() / 4) {
-    return Status::Internal("snapshot " + path + ": torn symbol table");
-  }
+  if (sym_count > b.remaining() / 4) return corrupt("torn symbol table");
   snap.symbols.reserve(sym_count);
   for (uint32_t i = 0; i < sym_count; ++i) {
-    if (remaining() < 4) {
-      return Status::Internal("snapshot " + path + ": torn symbol table");
-    }
-    const uint32_t len = GetU32(body + pos);
-    pos += 4;
-    if (remaining() < len) {
-      return Status::Internal("snapshot " + path + ": torn symbol entry");
-    }
-    snap.symbols.emplace_back(reinterpret_cast<const char*>(body + pos),
-                              len);
-    pos += len;
+    uint32_t len = 0;
+    std::string_view spelling;
+    if (!b.U32(&len)) return corrupt("torn symbol table");
+    if (!b.Bytes(len, &spelling)) return corrupt("torn symbol entry");
+    snap.symbols.emplace_back(spelling);
   }
-  if (pos != body_size) {
-    return Status::Internal("snapshot " + path + ": trailing bytes");
-  }
+  if (!b.done()) return corrupt("trailing bytes");
   *found = true;
   return snap;
 }

@@ -63,8 +63,6 @@ struct SnapshotData {
 };
 
 struct SnapshotterOptions {
-  /// Skip real fsyncs (fuzz mode) — see WalOptions::simulate_sync.
-  bool simulate_sync = false;
   /// Optional crash schedule shared with the WAL; not owned, may be null.
   DurabilityFaultSchedule* faults = nullptr;
 };

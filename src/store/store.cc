@@ -40,14 +40,12 @@ Result<std::unique_ptr<DurableStore>> DurableStore::Open(
   std::unique_ptr<DurableStore> s(new DurableStore(options));
   WalOptions wal_options;
   wal_options.sync_every = s->options_.sync_every;
-  wal_options.simulate_sync = s->options_.simulate_sync;
   wal_options.faults = &s->options_.faults;
   Result<std::unique_ptr<Wal>> wal =
       Wal::Open(WalPath(s->options_.dir), wal_options);
   if (!wal.ok()) return wal.status();
   s->wal_ = std::move(*wal);
   SnapshotterOptions snap_options;
-  snap_options.simulate_sync = s->options_.simulate_sync;
   snap_options.faults = &s->options_.faults;
   s->snapshotter_.reset(new Snapshotter(s->options_.dir, snap_options));
   return s;

@@ -40,8 +40,6 @@ struct StoreOptions {
   int sync_every = 1;
   /// Cut a snapshot + truncate the WAL every N commits (0 = never).
   int snapshot_every = 0;
-  /// Fuzz mode: track fsync bookkeeping without real fsync calls.
-  bool simulate_sync = false;
   /// Crash schedule, copied in; crash_at <= 0 never fires.
   DurabilityFaultSchedule faults;
 };

@@ -8,8 +8,9 @@
 #include <unistd.h>
 
 #include <array>
-#include <cstring>
+#include <string_view>
 
+#include "base/coding.h"
 #include "eval/test_hooks.h"
 #include "store/io.h"
 
@@ -121,15 +122,13 @@ Status Wal::Append(int64_t epoch, const std::string& update_tokens) {
   if (!WalRecordFits(update_tokens)) {
     return Poison(Status::Internal("wal record over size cap"));
   }
-  std::string payload;
-  payload.reserve(kEpochBytes + update_tokens.size());
-  PutI64(&payload, epoch);
-  payload += update_tokens;
-  std::string record;
-  record.reserve(kHeaderBytes + payload.size());
-  PutU32(&record, static_cast<uint32_t>(payload.size()));
-  PutU32(&record, Crc32(payload.data(), payload.size()));
-  record += payload;
+  std::string record(kHeaderBytes, '\0');  // length and crc, set below
+  record.reserve(kHeaderBytes + kEpochBytes + update_tokens.size());
+  PutI64(&record, epoch);
+  record += update_tokens;
+  const size_t payload = record.size() - kHeaderBytes;
+  StoreU32(record.data(), static_cast<uint32_t>(payload));
+  StoreU32(record.data() + 4, Crc32(record.data() + kHeaderBytes, payload));
 
   DurabilityFaultSchedule* faults = options_.faults;
   if (faults != nullptr && faults->Hit(CrashPoint::kWalAppend)) {
@@ -175,11 +174,9 @@ Status Wal::Sync() {
 }
 
 Status Wal::DoSync() {
-  if (!options_.simulate_sync) {
-    if (::fdatasync(fd_) != 0) {
-      return Poison(Status::Internal(std::string("wal fdatasync: ") +
-                                     ::strerror(errno)));
-    }
+  if (::fdatasync(fd_) != 0) {
+    return Poison(Status::Internal(std::string("wal fdatasync: ") +
+                                   ::strerror(errno)));
   }
   synced_size_ = size_;
   last_synced_epoch_ = last_appended_epoch_;
@@ -203,68 +200,38 @@ Status Wal::Truncate(int64_t offset) {
 
 Result<WalScan> ScanWal(const std::string& path) {
   WalScan scan;
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    if (errno == ENOENT) return scan;  // No log yet: empty and clean.
-    return Status::Internal("wal open " + path + ": " + ::strerror(errno));
+  bool exists = false;  // no log yet scans as empty and clean
+  Result<std::string> data = ReadFileBytes(path, &exists);
+  if (!data.ok()) return data.status();
+  scan.file_size = static_cast<int64_t>(data->size());
+  ByteReader r(*data);
+  while (!r.done()) {
+    const size_t at = r.pos();
+    uint32_t len = 0;
+    uint32_t crc = 0;
+    std::string_view payload;
+    std::string why;
+    if (!r.U32(&len) || !r.U32(&crc)) {
+      why = "torn record: short header";
+    } else if (len < kEpochBytes || len > kMaxRecordPayload) {
+      why = "corrupt length " + std::to_string(len);
+    } else if (!r.Bytes(len, &payload)) {
+      why = "torn record: short payload";
+    } else if (Crc32(payload.data(), payload.size()) != crc) {
+      why = "crc mismatch";
+    } else {
+      WalRecord record;
+      record.epoch = LoadI64(payload.data());
+      record.update_tokens = payload.substr(kEpochBytes);
+      record.end_offset = static_cast<int64_t>(r.pos());
+      scan.valid_end = record.end_offset;
+      scan.records.push_back(std::move(record));
+      continue;
+    }
+    scan.clean = false;
+    scan.detail = why + " at offset " + std::to_string(at);
+    break;
   }
-  std::string data;
-  char buf[1 << 16];
-  for (;;) {
-    const ssize_t r = ::read(fd, buf, sizeof buf);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      const std::string err = ::strerror(errno);
-      ::close(fd);
-      return Status::Internal("wal read " + path + ": " + err);
-    }
-    if (r == 0) break;
-    data.append(buf, static_cast<size_t>(r));
-  }
-  ::close(fd);
-
-  scan.file_size = static_cast<int64_t>(data.size());
-  const unsigned char* bytes =
-      reinterpret_cast<const unsigned char*>(data.data());
-  size_t pos = 0;
-  while (pos < data.size()) {
-    if (data.size() - pos < kHeaderBytes) {
-      scan.clean = false;
-      scan.detail = "torn record: short header at offset " +
-                    std::to_string(pos);
-      break;
-    }
-    const uint32_t len = GetU32(bytes + pos);
-    const uint32_t crc = GetU32(bytes + pos + 4);
-    if (len < kEpochBytes || len > kMaxRecordPayload) {
-      scan.clean = false;
-      scan.detail = "corrupt length " + std::to_string(len) + " at offset " +
-                    std::to_string(pos);
-      break;
-    }
-    if (data.size() - pos - kHeaderBytes < len) {
-      scan.clean = false;
-      scan.detail = "torn record: short payload at offset " +
-                    std::to_string(pos);
-      break;
-    }
-    const unsigned char* payload = bytes + pos + kHeaderBytes;
-    if (Crc32(payload, len) != crc) {
-      scan.clean = false;
-      scan.detail = "crc mismatch at offset " + std::to_string(pos);
-      break;
-    }
-    WalRecord record;
-    record.epoch = GetI64(payload);
-    record.update_tokens.assign(
-        reinterpret_cast<const char*>(payload + kEpochBytes),
-        len - kEpochBytes);
-    pos += kHeaderBytes + len;
-    record.end_offset = static_cast<int64_t>(pos);
-    scan.records.push_back(std::move(record));
-  }
-  scan.valid_end = static_cast<int64_t>(
-      scan.records.empty() ? 0 : scan.records.back().end_offset);
   return scan;
 }
 

@@ -51,10 +51,6 @@ bool WalRecordFits(const std::string& update_tokens);
 struct WalOptions {
   /// fdatasync every N appends; 1 = per commit, 0 = never.
   int sync_every = 1;
-  /// Fuzz mode: track synced offsets without issuing real fdatasync
-  /// calls — the virtual crash is the schedule's, not the kernel's, so
-  /// 1000-case sweeps don't serialize on the disk.
-  bool simulate_sync = false;
   /// Optional crash schedule; not owned, may be null. Shared with the
   /// snapshotter so `crash_at` counts one global hit sequence.
   DurabilityFaultSchedule* faults = nullptr;

@@ -910,9 +910,6 @@ OracleVerdict RunCrashRecoverVsReplay(ParsedCase* c,
   durability.dir = scratch.dir();
   durability.sync_every = spec.sync_every;
   durability.snapshot_every = spec.snapshot_every;
-  // The crash is the schedule's, not the kernel's: tracking fsync
-  // bookkeeping without fdatasync keeps 1000-case sweeps off the disk.
-  durability.simulate_sync = true;
   durability.faults = spec.Schedule();
 
   ServerRunOutcome outcome = RunServerSchedule(c, ops, salt, &durability);

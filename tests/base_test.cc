@@ -1,13 +1,18 @@
 // Unit tests for src/base: Status, Result, SymbolTable, Rng,
-// ParallelChunks.
+// ParallelChunks, and the byte codec (coding.h).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <iterator>
+#include <limits>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "base/coding.h"
 #include "base/parallel.h"
 #include "base/result.h"
 #include "base/rng.h"
@@ -41,6 +46,86 @@ TEST(StatusTest, EveryCodeHasAName) {
         StatusCode::kUnsupported, StatusCode::kInternal}) {
     EXPECT_STRNE(StatusCodeName(code), "Unknown");
   }
+}
+
+TEST(ByteReaderTest, FixedWidthValuesRoundTrip) {
+  const uint32_t u32s[] = {0, 1, 0x01020304u, 0x80000000u, 0xffffffffu};
+  const int64_t i64s[] = {0,
+                          1,
+                          -1,
+                          int64_t{-1} << 40,
+                          std::numeric_limits<int64_t>::min(),
+                          std::numeric_limits<int64_t>::max()};
+  std::string bytes;
+  PutU8(&bytes, 0xab);
+  for (uint32_t v : u32s) PutU32(&bytes, v);
+  for (int64_t v : i64s) PutI64(&bytes, v);
+  EXPECT_EQ(bytes.size(), 1 + 4 * std::size(u32s) + 8 * std::size(i64s));
+
+  ByteReader r(bytes);
+  uint8_t u8 = 0;
+  ASSERT_TRUE(r.U8(&u8));
+  EXPECT_EQ(u8, 0xab);
+  for (uint32_t v : u32s) {
+    uint32_t got = 0;
+    ASSERT_TRUE(r.U32(&got));
+    EXPECT_EQ(got, v);
+  }
+  for (int64_t v : i64s) {
+    int64_t got = 0;
+    ASSERT_TRUE(r.I64(&got));
+    EXPECT_EQ(got, v);
+  }
+  EXPECT_TRUE(r.done());
+}
+
+TEST(ByteReaderTest, LayoutIsLittleEndian) {
+  std::string bytes;
+  PutU32(&bytes, 0x04030201u);
+  PutI64(&bytes, -2);
+  EXPECT_EQ(bytes, std::string("\x01\x02\x03\x04\xfe\xff\xff\xff"
+                               "\xff\xff\xff\xff",
+                               12));
+  char raw[4];
+  StoreU32(raw, 0x04030201u);
+  EXPECT_EQ(std::string(raw, 4), bytes.substr(0, 4));
+  EXPECT_EQ(LoadU32(raw), 0x04030201u);
+  EXPECT_EQ(LoadI64(bytes.data() + 4), -2);
+}
+
+TEST(ByteReaderTest, AReadPastTheEndFailsAndKeepsThePosition) {
+  std::string bytes;
+  PutU32(&bytes, 7);
+  bytes += "abc";
+  ByteReader r(bytes);
+  uint32_t v = 0;
+  ASSERT_TRUE(r.U32(&v));
+  EXPECT_EQ(r.pos(), 4u);
+  EXPECT_EQ(r.remaining(), 3u);
+
+  // Three bytes are left: every wider read fails where it stands.
+  int64_t i64 = 42;
+  EXPECT_FALSE(r.U32(&v));
+  EXPECT_FALSE(r.I64(&i64));
+  std::string_view view;
+  EXPECT_FALSE(r.Bytes(4, &view));
+  EXPECT_FALSE(r.Bytes(std::numeric_limits<size_t>::max(), &view));
+  EXPECT_EQ(r.pos(), 4u);
+  EXPECT_EQ(v, 7u);
+  EXPECT_EQ(i64, 42);
+
+  ASSERT_TRUE(r.Bytes(3, &view));
+  EXPECT_EQ(view, "abc");
+  EXPECT_TRUE(r.done());
+  uint8_t u8 = 0;
+  EXPECT_FALSE(r.U8(&u8));
+  EXPECT_TRUE(r.Bytes(0, &view));
+  EXPECT_EQ(r.pos(), 7u);
+
+  ByteReader empty{std::string_view()};
+  EXPECT_TRUE(empty.done());
+  EXPECT_FALSE(empty.U8(&u8));
+  EXPECT_EQ(empty.pos(), 0u);
 }
 
 TEST(ResultTest, HoldsValue) {

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -104,6 +106,36 @@ TEST_F(DeadlineTest, GenerousDeadlineCompletes) {
   Result<Instance> with_deadline = engine_.MinimumModel(tc, small);
   ASSERT_TRUE(with_deadline.ok()) << with_deadline.status().ToString();
   EXPECT_EQ(*baseline, *with_deadline);
+}
+
+// A deadline far beyond any run is a budget that never runs out, however
+// large: it is kept in milliseconds, never added to a nanosecond clock
+// (INT64_MAX ms there overflowed, so the run was refused at once). The
+// stable-model search carries it into every candidate check.
+TEST_F(DeadlineTest, HugeDeadlinesNeverExpire) {
+  Program tc = Tc();
+  GraphBuilder graphs(&engine_.catalog(), &engine_.symbols());
+  Instance chain = graphs.Chain(16);
+  Result<Instance> baseline = engine_.MinimumModel(tc, chain);
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+
+  Program win = MustParse("win(X) :- g(X, Y), !win(Y).\n");
+  Instance cycle = graphs.Cycle(2);
+  for (const int64_t deadline_ms :
+       {std::numeric_limits<int64_t>::max(), int64_t{1} << 50}) {
+    SCOPED_TRACE("deadline_ms=" + std::to_string(deadline_ms));
+    engine_.options().deadline_ms = deadline_ms;
+    Result<Instance> model = engine_.MinimumModel(tc, chain);
+    ASSERT_TRUE(model.ok()) << model.status().ToString();
+    EXPECT_EQ(*model, *baseline);
+    EXPECT_GT(engine_.LastRunStats().rounds, 1);
+
+    EvalOptions options;
+    options.deadline_ms = deadline_ms;
+    Result<StableModelsResult> stable = StableModels(win, cycle, options);
+    ASSERT_TRUE(stable.ok()) << stable.status().ToString();
+    EXPECT_EQ(stable->models.size(), 2u);
+  }
 }
 
 // A token cancelled before the run starts stops every engine in its first

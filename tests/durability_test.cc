@@ -1,7 +1,8 @@
 // Tests for the durability layer (docs/durability.md): the WAL codec
 // (CRC32, append/scan/truncate, the group-commit fsync window), the
 // seeded fault schedule and its `%!` spec line, compacted snapshots with
-// the tmp+fsync+rename protocol, crash recovery (snapshot load, WAL tail
+// the tmp+fsync+rename protocol, the three file-format decoders on
+// seeded mutations of valid bytes, crash recovery (snapshot load, WAL tail
 // replay, torn-tail truncation, epoch skips, idempotence), oracle pair
 // #11 (crash-recover-vs-replay) with its planted skip-truncate bug, and
 // a server restart that recovers and keeps committing.
@@ -14,12 +15,15 @@
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "base/coding.h"
+#include "base/rng.h"
 #include "core/engine.h"
 #include "eval/incremental.h"
 #include "eval/test_hooks.h"
@@ -129,7 +133,6 @@ TEST(WalTest, GroupCommitWindowTracksSyncedEpoch) {
   ScratchDir dir;
   WalOptions options;
   options.sync_every = 2;
-  options.simulate_sync = true;
   auto wal = Wal::Open(store::WalPath(dir.path()), options);
   ASSERT_TRUE(wal.ok());
 
@@ -224,7 +227,6 @@ TEST(WalTest, ScheduledCrashTearsTheTailAndKillsTheLog) {
   faults.crash_at = 1;  // first crash point = the first append
   faults.torn_keep = 5;
   WalOptions options;
-  options.simulate_sync = true;
   options.faults = &faults;
   auto wal = Wal::Open(store::WalPath(dir.path()), options);
   ASSERT_TRUE(wal.ok());
@@ -455,15 +457,15 @@ void WriteFileRaw(const std::string& path, const std::string& bytes) {
 std::string CraftSnapshotFile(uint32_t base_len, bool with_sym_count,
                               uint32_t sym_count) {
   std::string body;
-  store::PutI64(&body, 7);   // epoch
-  store::PutI64(&body, 0);   // wal_offset
-  store::PutU32(&body, base_len);
-  if (with_sym_count) store::PutU32(&body, sym_count);
+  PutI64(&body, 7);   // epoch
+  PutI64(&body, 0);   // wal_offset
+  PutU32(&body, base_len);
+  if (with_sym_count) PutU32(&body, sym_count);
   std::string file;
-  store::PutU32(&file, 0x4E534455u);  // magic 'UDSN'
-  store::PutU32(&file, 1);            // version
+  PutU32(&file, 0x4E534455u);  // magic 'UDSN'
+  PutU32(&file, 1);            // version
   file += body;
-  store::PutU32(&file, store::Crc32(body.data(), body.size()));
+  PutU32(&file, store::Crc32(body.data(), body.size()));
   return file;
 }
 
@@ -505,7 +507,6 @@ TEST(SnapshotterTest, CrashBeforeRenameKeepsTheOldSnapshot) {
   DurabilityFaultSchedule faults;
   faults.crash_at = 1;  // fires on kSnapBeforeRename inside Write
   store::SnapshotterOptions options;
-  options.simulate_sync = true;
   options.faults = &faults;
   Snapshotter crashing(dir.path(), options);
   SnapshotData newer = MakeSnapshotData();
@@ -520,6 +521,191 @@ TEST(SnapshotterTest, CrashBeforeRenameKeepsTheOldSnapshot) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ASSERT_TRUE(found);
   EXPECT_EQ(loaded->epoch, 2);
+}
+
+// -- Decoders on mutated bytes ------------------------------------------
+//
+// Seeded mutations of valid bytes, in the style of the wire fuzz
+// (ServerWireTest.MutatedRequestStreamsLeaveNoPins): a flipped byte, a
+// cut tail, an inserted byte, or one of the format's u32 length and count
+// fields rewritten with a hostile value. Each decoder must accept only
+// what its format allows and report the rest as an error.
+
+std::string MustReadFile(const std::string& path) {
+  bool exists = false;
+  Result<std::string> bytes = store::ReadFileBytes(path, &exists);
+  EXPECT_TRUE(bytes.ok() && exists) << path;
+  return bytes.ok() ? *bytes : std::string();
+}
+
+/// Applies one to three mutations to `bytes`; `fields` are the offsets of
+/// its u32 length and count fields.
+void Mutate(Rng* rng, const std::vector<size_t>& fields, std::string* bytes) {
+  for (int m = 1 + rng->UniformInt(3); m > 0; --m) {
+    switch (rng->UniformInt(4)) {
+      case 0:
+        if (!bytes->empty()) {
+          (*bytes)[rng->Uniform(bytes->size())] ^=
+              static_cast<char>(1 + rng->UniformInt(255));
+        }
+        break;
+      case 1:
+        if (!bytes->empty()) bytes->resize(rng->Uniform(bytes->size()));
+        break;
+      case 2:
+        bytes->insert(rng->Uniform(bytes->size() + 1), 1,
+                      static_cast<char>(rng->UniformInt(256)));
+        break;
+      default: {
+        const size_t at = fields[rng->Uniform(fields.size())];
+        if (at + 4 > bytes->size()) break;
+        const uint32_t old = LoadU32(bytes->data() + at);
+        const uint32_t values[] = {0,           1,           old - 1,
+                                   old + 1,     0x7fffffffu, 0xffffffffu,
+                                   static_cast<uint32_t>(rng->Next())};
+        StoreU32(bytes->data() + at, values[rng->Uniform(std::size(values))]);
+        break;
+      }
+    }
+  }
+}
+
+// Every record ScanWal returns from a damaged log is one that was written,
+// in order and at its original offset: a prefix of the log, never a
+// record the damage made up.
+TEST(DecoderMutationTest, ScanWalReturnsAPrefixOfTheWrittenRecords) {
+  ScratchDir dir;
+  const std::string path = store::WalPath(dir.path());
+  std::vector<std::string> tokens;
+  std::vector<size_t> length_fields;  // each record's u32 length
+  std::vector<int64_t> ends;
+  {
+    WalOptions options;
+    options.sync_every = 0;
+    auto wal = Wal::Open(path, options);
+    ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+    for (int64_t e = 1; e <= 6; ++e) {
+      tokens.push_back(e % 3 == 0 ? std::string()
+                                  : "+e1(" + std::to_string(e) + "," +
+                                        std::to_string(e + 1) + ")");
+      length_fields.push_back(static_cast<size_t>((*wal)->size()));
+      ASSERT_TRUE((*wal)->Append(e, tokens.back()).ok());
+      ends.push_back((*wal)->size());
+    }
+  }
+  const std::string original = MustReadFile(path);
+
+  Rng rng(20261021);
+  for (int n = 0; n < 2000; ++n) {
+    SCOPED_TRACE("case " + std::to_string(n));
+    std::string bytes = original;
+    Mutate(&rng, length_fields, &bytes);
+    WriteFileRaw(path, bytes);
+    Result<WalScan> scan = ScanWal(path);
+    ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+    ASSERT_LE(scan->records.size(), tokens.size());
+    for (size_t i = 0; i < scan->records.size(); ++i) {
+      EXPECT_EQ(scan->records[i].epoch, static_cast<int64_t>(i) + 1);
+      EXPECT_EQ(scan->records[i].update_tokens, tokens[i]);
+      EXPECT_EQ(scan->records[i].end_offset, ends[i]);
+    }
+    EXPECT_EQ(scan->file_size, static_cast<int64_t>(bytes.size()));
+    EXPECT_EQ(scan->valid_end,
+              scan->records.empty() ? 0 : scan->records.back().end_offset);
+    EXPECT_EQ(scan->clean, scan->valid_end == scan->file_size);
+  }
+}
+
+// A damaged snapshot.bin loads as the data that was written or fails.
+// Half the cases re-seal the checksum over the damaged body, so the
+// length checks behind it see the hostile fields too; what loads then is
+// exactly what Write encodes back to the same bytes.
+TEST(DecoderMutationTest, LoadSnapshotReturnsTheWrittenDataOrAnError) {
+  ScratchDir dir;
+  ScratchDir rewritten;
+  const SnapshotData snap = MakeSnapshotData();
+  ASSERT_TRUE(Snapshotter(dir.path(), {}).Write(snap).ok());
+  const std::string path = store::SnapshotPath(dir.path());
+  const std::string original = MustReadFile(path);
+  // base_len, the symbol count and the first spelling's length.
+  const size_t base_len_at = 8 + 16;
+  const size_t sym_count_at = base_len_at + 4 + snap.base_bytes.size();
+  const std::vector<size_t> fields = {base_len_at, sym_count_at,
+                                      sym_count_at + 4};
+
+  Rng rng(20261022);
+  int loaded_ok = 0;
+  for (int n = 0; n < 2000; ++n) {
+    SCOPED_TRACE("case " + std::to_string(n));
+    std::string bytes = original;
+    Mutate(&rng, fields, &bytes);
+    const bool reseal = bytes.size() >= 12 && rng.Chance(0.5);
+    if (reseal) {
+      StoreU32(bytes.data() + bytes.size() - 4,
+               store::Crc32(bytes.data() + 8, bytes.size() - 12));
+    }
+    WriteFileRaw(path, bytes);
+    bool found = false;
+    Result<SnapshotData> loaded = LoadSnapshot(dir.path(), &found);
+    if (!loaded.ok()) {
+      EXPECT_FALSE(found);
+      continue;
+    }
+    ++loaded_ok;
+    EXPECT_TRUE(found);
+    if (!reseal) {
+      EXPECT_EQ(loaded->epoch, snap.epoch);
+      EXPECT_EQ(loaded->wal_offset, snap.wal_offset);
+      EXPECT_EQ(loaded->base_bytes, snap.base_bytes);
+      EXPECT_EQ(loaded->symbols, snap.symbols);
+    }
+    ASSERT_TRUE(Snapshotter(rewritten.path(), {}).Write(*loaded).ok());
+    EXPECT_EQ(MustReadFile(store::SnapshotPath(rewritten.path())), bytes);
+  }
+  EXPECT_GT(loaded_ok, 0);
+}
+
+// UDS1 bytes carry no checksum, so a damaged snapshot may still decode;
+// RestoreSnapshot then restores a whole instance (it round-trips), and
+// otherwise fails with the instance left empty, never half-restored. The
+// 0-ary relation's count is one of the rewritten fields: a claimed row
+// that reads no bytes must not cost an insert per claim.
+TEST(DecoderMutationTest, RestoreSnapshotIsWholeOrLeavesTheInstanceEmpty) {
+  Engine engine;
+  Instance db = engine.NewInstance();
+  ASSERT_TRUE(
+      engine.AddFacts("e1(0, 1). e1(1, 2). e1(2, 0). e2(5). a.", &db).ok());
+  const std::string original = db.SerializeSnapshot();
+  // The relation count, then each chunk's pred, arity and count.
+  std::vector<size_t> fields = {4};
+  for (size_t at = 8; at < original.size();) {
+    fields.insert(fields.end(), {at, at + 4, at + 8});
+    at += 12 + 4 * size_t{LoadU32(original.data() + at + 4)} *
+                   size_t{LoadU32(original.data() + at + 8)};
+  }
+  ASSERT_EQ(fields.size(), 10u);
+
+  Rng rng(20261023);
+  int restored = 0;
+  int refused = 0;
+  for (int n = 0; n < 2000; ++n) {
+    SCOPED_TRACE("case " + std::to_string(n));
+    std::string bytes = original;
+    Mutate(&rng, fields, &bytes);
+    Instance target = engine.NewInstance();
+    ASSERT_TRUE(engine.AddFacts("e2(4).", &target).ok());
+    if (!target.RestoreSnapshot(bytes).ok()) {
+      EXPECT_EQ(target.TotalFacts(), 0u);
+      ++refused;
+      continue;
+    }
+    ++restored;
+    Instance again = engine.NewInstance();
+    ASSERT_TRUE(again.RestoreSnapshot(target.SerializeSnapshot()).ok());
+    EXPECT_EQ(again, target);
+  }
+  EXPECT_GT(restored, 0);
+  EXPECT_GT(refused, 0);
 }
 
 // -- Recovery -----------------------------------------------------------
@@ -661,7 +847,6 @@ TEST_F(RecoverTest, SkipsWalEpochsAlreadyInTheSnapshot) {
   StoreOptions options;
   options.dir = dir.path();
   options.snapshot_every = 1;
-  options.simulate_sync = true;
   options.faults.crash_at = 4;
   auto dstore = DurableStore::Open(options);
   ASSERT_TRUE(dstore.ok());

@@ -53,6 +53,16 @@ TEST(FaultSpecTest, RejectsMalformedSpecs) {
   EXPECT_FALSE(ParseFaultSpec("unknown=1").ok());
   EXPECT_FALSE(ParseFaultSpec("partition=5:2:0").ok());
   EXPECT_FALSE(ParseFaultSpec("crash=0:0:1").ok());
+  // Non-finite probabilities slip past a range check; integers beyond
+  // int would wrap (4294967297 to 1).
+  EXPECT_FALSE(ParseFaultSpec("drop=nan").ok());
+  EXPECT_FALSE(ParseFaultSpec("dup=-nan").ok());
+  EXPECT_FALSE(ParseFaultSpec("delay=inf").ok());
+  EXPECT_FALSE(ParseFaultSpec("max_delay=4294967297").ok());
+  EXPECT_FALSE(ParseFaultSpec("retries=99999999999999999999").ok());
+  EXPECT_FALSE(ParseFaultSpec("crash=4294967297:3:2").ok());
+  EXPECT_FALSE(ParseFaultSpec("partition=2:4294967301:0").ok());
+  EXPECT_TRUE(ParseFaultSpec("max_delay=2147483647").ok());
   EXPECT_TRUE(ParseFaultSpec("").ok());
 }
 

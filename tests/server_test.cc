@@ -19,6 +19,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <filesystem>
 #include <iterator>
 #include <limits>
 #include <memory>
@@ -259,6 +260,41 @@ TEST(ServerWireTest, LargeFramesRoundTripOverALocalhostSocket) {
     EXPECT_TRUE(read_back == payload);
   }
   sigaction(SIGUSR1, &previous, nullptr);
+}
+
+// A signal landing while Accept blocks fails that accept call with EINTR
+// (the handler is installed without SA_RESTART). Accept must retry and
+// still hand over the next connection: a null return would end a
+// server's accept loop for good.
+TEST(ServerWireTest, AcceptRetriesAfterASignal) {
+  struct sigaction ignore {};
+  struct sigaction previous {};
+  ignore.sa_handler = IgnoreSignal;
+  sigemptyset(&ignore.sa_mask);
+  ASSERT_EQ(sigaction(SIGUSR1, &ignore, &previous), 0);
+  Result<std::unique_ptr<SocketListener>> listener = SocketListener::Listen(0);
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  std::unique_ptr<ByteChannel> accepted;
+  std::atomic<bool> returned{false};
+  std::thread accept([&] {
+    accepted = (*listener)->Accept();
+    returned = true;
+  });
+  for (int i = 0; i < 5 && !returned; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    pthread_kill(accept.native_handle(), SIGUSR1);
+  }
+  Result<std::unique_ptr<ByteChannel>> client =
+      SocketConnect((*listener)->port());
+  if (!client.ok()) (*listener)->Close();
+  accept.join();
+  sigaction(SIGUSR1, &previous, nullptr);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  ASSERT_NE(accepted, nullptr);
+  ASSERT_TRUE(WriteFrame(client->get(), "hello"));
+  std::string payload;
+  ASSERT_TRUE(ReadFrame(accepted.get(), &payload));
+  EXPECT_EQ(payload, "hello");
 }
 
 // A socket sends at most 16 parts per sendmsg, so a longer gather list
@@ -543,6 +579,32 @@ TEST_F(ServerTest, UpdateCommitAdvancesTheEpoch) {
   ASSERT_TRUE(view.ok());
   ASSERT_TRUE((*view)->ApplyBatch(log[0].batch).ok());
   EXPECT_EQ(r.body, (*view)->model().Restrict({t}).SerializeSnapshot());
+}
+
+// Reporting a settled ticket consumes it, as an update Call does, so the
+// scheduler surface keeps no ticket per commit. An unsettled ticket stays
+// until it is reported.
+TEST_F(ServerTest, UpdateOutcomeConsumesTheTicket) {
+  auto server = MustCreate(kTcProgram, "e1(0, 1).");
+  std::vector<int64_t> tickets;
+  for (const char* tokens : {"+e1(1,2)", "+e1(2,3)", "-e1(0,1)"}) {
+    Result<int64_t> ticket = server->SubmitUpdate(tokens);
+    ASSERT_TRUE(ticket.ok());
+    tickets.push_back(*ticket);
+  }
+  ASSERT_TRUE(server->ApplyOneQueued());
+  Response response;
+  EXPECT_FALSE(server->UpdateOutcome(tickets[1], &response));
+  ASSERT_TRUE(server->ApplyOneQueued());
+  ASSERT_TRUE(server->ApplyOneQueued());
+  for (size_t i = 0; i < tickets.size(); ++i) {
+    SCOPED_TRACE("ticket " + std::to_string(tickets[i]));
+    ASSERT_TRUE(server->UpdateOutcome(tickets[i], &response));
+    EXPECT_EQ(response.status, StatusCode::kOk);
+    EXPECT_EQ(response.epoch, static_cast<int64_t>(i) + 1);
+    Response again;
+    EXPECT_FALSE(server->UpdateOutcome(tickets[i], &again));
+  }
 }
 
 TEST_F(ServerTest, MalformedUpdateIsRefusedWithoutEnqueueing) {
@@ -1558,6 +1620,89 @@ TEST_F(ServerThreadedTest, ServesOverLocalhostSockets) {
   accept_loop.join();
   server->Stop();
   EXPECT_EQ(response.body, ReplayAll("e1(0, 1).", log));
+}
+
+/// This process's open file descriptors.
+int OpenFds() {
+  int fds = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    (void)entry;
+    ++fds;
+  }
+  return fds;
+}
+
+// Connection churn: each accept joins and frees the pumps whose client
+// has gone, closing their sockets, so a thousand sequential
+// connect/ping/close cycles leave the server holding a couple of sockets
+// (counted in /proc/self/fd; kept, the server would hold one more per
+// cycle). A pump that has not yet seen its client's EOF is reaped by a
+// later accept, so a count above the bound gets a few more paced pings
+// to come back down before it fails. Stop still closes and joins the
+// pumps of the connections that stay open.
+TEST_F(ServerThreadedTest, ConnectionChurnReapsFinishedPumps) {
+  if (!std::filesystem::exists("/proc/self/fd")) {
+    GTEST_SKIP() << "needs /proc/self/fd to count sockets";
+  }
+  auto server = MustCreate(kTcProgram, "e1(0, 1).");
+  server->Start();
+  Result<std::unique_ptr<SocketListener>> listener = SocketListener::Listen(0);
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  const int port = (*listener)->port();
+  std::thread accept_loop([&server, l = listener->get()] {
+    server->ServeListener(l);
+  });
+  auto ping = [port] {
+    Result<std::unique_ptr<ByteChannel>> client = SocketConnect(port);
+    std::string payload;
+    Response response;
+    if (!client.ok() ||
+        !WriteFrame(client->get(),
+                    EncodeRequest(Request{Request::Kind::kPing, "", 0,
+                                          nullptr})) ||
+        !ReadFrame(client->get(), &payload) ||
+        !DecodeResponse(payload, &response) ||
+        response.status != StatusCode::kOk) {
+      return std::unique_ptr<ByteChannel>();
+    }
+    return std::move(*client);
+  };
+
+  // Failures break out of the loops rather than return, so the accept
+  // loop is always joined.
+  constexpr int kHeldSockets = 2;
+  const int fds_before = OpenFds();
+  for (int cycle = 0; cycle < 1000; ++cycle) {
+    bool served = ping() != nullptr;
+    int held = OpenFds() - fds_before;
+    for (int retry = 0; served && held > kHeldSockets && retry < 50;
+         ++retry) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      served = ping() != nullptr;
+      held = OpenFds() - fds_before;
+    }
+    if (!served || held > kHeldSockets) {
+      ADD_FAILURE() << "cycle " << cycle << ": served " << served << ", "
+                    << held << " sockets held";
+      break;
+    }
+  }
+
+  std::vector<std::unique_ptr<ByteChannel>> open;
+  for (int i = 0; i < 3; ++i) open.push_back(ping());
+  server->Stop();
+  for (const std::unique_ptr<ByteChannel>& client : open) {
+    std::string payload;
+    EXPECT_NE(client, nullptr);
+    if (client != nullptr) {
+      EXPECT_FALSE(ReadFrame(client.get(), &payload));  // the server closed
+    }
+  }
+  (*listener)->Close();
+  accept_loop.join();
+  open.clear();
+  EXPECT_LE(OpenFds(), fds_before);
 }
 
 }  // namespace
